@@ -38,8 +38,8 @@ void print_usage(std::FILE* to) {
       "  --quick         ~4x shorter phase windows (smoke runs)\n"
       "  --threads N     worker threads (0 = hardware concurrency)\n"
       "  --seeds N       run every grid point N times with independent\n"
-      "                  measurement seeds (one shared warmup, lockstep\n"
-      "                  replicas); tables gain mean and ±ci95 columns\n"
+      "                  measurement seeds (one shared warmup, replicas\n"
+      "                  forked from it); tables gain mean and ±ci95 columns\n"
       "  --csv DIR       mirror every table to DIR/<exp>_<title>.csv\n"
       "  --json DIR      write DIR/<exp>.json (schema v%d)\n"
       "  --resume DIR    run grids as crash-resumable campaigns in DIR\n"

@@ -10,20 +10,13 @@
 //
 // Usage:
 //   perf_kernel [--quick] [--reps N] [--out FILE] [--baseline FILE]
-//               [--sweep] [key=value ...]
+//               [key=value ...]
 //
 // --out writes a JSON report; --baseline embeds a previous report
 // verbatim under "baseline" and records the DXbar cycles/sec speedup
 // against it.  Timing uses the best of `reps` repetitions, each with a
 // fresh network and an untimed warmup, so one-off cache/page effects
 // do not pollute the figure.
-//
-// --sweep benchmarks warm-start sweeps instead: a 6-design x 8-load
-// uniform-random grid is run cold (run_sweep: every point replays its
-// own warmup) and warm (run_warm_sweep: one warmup per design, forked
-// from a snapshot across the loads), the results are checked for
-// bit-identity, and the wall-clock speedup is reported (BENCH_sweep.json
-// with --out).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -91,130 +84,6 @@ double scan_baseline_dxbar(const std::string& json) {
                      nullptr);
 }
 
-/// Serialized form of a RunStats — byte equality here is the strongest
-/// equality the stats offer (doubles compare by bit pattern).
-std::vector<std::uint8_t> stats_bytes(const RunStats& s) {
-  SnapshotWriter w;
-  save_run_stats(w, s);
-  return w.take();
-}
-
-/// --sweep: cold vs warm-start sweep over the 6-design x 8-load grid.
-int run_sweep_bench(const SimConfig& base, bool quick, int reps,
-                    const std::string& out_path) {
-  const Cycle warmup = quick ? 500 : 5000;
-  const Cycle measure = quick ? 400 : 4000;
-  const double warmup_load = 0.15;
-  const std::vector<double> loads = {0.04, 0.07, 0.10, 0.13,
-                                     0.16, 0.19, 0.22, 0.25};
-  const std::vector<std::pair<const char*, RouterDesign>> designs = {
-      {"Flit-Bless", RouterDesign::FlitBless},
-      {"SCARAB", RouterDesign::Scarab},
-      {"Buffered 4", RouterDesign::Buffered4},
-      {"Buffered 8", RouterDesign::Buffered8},
-      {"DXbar", RouterDesign::DXbar},
-      {"Unified", RouterDesign::UnifiedXbar},
-  };
-
-  std::vector<SimConfig> configs;
-  for (const auto& [name, design] : designs) {
-    for (double load : loads) {
-      SimConfig cfg = base;
-      cfg.design = design;
-      cfg.offered_load = load;
-      cfg.warmup_load = warmup_load;
-      cfg.warmup_cycles = warmup;
-      cfg.measure_cycles = measure;
-      configs.push_back(cfg);
-    }
-  }
-
-  std::printf("perf_kernel --sweep: %dx%d %s, %zu designs x %zu loads, "
-              "warmup=%llu measure=%llu warmup_load=%.2f reps=%d\n",
-              base.mesh_width, base.mesh_height,
-              std::string(to_string(base.pattern)).c_str(), designs.size(),
-              loads.size(), static_cast<unsigned long long>(warmup),
-              static_cast<unsigned long long>(measure), warmup_load, reps);
-
-  // Single-threaded so the timing compares simulation work, not
-  // scheduling noise; best-of-reps as in the kernel bench.
-  double cold_secs = 0.0;
-  double warm_secs = 0.0;
-  std::vector<RunStats> cold;
-  std::vector<RunStats> warm;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto c = run_sweep(configs, 1);
-    const auto t1 = std::chrono::steady_clock::now();
-    auto w = run_warm_sweep(configs, 1);
-    const auto t2 = std::chrono::steady_clock::now();
-    const double cs = std::chrono::duration<double>(t1 - t0).count();
-    const double ws = std::chrono::duration<double>(t2 - t1).count();
-    if (r == 0 || cs < cold_secs) {
-      cold_secs = cs;
-      cold = std::move(c);
-    }
-    if (r == 0 || ws < warm_secs) {
-      warm_secs = ws;
-      warm = std::move(w);
-    }
-  }
-
-  bool identical = true;
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (stats_bytes(cold[i]) != stats_bytes(warm[i])) {
-      identical = false;
-      std::fprintf(stderr,
-                   "MISMATCH at point %zu (design=%s load=%.2f): warm sweep "
-                   "diverged from cold\n",
-                   i, std::string(to_string(configs[i].design)).c_str(),
-                   configs[i].offered_load);
-    }
-  }
-
-  const double speedup = cold_secs / warm_secs;
-  std::printf("cold: %.3fs  warm: %.3fs  speedup: %.2fx  results: %s\n",
-              cold_secs, warm_secs, speedup,
-              identical ? "bit-identical" : "MISMATCH");
-
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "{\n"
-                  "  \"bench\": \"perf_sweep\",\n"
-                  "  \"config\": {\n"
-                  "    \"mesh\": \"%dx%d\",\n"
-                  "    \"pattern\": \"%s\",\n"
-                  "    \"designs\": %zu,\n"
-                  "    \"loads\": %zu,\n"
-                  "    \"warmup_cycles\": %llu,\n"
-                  "    \"measure_cycles\": %llu,\n"
-                  "    \"warmup_load\": %.2f,\n"
-                  "    \"reps\": %d,\n"
-                  "    \"seed\": %llu\n"
-                  "  },\n"
-                  "  \"cold_seconds\": %.6f,\n"
-                  "  \"warm_seconds\": %.6f,\n"
-                  "  \"speedup\": %.3f,\n"
-                  "  \"bit_identical\": %s\n"
-                  "}\n",
-                  base.mesh_width, base.mesh_height,
-                  std::string(to_string(base.pattern)).c_str(), designs.size(),
-                  loads.size(), static_cast<unsigned long long>(warmup),
-                  static_cast<unsigned long long>(measure), warmup_load, reps,
-                  static_cast<unsigned long long>(base.seed), cold_secs,
-                  warm_secs, speedup, identical ? "true" : "false");
-    out << buf;
-    std::printf("wrote %s\n", out_path.c_str());
-  }
-  return identical ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -223,15 +92,12 @@ int main(int argc, char** argv) {
   base.offered_load = 0.30;
 
   bool quick = false;
-  bool sweep = false;
   int reps = 3;
   std::string out_path;
   std::string baseline_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(argv[i], "--sweep") == 0) {
-      sweep = true;
     } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
       reps = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
@@ -244,7 +110,6 @@ int main(int argc, char** argv) {
     }
   }
   if (reps < 1) reps = 1;
-  if (sweep) return run_sweep_bench(base, quick, reps, out_path);
 
   const Cycle warmup = quick ? 200 : 1000;
   const Cycle window = quick ? 2000 : 50000;

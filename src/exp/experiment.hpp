@@ -83,9 +83,10 @@ struct RunContext {
   std::string resume_dir;
 
   /// Runs an open-loop grid through the session executor (warm-start
-  /// sweep, or the crash-resumable campaign under --resume).  The
-  /// runner invokes this on `Experiment::grid` output itself; custom
-  /// `run` experiments may call it for embedded grids.
+  /// sweep, or the crash-resumable campaign under --resume), after
+  /// validating every config.  The runner invokes this on
+  /// `Experiment::grid` output itself; custom `run` experiments may call
+  /// it for embedded grids, from the calling thread.
   std::function<std::vector<RunStats>(const std::vector<SimConfig>&)> sweep;
 };
 

@@ -17,7 +17,6 @@
 #include "common/text.hpp"
 #include "report/analysis.hpp"
 #include "sim/campaign.hpp"
-#include "sim/replica_batch.hpp"
 #include "sim/sweep.hpp"
 
 #ifndef DXBAR_GIT_DESCRIBE
@@ -131,9 +130,8 @@ std::vector<RunStats> sweep_warm(const std::string& exp_name,
                                  const std::vector<SimConfig>& configs,
                                  unsigned threads, WarmupCache* cache,
                                  std::size_t& groups_out) {
-  ReplicaSweepReport rep;
-  auto stats = run_replica_sweep(configs, threads, cache, &rep);
-  const WarmSweepReport& report = rep.warm;
+  SweepReport report;
+  auto stats = run_sweep(configs, threads, cache, &report);
   groups_out = report.groups.size();
   if (!report.groups.empty()) {
     std::fprintf(stderr,
@@ -147,17 +145,29 @@ std::vector<RunStats> sweep_warm(const std::string& exp_name,
           exp_name.c_str(), g, report.groups[g].size(),
           group_signature(configs[report.groups[g].front()]).c_str());
     }
-    std::fprintf(stderr,
-                 "dxbar_bench: %s: %zu lockstep batch(es), widest %zu "
-                 "lane(s)\n",
-                 exp_name.c_str(), rep.batches, rep.max_lanes);
   }
-  if (cache != nullptr && rep.cache_hits + rep.cache_misses > 0) {
+  if (cache != nullptr && report.cache_hits + report.cache_misses > 0) {
     std::fprintf(stderr,
                  "dxbar_bench: %s: warm cache: %zu hit(s), %zu miss(es)\n",
-                 exp_name.c_str(), rep.cache_hits, rep.cache_misses);
+                 exp_name.c_str(), report.cache_hits, report.cache_misses);
   }
   return stats;
+}
+
+/// Rejects the first config of a sweep that SimConfig::validate refuses,
+/// before any point simulates: one line naming the experiment, the point
+/// index, the design and the reason, then exit 2 (the bad-config code).
+void validate_sweep(const std::string& exp_name,
+                    const std::vector<SimConfig>& configs) {
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    if (const std::string err = configs[i].validate(); !err.empty()) {
+      std::fprintf(stderr, "dxbar_bench: %s: point %zu (%s): %s\n",
+                   exp_name.c_str(), i,
+                   std::string(to_string(configs[i].design)).c_str(),
+                   err.c_str());
+      std::exit(2);
+    }
+  }
 }
 
 std::vector<RunStats> sweep_campaign(const std::string& exp_name,
@@ -393,8 +403,9 @@ void print_preflight(const std::vector<const Experiment*>& to_run,
     unsigned long long cycles = 0;
     double sec = 0.0;
     for (const SimConfig& c : cfgs) {
-      // Replicas share one warmup (replica engine), so --seeds N costs
-      // one warmup plus N measurement windows per point.
+      // Replicas share one warmup (run_sweep forks them from its
+      // snapshot), so --seeds N costs one warmup plus N measurement
+      // windows per point.
       const unsigned long long pt =
           c.warmup_cycles + seeds * c.measure_cycles;
       cycles += pt;
@@ -558,6 +569,7 @@ ExperimentResult execute(const Experiment& exp, const RunOptions& opt) {
   std::size_t warm_groups = 0;
   const bool campaign_mode = !opt.resume_dir.empty();
   ctx.sweep = [&](const std::vector<SimConfig>& configs) {
+    validate_sweep(exp.name, configs);
     if (campaign_mode) {
       return sweep_campaign(exp.name, configs, opt.resume_dir);
     }
@@ -570,8 +582,8 @@ ExperimentResult execute(const Experiment& exp, const RunOptions& opt) {
     const int seeds = std::max(1, opt.seeds);
     // Rep-major expansion: [rep0: all points][rep1: all points]... so
     // each replica slice is structurally identical to the base grid and
-    // can be fed to the reducer unchanged.  The replica engine groups
-    // the copies of each point into one shared-warmup lockstep batch.
+    // can be fed to the reducer unchanged.  run_sweep groups the copies
+    // of each point under one shared warmup.
     std::vector<SimConfig> configs = base_grid;
     if (seeds > 1) {
       configs.reserve(base_grid.size() * static_cast<std::size_t>(seeds));

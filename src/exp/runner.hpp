@@ -1,12 +1,13 @@
 // Experiment runner: the execution and reporting engine behind the
 // `dxbar_bench` driver.
 //
-// Execution routes every open-loop grid through run_warm_sweep — points
-// that share a warmup (identical config up to measurement rate + drain
-// cap, warmup_load pinned) are warmed once and forked from a snapshot,
-// and the grouping is logged — or, under --resume, through the
-// crash-resumable Campaign runner (kill the process at any instant,
-// re-run the same command, get bit-identical results).
+// Execution validates every config of an open-loop grid, then routes the
+// grid through run_sweep — points that share a warmup (identical config
+// up to measurement rate / measure_seed + drain cap) are warmed once and
+// forked from a snapshot, and the grouping is logged — or, under
+// --resume, through the crash-resumable Campaign runner (kill the
+// process at any instant, re-run the same command, get bit-identical
+// results).
 //
 // Reporting renders the reduced tables to stdout (byte-compatible with
 // the legacy per-figure binaries), optionally mirrors them to CSV, and
@@ -64,7 +65,7 @@ struct RunOptions {
   /// Measurement replicas per grid point.  With N > 1 every grid is
   /// expanded rep-major (replica 0 keeps each config untouched; replica
   /// r > 0 derives an independent nonzero measure_seed), the replicas
-  /// share warmups through the replica engine, and the reduced tables
+  /// share warmups through run_sweep, and the reduced tables
   /// report per-cell means plus appended "<series> ±ci95" columns.
   int seeds = 1;
   /// Session-wide warm-snapshot cache (optional).  When set, warm
@@ -80,7 +81,9 @@ struct RunOptions {
 
 /// Executes one experiment (no output side effects beyond stderr
 /// progress logs).  Grid experiments run via warm sweep or campaign;
-/// custom experiments call their `run`.
+/// custom experiments call their `run`.  A grid config that
+/// SimConfig::validate rejects ends the process with exit code 2 and a
+/// one-line stderr message before any point simulates.
 ExperimentResult execute(const Experiment& exp, const RunOptions& opt);
 
 /// Folds N per-replica reductions into one result: every table cell

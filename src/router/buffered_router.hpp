@@ -33,13 +33,6 @@ class BufferedRouter final : public Router {
     return lanes_per_input_ * depth_;
   }
 
-  /// Batched lockstep entry point (see DXbarRouter::step_batch): same
-  /// node across K replica lanes, devirtualized through the final class.
-  static void step_batch(BufferedRouter* const* lanes, const Cycle* nows,
-                         std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) lanes[i]->step(nows[i]);
-  }
-
  private:
   struct Entry {
     Flit flit;

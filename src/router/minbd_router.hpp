@@ -52,12 +52,6 @@ class MinBDRouter final : public Router {
     return (f.packet & 7) == ((now >> 8) & 7);
   }
 
-  /// Batched lockstep entry point (see DXbarRouter::step_batch).
-  static void step_batch(MinBDRouter* const* lanes, const Cycle* nows,
-                         std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) lanes[i]->step(nows[i]);
-  }
-
  private:
   int degree_ = 0;               ///< live out-links (== live in-links)
   FixedQueue<Flit> side_;        ///< the shared side buffer

@@ -76,24 +76,6 @@ class Network final : public Injector {
   /// switching, ejection/reassembly, NACK deliveries.
   void step();
 
-  /// Upper bound on the lane count one step_lanes call accepts; the
-  /// per-node scratch arrays live on the stack.
-  static constexpr std::size_t kMaxStepLanes = 64;
-
-  /// Advances every network in `lanes` by one cycle in lockstep.  Each
-  /// lane's state transition is bit-identical to lanes[i]->step(): the
-  /// phases are interleaved lane-major, and the router phase runs
-  /// node-major — node 0 across all K lanes, then node 1, ... — through
-  /// the per-design batched entry points (DXbarRouter::step_batch et
-  /// al.), so one node's allocation code and branch history stay hot
-  /// across the whole batch.  Lanes never interact; pure reordering.
-  ///
-  /// Requirements (std::invalid_argument otherwise): 1..kMaxStepLanes
-  /// lanes, every lane single-sharded (shards == 1) with no tracer
-  /// attached, and all lanes sharing one design and mesh shape.  Lanes
-  /// may differ in seed, traffic, faults, and current cycle.
-  static void step_lanes(Network* const* lanes, std::size_t n);
-
   [[nodiscard]] Cycle now() const noexcept { return now_; }
 
   /// No flit anywhere in the system (queues, routers, links, NACKs).

@@ -1,175 +1,8 @@
 #include "sim/replica_batch.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-#include <thread>
-
-#include "sim/sim_runner.hpp"
 #include "snapshot/serialize.hpp"
-#include "workload/factory.hpp"
 
 namespace dxbar {
-namespace {
-
-constexpr std::uint32_t kSecWorkload = section_tag("WKLD");
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// ReplicaBatch
-
-/// One lane: a complete simulation plus the open-loop phase machine
-/// that mirrors advance_open_loop / finish_open_loop cycle for cycle.
-struct ReplicaBatch::Lane {
-  enum class Phase { Measure, Drain, Done };
-
-  SimConfig cfg;
-  Network net;
-  std::unique_ptr<WorkloadModel> workload;
-  Phase phase = Phase::Measure;
-  Cycle drain_taken = 0;
-  RunStats stats;
-  std::vector<PacketRecord> packets;
-
-  explicit Lane(const SimConfig& c)
-      : cfg(c), net(cfg), workload(make_workload(cfg, net.mesh())) {
-    net.set_workload(workload.get());
-    derive_energy_gate();
-  }
-
-  [[nodiscard]] Cycle measure_end() const noexcept {
-    return cfg.warmup_cycles + cfg.measure_cycles;
-  }
-
-  /// Re-derives the energy gate from the clock, exactly as
-  /// advance_open_loop does on entry — position-independent, so it
-  /// holds for fresh lanes and for lanes restored from a warm snapshot.
-  void derive_energy_gate() {
-    net.energy().set_enabled(net.now() >= cfg.warmup_cycles &&
-                             net.now() < measure_end());
-  }
-
-  /// Per-cycle bookkeeping before a lockstep step: phase transitions,
-  /// the energy flip at the warmup boundary, drain bookkeeping.
-  /// Returns true when the lane takes part in this cycle's step; false
-  /// means the lane just finished (phase == Done).  The transition
-  /// points replay finish_open_loop's control flow exactly: energy and
-  /// injection turn off when the clock reaches the measurement end, the
-  /// drain loop checks idle() before each of its up-to-drain_cycles
-  /// steps, and a lane that exhausts the budget records drained only if
-  /// it is idle at that final check.
-  bool pre_step() {
-    if (phase == Phase::Measure) {
-      if (net.now() >= measure_end()) {
-        net.energy().set_enabled(false);
-        workload->set_injection_enabled(false);
-        phase = Phase::Drain;
-        drain_taken = 0;
-      } else {
-        if (net.now() == cfg.warmup_cycles) net.energy().set_enabled(true);
-        return true;
-      }
-    }
-    if (phase == Phase::Drain) {
-      if (net.idle() && workload->quiescent()) {
-        finish(true);
-        return false;
-      }
-      if (drain_taken == cfg.drain_cycles) {
-        finish(false);
-        return false;
-      }
-      ++drain_taken;
-      return true;
-    }
-    return false;
-  }
-
-  void finish(bool drained) {
-    stats = net.stats().summarize(cfg.offered_load, drained);
-    stats.packet_length = cfg.packet_length;
-    stats.energy_buffer_nj = net.energy().buffer_nj();
-    stats.energy_crossbar_nj = net.energy().crossbar_nj();
-    stats.energy_link_nj = net.energy().link_nj();
-    stats.energy_control_nj = net.energy().control_nj();
-    stats.energy_leakage_nj = network_leakage_nj(cfg, stats.cycles);
-    workload->fill_run_stats(stats);
-    packets = net.stats().window_packets();
-    phase = Phase::Done;
-  }
-};
-
-ReplicaBatch::ReplicaBatch(std::vector<SimConfig> configs) {
-  if (configs.size() > Network::kMaxStepLanes) {
-    throw std::invalid_argument("ReplicaBatch: too many lanes");
-  }
-  for (const SimConfig& cfg : configs) {
-    if (auto err = cfg.validate(); !err.empty()) {
-      throw std::invalid_argument("ReplicaBatch: " + err);
-    }
-    if (cfg.shards != 1) {
-      throw std::invalid_argument(
-          "ReplicaBatch: shards > 1 is not batchable — sharded execution "
-          "parallelizes inside one simulation, replica batching across "
-          "simulations; run sharded configs serially instead");
-    }
-    if (cfg.design != configs.front().design ||
-        cfg.mesh_width != configs.front().mesh_width ||
-        cfg.mesh_height != configs.front().mesh_height ||
-        cfg.torus != configs.front().torus) {
-      throw std::invalid_argument(
-          "ReplicaBatch: lanes must share one design and mesh shape");
-    }
-  }
-  lanes_.reserve(configs.size());
-  for (const SimConfig& cfg : configs) {
-    lanes_.push_back(std::make_unique<Lane>(cfg));
-  }
-}
-
-ReplicaBatch::~ReplicaBatch() = default;
-
-void ReplicaBatch::warm_start(const std::vector<std::uint8_t>& warm_state) {
-  if (ran_) throw std::logic_error("ReplicaBatch: warm_start after run");
-  for (auto& lane : lanes_) {
-    SnapshotReader r(warm_state);
-    lane->net.load(r);
-    (void)r.expect_section(kSecWorkload);
-    lane->workload->load_state(r);
-    lane->derive_energy_gate();
-  }
-}
-
-void ReplicaBatch::run() {
-  if (ran_) throw std::logic_error("ReplicaBatch: run called twice");
-  ran_ = true;
-  std::vector<Network*> active;
-  active.reserve(lanes_.size());
-  for (;;) {
-    // pre_step either keeps a lane in this cycle's lockstep set or
-    // retires it (Done), so an empty set means every lane finished.
-    active.clear();
-    for (auto& lane : lanes_) {
-      if (lane->phase != Lane::Phase::Done && lane->pre_step()) {
-        active.push_back(&lane->net);
-      }
-    }
-    if (active.empty()) break;
-    Network::step_lanes(active.data(), active.size());
-  }
-}
-
-const RunStats& ReplicaBatch::stats(std::size_t lane) const {
-  return lanes_.at(lane)->stats;
-}
-
-const std::vector<PacketRecord>& ReplicaBatch::packets(
-    std::size_t lane) const {
-  return lanes_.at(lane)->packets;
-}
-
-// ---------------------------------------------------------------------------
-// WarmupCache
 
 std::shared_ptr<const std::vector<std::uint8_t>> WarmupCache::find(
     const std::vector<std::uint8_t>& key) {
@@ -197,9 +30,6 @@ std::size_t WarmupCache::entries() const {
   return map_.size();
 }
 
-// ---------------------------------------------------------------------------
-// run_replica_sweep
-
 std::vector<std::uint8_t> warmup_signature(const SimConfig& cfg) {
   // The full config with every field that cannot influence the warmup
   // phase neutralized: members of one signature replay an identical
@@ -213,161 +43,6 @@ std::vector<std::uint8_t> warmup_signature(const SimConfig& cfg) {
   SnapshotWriter w;
   save_config(w, key);
   return w.take();
-}
-
-std::vector<RunStats> run_replica_sweep(const std::vector<SimConfig>& configs,
-                                        unsigned threads, WarmupCache* cache,
-                                        ReplicaSweepReport* report) {
-  struct Group {
-    std::vector<std::size_t> members;
-    std::vector<std::uint8_t> key;
-    std::shared_ptr<const std::vector<std::uint8_t>> warm_state;
-    bool from_cache = false;
-  };
-
-  // A config can share a warmup when it is single-sharded (replica
-  // lanes cannot shard) and actually has a warmup phase, and either
-  // carries an explicit warmup_load (the classic warm-sweep rule: the
-  // measurement load is neutralized out of the signature) or has at
-  // least one sibling identical up to measure_seed / drain cap (seed
-  // replication without an explicit warmup_load).
-  const auto eligible = [](const SimConfig& cfg) {
-    return cfg.shards == 1 && cfg.warmup_cycles > 0;
-  };
-  std::map<std::vector<std::uint8_t>, std::size_t> key_count;
-  for (const SimConfig& cfg : configs) {
-    if (eligible(cfg)) ++key_count[warmup_signature(cfg)];
-  }
-
-  std::vector<Group> groups;
-  std::map<std::vector<std::uint8_t>, std::size_t> group_of;
-  // -1 == cold run (no shared-warmup eligibility).
-  std::vector<std::ptrdiff_t> group_index(configs.size(), -1);
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    const SimConfig& cfg = configs[i];
-    if (!eligible(cfg)) continue;
-    auto key = warmup_signature(cfg);
-    if (cfg.warmup_load < 0.0 && key_count[key] < 2) continue;
-    const auto [it, inserted] = group_of.try_emplace(key, groups.size());
-    if (inserted) {
-      groups.emplace_back();
-      groups.back().key = std::move(key);
-    }
-    groups[it->second].members.push_back(i);
-    group_index[i] = static_cast<std::ptrdiff_t>(it->second);
-  }
-
-  // Phase 1: one warmup per group — served from the session cache when
-  // possible, executed and published into it otherwise.
-  parallel_for(
-      groups.size(),
-      [&](std::size_t g) {
-        Group& grp = groups[g];
-        if (cache != nullptr) {
-          if (auto hit = cache->find(grp.key)) {
-            grp.warm_state = std::move(hit);
-            grp.from_cache = true;
-            return;
-          }
-        }
-        const SimConfig& cfg = configs[grp.members.front()];
-        Network net(cfg);
-        const auto workload = make_workload(cfg, net.mesh());
-        net.set_workload(workload.get());
-        advance_open_loop(net, cfg.warmup_cycles);
-        SnapshotWriter w;
-        net.save(w);
-        w.begin_section(kSecWorkload);
-        workload->save_state(w);
-        w.end_section();
-        if (cache != nullptr) {
-          grp.warm_state = cache->insert(grp.key, w.take());
-        } else {
-          grp.warm_state =
-              std::make_shared<const std::vector<std::uint8_t>>(w.take());
-        }
-      },
-      threads);
-
-  // Phase 2: work items — lockstep chunks of each group's members plus
-  // the cold configs.  Chunk width adapts to the worker count so a wide
-  // sweep still fans out across threads: every lane in a chunk runs on
-  // one thread, so oversized chunks would serialize what the thread
-  // pool could parallelize.
-  unsigned workers =
-      threads != 0 ? threads : std::thread::hardware_concurrency();
-  if (workers == 0) workers = 4;
-  std::size_t warm_lanes = 0;
-  for (const Group& g : groups) warm_lanes += g.members.size();
-  const std::size_t chunk = std::max<std::size_t>(
-      1, std::min<std::size_t>(8, (warm_lanes + workers - 1) / workers));
-
-  struct Item {
-    std::ptrdiff_t group = -1;               ///< -1 == cold single config
-    std::vector<std::size_t> members;        ///< indices into configs
-  };
-  std::vector<Item> items;
-  std::size_t max_lanes = 0;
-  std::size_t batches = 0;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    const auto& members = groups[g].members;
-    for (std::size_t b = 0; b < members.size(); b += chunk) {
-      Item item;
-      item.group = static_cast<std::ptrdiff_t>(g);
-      const std::size_t e = std::min(b + chunk, members.size());
-      item.members.assign(members.begin() + static_cast<std::ptrdiff_t>(b),
-                          members.begin() + static_cast<std::ptrdiff_t>(e));
-      max_lanes = std::max(max_lanes, item.members.size());
-      ++batches;
-      items.push_back(std::move(item));
-    }
-  }
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (group_index[i] < 0) items.push_back({-1, {i}});
-  }
-
-  std::vector<RunStats> results(configs.size());
-  parallel_for(
-      items.size(),
-      [&](std::size_t n) {
-        const Item& item = items[n];
-        if (item.group < 0) {
-          results[item.members.front()] =
-              run_open_loop(configs[item.members.front()]);
-          return;
-        }
-        std::vector<SimConfig> lane_cfgs;
-        lane_cfgs.reserve(item.members.size());
-        for (std::size_t m : item.members) lane_cfgs.push_back(configs[m]);
-        ReplicaBatch batch(std::move(lane_cfgs));
-        batch.warm_start(
-            *groups[static_cast<std::size_t>(item.group)].warm_state);
-        batch.run();
-        for (std::size_t j = 0; j < item.members.size(); ++j) {
-          results[item.members[j]] = batch.stats(j);
-        }
-      },
-      threads);
-
-  if (report != nullptr) {
-    report->warm.groups.clear();
-    for (const Group& g : groups) report->warm.groups.push_back(g.members);
-    report->warm.cold_points = configs.size() - report->warm.warm_points();
-    report->cache_hits = 0;
-    report->cache_misses = 0;
-    if (cache != nullptr) {
-      for (const Group& g : groups) {
-        if (g.from_cache) {
-          ++report->cache_hits;
-        } else {
-          ++report->cache_misses;
-        }
-      }
-    }
-    report->batches = batches;
-    report->max_lanes = max_lanes;
-  }
-  return results;
 }
 
 }  // namespace dxbar

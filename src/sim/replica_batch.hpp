@@ -1,20 +1,9 @@
-// Batched multi-replica execution of open-loop simulations.
+// Warm-snapshot sharing for replica sweeps (see sim/sweep.hpp).
 //
-// A ReplicaBatch holds K complete simulations ("lanes") of one router
-// design and mesh shape — typically replicas of one experiment point
-// that differ only in measure_seed and/or offered load — and steps them
-// in lockstep through Network::step_lanes: every per-cycle phase runs
-// for all lanes before the next phase, and the router phase runs
-// node-major across lanes through the per-design batched entry points.
-// Each lane's RunStats and packet records are bit-exactly what a solo
-// run_open_loop of that lane's config would have produced; the batch
-// changes execution order and memory locality, never results.
-//
-// Lanes diverge naturally: a lane whose measurement window ends (or
-// whose drain finishes early) drops out of the lockstep set, and the
-// remaining lanes keep stepping together.  Combined with a shared warm
-// snapshot (warm_start), a batch of K measure_seed replicas costs one
-// warmup plus K measurement phases instead of K full runs.
+// run_sweep groups configs by their warmup signature, runs each group's
+// warmup once, and forks every member from the snapshot.  The session
+// cache below lets those warmups outlive one sweep call, so `--all` and
+// `--seeds N` warm each (design, warmup) pair once per session.
 #pragma once
 
 #include <cstdint>
@@ -24,48 +13,8 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/stats.hpp"
-#include "sim/network.hpp"
-#include "sim/sweep.hpp"
-#include "traffic/traffic_gen.hpp"
 
 namespace dxbar {
-
-class ReplicaBatch {
- public:
-  /// Builds one lane per config.  All configs must validate, be
-  /// single-sharded (shards == 1 — sharded execution and replica
-  /// batching do not compose; throws std::invalid_argument with the
-  /// serialize-instead hint), share one design and mesh shape, and
-  /// number at most Network::kMaxStepLanes.
-  explicit ReplicaBatch(std::vector<SimConfig> configs);
-  ~ReplicaBatch();
-
-  ReplicaBatch(const ReplicaBatch&) = delete;
-  ReplicaBatch& operator=(const ReplicaBatch&) = delete;
-
-  /// Restores every lane from one warm snapshot (network sections plus
-  /// the WKLD workload section, as produced by the warm-sweep phase 1).
-  /// The snapshot's structural fingerprint must match every lane —
-  /// which is exactly the statement that the lanes share the snapshot's
-  /// warmup.  Must be called before run(), at most once.
-  void warm_start(const std::vector<std::uint8_t>& warm_state);
-
-  /// Steps all lanes in lockstep to completion (measure + drain).
-  void run();
-
-  [[nodiscard]] std::size_t lanes() const noexcept { return lanes_.size(); }
-
-  /// Per-lane results, valid after run().
-  [[nodiscard]] const RunStats& stats(std::size_t lane) const;
-  [[nodiscard]] const std::vector<PacketRecord>& packets(
-      std::size_t lane) const;
-
- private:
-  struct Lane;
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  bool ran_ = false;
-};
 
 /// Session-wide cache of warm snapshots, keyed by the warmup signature
 /// (the serialized config with measurement-only fields neutralized —
@@ -96,33 +45,8 @@ class WarmupCache {
   std::size_t misses_ = 0;
 };
 
-/// How a run_replica_sweep call executed its configs.
-struct ReplicaSweepReport {
-  /// Shared-warmup grouping (same shape run_warm_sweep reported).
-  WarmSweepReport warm;
-  /// Warmups served from / inserted into the session cache (both zero
-  /// when no cache was supplied).
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  /// Lockstep batches executed and the widest lane count among them.
-  std::size_t batches = 0;
-  std::size_t max_lanes = 0;
-};
-
-/// The sweep engine behind run_warm_sweep and `--seeds N`: groups
-/// configs that share a warmup (explicit warmup_load, or identical
-/// configs differing only in measure_seed / drain cap), warms each
-/// group once (consulting `cache` when non-null), then runs each
-/// group's members as lockstep replica batches.  Configs that cannot
-/// share a warmup run cold; sharded configs (shards > 1) are serialized
-/// through run_open_loop, never batched.  Results are bit-exact against
-/// run_sweep for every config.
-std::vector<RunStats> run_replica_sweep(const std::vector<SimConfig>& configs,
-                                        unsigned threads = 0,
-                                        WarmupCache* cache = nullptr,
-                                        ReplicaSweepReport* report = nullptr);
-
-/// The warmup-signature cache key for `cfg` (exposed for tests).
+/// The warmup-signature cache key for `cfg`: configs with equal
+/// signatures replay an identical warmup (exposed for tests).
 std::vector<std::uint8_t> warmup_signature(const SimConfig& cfg);
 
 }  // namespace dxbar

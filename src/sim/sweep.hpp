@@ -13,38 +13,19 @@
 
 namespace dxbar {
 
-/// Runs run_open_loop for every config, using up to `threads` worker
-/// threads (0 == hardware concurrency).  Results align with `configs`.
-std::vector<RunStats> run_sweep(const std::vector<SimConfig>& configs,
-                                unsigned threads = 0);
+class WarmupCache;  // sim/replica_batch.hpp
 
-/// Like run_sweep, but configs that differ only in workload-level fields
-/// (offered_load, drain cap) and carry an explicit warmup_load share ONE
-/// warmup execution: the group's network is advanced to the warmup
-/// boundary once, snapshotted, and every member's measurement phase is
-/// forked from the snapshot bytes.  Because SyntheticWorkload injects at
-/// warmup_load until the warmup boundary and consumes exactly one RNG
-/// draw per node per cycle regardless of the rate, the fork is
-/// bit-identical to the cold run of each member — run_warm_sweep and
-/// run_sweep return byte-for-byte equal RunStats.
-///
-/// Configs with warmup_load unset (< 0) or warmup_cycles == 0 fall back
-/// to cold runs inside the same call — except that warmup_load-unset
-/// configs identical up to measure_seed / drain cap still share their
-/// warmup (seed replication; see sim/replica_batch.hpp, which houses
-/// the engine behind this entry point).  Sharded configs (shards > 1)
-/// always run cold; sharding parallelizes inside one simulation and
-/// does not compose with replica batching.
-std::vector<RunStats> run_warm_sweep(const std::vector<SimConfig>& configs,
-                                     unsigned threads = 0);
-
-/// How a run_warm_sweep call partitioned its configs: one entry per
-/// shared-warmup group (member indices into the config vector), plus the
-/// count of configs that ran cold.  Lets callers log which groups were
-/// formed (the experiment harness prints this per grid).
-struct WarmSweepReport {
+/// How a run_sweep call executed its configs: one entry per
+/// shared-warmup group (member indices into the config vector), the
+/// count of configs that ran cold, and how the group warmups were served
+/// by the session cache (both counts zero when no cache was supplied).
+/// Lets callers log which groups were formed (the experiment harness
+/// prints this per grid).
+struct SweepReport {
   std::vector<std::vector<std::size_t>> groups;
   std::size_t cold_points = 0;
+  std::size_t cache_hits = 0;
+  std::size_t cache_misses = 0;
 
   [[nodiscard]] std::size_t warm_points() const noexcept {
     std::size_t n = 0;
@@ -53,10 +34,29 @@ struct WarmSweepReport {
   }
 };
 
-/// run_warm_sweep that also reports the grouping it performed.
-std::vector<RunStats> run_warm_sweep(const std::vector<SimConfig>& configs,
-                                     WarmSweepReport& report,
-                                     unsigned threads = 0);
+/// Runs every config open-loop, using up to `threads` worker threads
+/// (0 == hardware concurrency).  Results align with `configs` and are
+/// byte-for-byte equal to run_open_loop of each config.
+///
+/// Configs that share a warmup share ONE warmup execution: the group's
+/// network is advanced to the warmup boundary once, snapshotted (served
+/// from / published into `cache` when non-null), and every member builds
+/// its own network, restores the snapshot and finishes its measurement
+/// and drain from there.  A group is either configs that differ only in
+/// workload-level fields (offered_load, drain cap, measure_seed) and
+/// carry an explicit warmup_load, or configs identical up to
+/// measure_seed / drain cap (seed replication).  Because the synthetic
+/// workload consumes exactly one RNG draw per node per cycle regardless
+/// of the rate, and the measure_seed reseed fires after the snapshot
+/// point, the fork is bit-identical to the cold run of each member.
+///
+/// Configs with warmup_cycles == 0, sharded configs (shards > 1; they
+/// parallelize inside one simulation instead), and configs with no
+/// warmup to share run cold through run_open_loop in the same call.
+std::vector<RunStats> run_sweep(const std::vector<SimConfig>& configs,
+                                unsigned threads = 0,
+                                WarmupCache* cache = nullptr,
+                                SweepReport* report = nullptr);
 
 /// Generic parallel map over an index range [0, n): `fn(i)` must be
 /// thread-safe and is invoked exactly once per index.  Work is claimed

@@ -484,15 +484,16 @@ TEST(ExpWarmReport, GroupsShareWarmupAndColdPointsAreCounted) {
   cold.warmup_load = -1.0;  // unset: must fall back to a cold run
   cfgs.push_back(cold);
 
-  WarmSweepReport report;
-  const auto stats = run_warm_sweep(cfgs, report);
+  SweepReport report;
+  const auto stats = run_sweep(cfgs, 0, nullptr, &report);
   ASSERT_EQ(stats.size(), cfgs.size());
   EXPECT_EQ(report.groups.size(), 2u);
   EXPECT_EQ(report.warm_points(), 4u);
   EXPECT_EQ(report.cold_points, 1u);
 
-  // Bit-exact vs the plain cold sweep, per the warm-sweep contract.
-  const auto cold_stats = run_sweep(cfgs);
+  // Bit-exact vs cold runs, per the warm-sweep contract.
+  std::vector<RunStats> cold_stats;
+  for (const SimConfig& c : cfgs) cold_stats.push_back(run_open_loop(c));
   EXPECT_EQ(stats_bytes(stats), stats_bytes(cold_stats));
 }
 

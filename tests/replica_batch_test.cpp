@@ -1,13 +1,11 @@
-// The replica engine's contract: batching K simulations into lockstep
-// lanes — cold or forked from one shared warm snapshot — changes
-// execution order and memory locality, never results.  Every test here
-// compares against plain run_open_loop on the same configs, field- or
-// byte-exactly, across router designs (devirtualized batched stepping
-// for DXbar/Bless/Buffered, virtual fallback elsewhere, the Scarab
-// NACK network included) and fault plans.
+// The replica sweep's contract: run_sweep warms each group of configs
+// that share a warmup once, forks every member from the warm snapshot,
+// and each forked replica's RunStats are byte-for-byte those of a plain
+// run_open_loop of its config — across all router designs (the SCARAB
+// NACK network included), fault plans, and groups that mix loads and
+// measurement seeds.
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -29,23 +27,6 @@ std::vector<std::uint8_t> stats_bytes(const RunStats& s) {
   return w.take();
 }
 
-void expect_packets_identical(const std::vector<PacketRecord>& a,
-                              const std::vector<PacketRecord>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].id, b[i].id);
-    EXPECT_EQ(a[i].src, b[i].src);
-    EXPECT_EQ(a[i].dst, b[i].dst);
-    EXPECT_EQ(a[i].length, b[i].length);
-    EXPECT_EQ(a[i].created, b[i].created);
-    EXPECT_EQ(a[i].injected, b[i].injected);
-    EXPECT_EQ(a[i].completed, b[i].completed);
-    EXPECT_EQ(a[i].total_hops, b[i].total_hops);
-    EXPECT_EQ(a[i].total_deflections, b[i].total_deflections);
-    EXPECT_EQ(a[i].total_retransmits, b[i].total_retransmits);
-  }
-}
-
 SimConfig small_cfg(RouterDesign design) {
   SimConfig cfg;
   cfg.design = design;
@@ -59,52 +40,72 @@ SimConfig small_cfg(RouterDesign design) {
   return cfg;
 }
 
-/// Runs `configs` both ways — one ReplicaBatch (cold, from cycle 0)
-/// and K solo run_open_loop_detailed calls — and requires bit-equal
-/// RunStats and packet records per lane.
-void expect_batch_matches_serial(const std::vector<SimConfig>& configs) {
-  ReplicaBatch batch{configs};
-  batch.run();
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    SCOPED_TRACE("lane " + std::to_string(i));
-    const DetailedRun solo = run_open_loop_detailed(configs[i]);
-    EXPECT_EQ(stats_bytes(batch.stats(i)), stats_bytes(solo.stats));
-    expect_packets_identical(batch.packets(i), solo.packets);
-  }
+/// The warm state run_sweep forks from: `cfg` advanced to its warmup
+/// boundary, network sections plus the WKLD workload section.
+std::vector<std::uint8_t> warm_snapshot(const SimConfig& cfg) {
+  Network net(cfg);
+  SyntheticWorkload wl(cfg, net.mesh());
+  net.set_workload(&wl);
+  advance_open_loop(net, cfg.warmup_cycles);
+  SnapshotWriter w;
+  net.save(w);
+  w.begin_section(kSecWorkload);
+  wl.save_state(w);
+  w.end_section();
+  return w.take();
 }
 
-// --- batch vs serial bit-exactness -------------------------------------
+/// Runs `configs` through run_sweep, requires that every config was
+/// forked from a shared warmup (none ran cold), and compares each result
+/// byte-exactly against a solo run_open_loop of the same config.
+SweepReport expect_forks_match_cold(const std::vector<SimConfig>& configs) {
+  SweepReport report;
+  const std::vector<RunStats> forked = run_sweep(configs, 2, nullptr, &report);
+  EXPECT_EQ(report.warm_points(), configs.size());
+  EXPECT_EQ(report.cold_points, 0u);
+  EXPECT_EQ(forked.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size() && i < forked.size(); ++i) {
+    SCOPED_TRACE("replica " + std::to_string(i));
+    EXPECT_EQ(stats_bytes(forked[i]), stats_bytes(run_open_loop(configs[i])));
+  }
+  return report;
+}
+
+// --- forked replicas vs cold runs --------------------------------------
 
 class BatchDesignTest : public ::testing::TestWithParam<RouterDesign> {};
 
 TEST_P(BatchDesignTest, TwoSeedLanesMatchSerial) {
+  // Seed replication: identical configs up to measure_seed share one
+  // warmup without any warmup_load pin.
   std::vector<SimConfig> configs(2, small_cfg(GetParam()));
   configs[1].measure_seed = 0xDEADBEEFULL;
-  expect_batch_matches_serial(configs);
+  const SweepReport report = expect_forks_match_cold(configs);
+  EXPECT_EQ(report.groups.size(), 1u);
 }
 
 TEST_P(BatchDesignTest, EightMixedLanesMatchSerial) {
-  // Lanes diverge in measurement seed AND offered load, so they finish
-  // their drains at different cycles and drop out of the lockstep set
-  // at different times.
+  // One group mixing measurement seeds AND offered loads (a pinned
+  // warmup_load makes the warmup load-independent), so the replicas
+  // finish their drains at different cycles.
   std::vector<SimConfig> configs(8, small_cfg(GetParam()));
   for (std::size_t i = 0; i < configs.size(); ++i) {
+    configs[i].warmup_load = 0.2;
     configs[i].measure_seed = i == 0 ? 0 : 1000 + 77 * i;
     configs[i].offered_load = 0.10 + 0.05 * static_cast<double>(i % 4);
   }
-  expect_batch_matches_serial(configs);
+  const SweepReport report = expect_forks_match_cold(configs);
+  ASSERT_EQ(report.groups.size(), 1u);
+  EXPECT_EQ(report.groups[0].size(), configs.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Designs, BatchDesignTest,
-    ::testing::Values(RouterDesign::DXbar,        // batched step_batch
-                      RouterDesign::FlitBless,    // batched step_batch
-                      RouterDesign::Buffered4,    // batched step_batch
-                      RouterDesign::Scarab,       // NACK net, virtual path
-                      RouterDesign::UnifiedXbar,  // virtual fallback
-                      RouterDesign::Afc,          // virtual fallback
-                      RouterDesign::Damq,         // batched step_batch
-                      RouterDesign::MinBD),       // batched step_batch
+    ::testing::Values(RouterDesign::DXbar, RouterDesign::FlitBless,
+                      RouterDesign::Buffered4, RouterDesign::Buffered8,
+                      RouterDesign::BufferedVC, RouterDesign::Scarab,
+                      RouterDesign::UnifiedXbar, RouterDesign::Afc,
+                      RouterDesign::Damq, RouterDesign::MinBD),
     [](const ::testing::TestParamInfo<RouterDesign>& info) {
       std::string name(to_string(info.param));
       for (char& c : name) {
@@ -115,7 +116,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ReplicaBatchTest, FaultPlanLanesMatchSerial) {
   for (const RouterDesign design :
-       {RouterDesign::DXbar, RouterDesign::UnifiedXbar}) {
+       {RouterDesign::DXbar, RouterDesign::UnifiedXbar, RouterDesign::Scarab}) {
     SCOPED_TRACE(std::string(to_string(design)));
     std::vector<SimConfig> configs(3, small_cfg(design));
     for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -123,13 +124,14 @@ TEST(ReplicaBatchTest, FaultPlanLanesMatchSerial) {
       configs[i].fault_onset_spread = 300;
       configs[i].measure_seed = 31 * i;
     }
-    expect_batch_matches_serial(configs);
+    expect_forks_match_cold(configs);
   }
 }
 
 TEST(ReplicaBatchTest, RandomizedLaneFuzzMatchesSerial) {
-  // Deterministic fuzz: random design / lane count / per-lane loads and
-  // seeds, always checked against the serial twin.
+  // Deterministic fuzz: random design / replica count / per-replica
+  // loads, seeds and measurement seeds, always checked against the cold
+  // twin.  Seeds are structural, so one call forms several groups.
   constexpr RouterDesign kDesigns[] = {
       RouterDesign::DXbar, RouterDesign::FlitBless, RouterDesign::Buffered8,
       RouterDesign::Scarab, RouterDesign::BufferedVC};
@@ -137,53 +139,66 @@ TEST(ReplicaBatchTest, RandomizedLaneFuzzMatchesSerial) {
   for (int round = 0; round < 5; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
     const RouterDesign design = kDesigns[rng.next() % std::size(kDesigns)];
-    const std::size_t lanes = 2 + rng.next() % 5;
+    const std::size_t replicas = 2 + rng.next() % 5;
     std::vector<SimConfig> configs;
-    for (std::size_t i = 0; i < lanes; ++i) {
+    for (std::size_t i = 0; i < replicas; ++i) {
       SimConfig cfg = small_cfg(design);
       cfg.measure_cycles = 400;
-      cfg.seed = 1 + rng.next() % 4;  // let some lanes share whole streams
+      cfg.warmup_load = 0.1;
+      cfg.seed = 1 + rng.next() % 4;  // let some replicas share whole streams
       cfg.measure_seed = rng.next() % 3 == 0 ? 0 : rng.next();
       cfg.offered_load =
           0.05 + 0.01 * static_cast<double>(rng.next() % 30);
       configs.push_back(cfg);
     }
-    expect_batch_matches_serial(configs);
+    expect_forks_match_cold(configs);
   }
 }
 
 // --- warm snapshot interplay -------------------------------------------
 
 TEST(ReplicaBatchTest, WarmForkedLanesMatchColdSerialRuns) {
-  // One warmup execution, snapshotted; K measure_seed replicas forked
-  // from it must equal the cold straight-through run of each replica
-  // config.  This is the claim that makes `--seeds N` free: the reseed
-  // sits after the snapshot point.
+  // One warmup execution, snapshotted and handed to the sweep through
+  // the cache; K measure_seed replicas forked from it must equal the
+  // cold straight-through run of each replica config.  This is the claim
+  // that makes `--seeds N` cost one warmup: the reseed sits after the
+  // snapshot point.
   const SimConfig base = small_cfg(RouterDesign::DXbar);
   std::vector<SimConfig> configs(4, base);
   for (std::size_t i = 1; i < configs.size(); ++i) {
     configs[i].measure_seed = 0x9E37 + i;
   }
+  WarmupCache cache;
+  (void)cache.insert(warmup_signature(base), warm_snapshot(base));
 
-  Network warm_net(base);
-  SyntheticWorkload warm_wl(base, warm_net.mesh());
-  warm_net.set_workload(&warm_wl);
-  advance_open_loop(warm_net, base.warmup_cycles);
-  SnapshotWriter w;
-  warm_net.save(w);
-  w.begin_section(kSecWorkload);
-  warm_wl.save_state(w);
-  w.end_section();
-  const std::vector<std::uint8_t> snap = w.take();
-
-  ReplicaBatch batch{configs};
-  batch.warm_start(snap);
-  batch.run();
+  SweepReport report;
+  const auto forked = run_sweep(configs, 2, &cache, &report);
+  EXPECT_EQ(report.cache_hits, 1u);
+  EXPECT_EQ(report.cache_misses, 0u);
+  ASSERT_EQ(forked.size(), configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    SCOPED_TRACE("lane " + std::to_string(i));
-    const DetailedRun cold = run_open_loop_detailed(configs[i]);
-    EXPECT_EQ(stats_bytes(batch.stats(i)), stats_bytes(cold.stats));
-    expect_packets_identical(batch.packets(i), cold.packets);
+    SCOPED_TRACE("replica " + std::to_string(i));
+    EXPECT_EQ(stats_bytes(forked[i]), stats_bytes(run_open_loop(configs[i])));
+  }
+}
+
+TEST(ReplicaBatchTest, ForksRunFromTheWarmSnapshot) {
+  // A snapshot of a different warmup (another warmup rate, same
+  // structure) planted under the group's key must change the results:
+  // members really resume from the snapshot bytes rather than rerunning
+  // their own warmup.
+  const SimConfig base = small_cfg(RouterDesign::DXbar);
+  std::vector<SimConfig> configs(2, base);
+  configs[1].measure_seed = 5;
+  SimConfig other = base;
+  other.offered_load = 0.05;
+  WarmupCache cache;
+  (void)cache.insert(warmup_signature(base), warm_snapshot(other));
+
+  const auto forked = run_sweep(configs, 1, &cache);
+  ASSERT_EQ(forked.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_NE(stats_bytes(forked[i]), stats_bytes(run_open_loop(configs[i])));
   }
 }
 
@@ -208,42 +223,23 @@ TEST(ReplicaBatchTest, MeasureSeedSurvivesConfigSnapshotRoundtrip) {
   EXPECT_EQ(back.seed, cfg.seed);
 }
 
-// --- composition limits ------------------------------------------------
-
-TEST(ReplicaBatchTest, RejectsShardedConfigs) {
-  std::vector<SimConfig> configs(2, small_cfg(RouterDesign::DXbar));
-  configs[1].shards = 2;
-  EXPECT_THROW(ReplicaBatch{configs}, std::invalid_argument);
-}
-
-TEST(ReplicaBatchTest, RejectsMixedDesignsAndOversizedBatches) {
-  std::vector<SimConfig> mixed(2, small_cfg(RouterDesign::DXbar));
-  mixed[1].design = RouterDesign::FlitBless;
-  EXPECT_THROW(ReplicaBatch{mixed}, std::invalid_argument);
-
-  const std::vector<SimConfig> too_many(Network::kMaxStepLanes + 1,
-                                        small_cfg(RouterDesign::DXbar));
-  EXPECT_THROW(ReplicaBatch{too_many}, std::invalid_argument);
-}
-
 TEST(ReplicaBatchTest, SweepSerializesShardedConfigs) {
-  // shards > 1 never batches, but run_replica_sweep must still return
-  // the bit-exact serial result for it (run cold via run_open_loop).
+  // shards > 1 parallelizes inside one simulation and never shares a
+  // warmup, but the sweep must still return its bit-exact cold result.
   std::vector<SimConfig> configs(3, small_cfg(RouterDesign::DXbar));
   configs[0].measure_seed = 11;
   configs[1].shards = 2;
   configs[2].measure_seed = 22;
-  ReplicaSweepReport report;
-  const auto batched = run_replica_sweep(configs, 1, nullptr, &report);
-  const auto serial = run_sweep(configs, 1);
-  ASSERT_EQ(batched.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(stats_bytes(batched[i]), stats_bytes(serial[i]));
+  SweepReport report;
+  const auto swept = run_sweep(configs, 2, nullptr, &report);
+  ASSERT_EQ(swept.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(stats_bytes(swept[i]), stats_bytes(run_open_loop(configs[i])));
   }
   // The two measure_seed siblings grouped; the sharded point ran cold.
-  ASSERT_EQ(report.warm.groups.size(), 1u);
-  EXPECT_EQ(report.warm.groups[0].size(), 2u);
-  EXPECT_EQ(report.warm.cold_points, 1u);
+  ASSERT_EQ(report.groups.size(), 1u);
+  EXPECT_EQ(report.groups[0].size(), 2u);
+  EXPECT_EQ(report.cold_points, 1u);
 }
 
 // --- warmup cache ------------------------------------------------------
@@ -266,9 +262,9 @@ TEST(WarmupCacheTest, SweepReusesCachedWarmupsAcrossCalls) {
     configs[i].measure_seed = 5 + i;
   }
   WarmupCache cache;
-  ReplicaSweepReport first, second;
-  const auto r1 = run_replica_sweep(configs, 1, &cache, &first);
-  const auto r2 = run_replica_sweep(configs, 1, &cache, &second);
+  SweepReport first, second;
+  const auto r1 = run_sweep(configs, 1, &cache, &first);
+  const auto r2 = run_sweep(configs, 1, &cache, &second);
   EXPECT_EQ(first.cache_hits, 0u);
   EXPECT_EQ(first.cache_misses, 1u);
   EXPECT_EQ(second.cache_hits, 1u);

@@ -402,11 +402,12 @@ TEST(WarmSweep, BitIdenticalToColdSweep) {
     }
   }
   // One config without a warmup_load: exercises the cold fallback path
-  // inside run_warm_sweep.
+  // inside run_sweep.
   configs.push_back(small_cfg(RouterDesign::FlitBless));
 
-  const auto cold = run_sweep(configs, 1);
-  const auto warm = run_warm_sweep(configs, 1);
+  const auto warm = run_sweep(configs, 1);
+  std::vector<RunStats> cold;
+  for (const SimConfig& c : configs) cold.push_back(run_open_loop(c));
   ASSERT_EQ(cold.size(), warm.size());
   for (std::size_t i = 0; i < cold.size(); ++i) {
     EXPECT_EQ(stats_bytes(cold[i]), stats_bytes(warm[i])) << "point " << i;
@@ -420,8 +421,8 @@ TEST(WarmSweep, SharedWarmupActuallyShares) {
   a.warmup_load = 0.10;
   SimConfig b = a;
   b.warmup_load = 0.20;
-  const auto ra = run_warm_sweep({a}, 1);
-  const auto rb = run_warm_sweep({b}, 1);
+  const auto ra = run_sweep({a}, 1);
+  const auto rb = run_sweep({b}, 1);
   // Same offered_load, different warmup traffic: the measured windows
   // start from different network states and must not match.
   EXPECT_NE(stats_bytes(ra[0]), stats_bytes(rb[0]));

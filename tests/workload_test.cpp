@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "sim/closed_loop_campaign.hpp"
-#include "sim/replica_batch.hpp"
 #include "sim/sim_runner.hpp"
 #include "sim/sweep.hpp"
 #include "workload/closed_loop.hpp"
@@ -320,19 +319,21 @@ TEST(ClosedLoopDeterminism, SweepResultsIndependentOfThreadCount) {
 
 TEST(ClosedLoopReplicaSweep, SeedReplicasMatchSerialRuns) {
   // The --seeds engine: measure_seed replicas of one closed-loop point
-  // batched in lockstep must reproduce each replica's solo run.
+  // forked from one shared warmup must reproduce each replica's solo run.
   std::vector<SimConfig> configs;
   for (std::uint64_t ms : {1u, 2u, 3u}) {
     SimConfig cfg = closed_loop_cfg(RouterDesign::DXbar);
     cfg.measure_seed = ms;
     configs.push_back(cfg);
   }
-  const std::vector<RunStats> serial = run_sweep(configs, 1);
-  const std::vector<RunStats> batched = run_replica_sweep(configs, 1);
-  ASSERT_EQ(batched.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
+  SweepReport report;
+  const std::vector<RunStats> forked =
+      run_sweep(configs, 1, nullptr, &report);
+  ASSERT_EQ(report.groups.size(), 1u);
+  ASSERT_EQ(forked.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
     SCOPED_TRACE("replica " + std::to_string(i));
-    expect_identical(serial[i], batched[i]);
+    expect_identical(run_open_loop(configs[i]), forked[i]);
   }
 }
 
