@@ -6,8 +6,11 @@
 // (a) how much a tech shrink buys each design and (b) that the paper's
 // design ranking is preserved across nodes and at 16x16.
 //
-// Pure grid + reduce, so it composes with --resume and --seeds like
-// every other grid experiment.
+// The tech node never changes cycle-level behaviour, so run_sweep
+// simulates each (mesh, design) point once and prices the 32 and 16 nm
+// columns from the same event counts: "same traffic, same event counts"
+// holds literally.  Pure grid + reduce, so it composes with --resume
+// and --seeds like every other grid experiment.
 #include "exp_common.hpp"
 
 namespace dxbar::bench {

@@ -57,7 +57,8 @@ struct SimConfig {
   double warmup_load = -1.0;
   /// Packet length in flits (cache-line data packet: 64 B / 16 B flits + head).
   int packet_length = 5;
-  /// Flit width in bits (paper: 128).
+  /// Flit width in bits (paper: 128).  A flit is one phit, so the width
+  /// feeds only the energy/area model, never cycle-level behaviour.
   int flit_bits = 128;
 
   // --- technology -------------------------------------------------------

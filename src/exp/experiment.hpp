@@ -53,6 +53,8 @@ struct ExperimentResult {
   // persisted in the JSON output; empty for custom experiments).
   std::vector<SimConfig> grid;
   std::vector<RunStats> grid_stats;
+  /// Warm-snapshot groups run_sweep formed among the simulated points
+  /// (priced points join none; 0 when every point ran cold).
   std::size_t warm_groups = 0;
   std::string executor;  ///< "warm_sweep", "campaign" or "custom"
 

@@ -10,6 +10,7 @@
 #include <fstream>
 
 #include <iterator>
+#include <set>
 #include <thread>
 
 #include "common/json.hpp"
@@ -17,6 +18,7 @@
 #include "common/text.hpp"
 #include "report/analysis.hpp"
 #include "sim/campaign.hpp"
+#include "sim/replica_batch.hpp"
 #include "sim/sweep.hpp"
 
 #ifndef DXBAR_GIT_DESCRIBE
@@ -133,12 +135,13 @@ std::vector<RunStats> sweep_warm(const std::string& exp_name,
   SweepReport report;
   auto stats = run_sweep(configs, threads, cache, &report);
   groups_out = report.groups.size();
-  if (!report.groups.empty()) {
+  if (!report.groups.empty() || report.priced_points > 0) {
     std::fprintf(stderr,
                  "dxbar_bench: %s: warm-sweep formed %zu group(s) over %zu "
-                 "points (%zu warm, %zu cold)\n",
+                 "points (%zu warm, %zu cold, %zu priced)\n",
                  exp_name.c_str(), report.groups.size(), configs.size(),
-                 report.warm_points(), report.cold_points);
+                 report.warm_points(), report.cold_points,
+                 report.priced_points);
     for (std::size_t g = 0; g < report.groups.size(); ++g) {
       std::fprintf(
           stderr, "dxbar_bench: %s:   group %zu: %zu point(s), %s\n",
@@ -248,11 +251,11 @@ struct KernelBaseline {
   std::vector<std::pair<std::string, double>> rates;  ///< name -> cycles/sec
   double slowest = 0.0;
   std::string source;  ///< empty = no baseline found
-  // The baseline's recorded measurement config (empty / negative when
-  // the file predates the config block) — checked against the session
-  // so a stale or mismatched baseline is called out rather than
-  // silently producing off-scale ETAs.
-  std::string mesh;
+  // The baseline's recorded measurement config (0 / negative when the
+  // file predates the config block).  Per-cycle cost scales with the
+  // node count, so each point's ETA is scaled from `nodes`; a differing
+  // load is called out rather than silently producing off-scale ETAs.
+  int nodes = 0;
   double offered_load = -1.0;
 };
 
@@ -290,9 +293,12 @@ KernelBaseline load_kernel_baseline() {
       for (const auto& [n, r] : kb.rates) kb.slowest = std::min(kb.slowest, r);
       if (const JsonValue* config = root.find("config");
           config != nullptr && config->type == JsonValue::Type::Object) {
+        int w = 0, h = 0;
         if (const JsonValue* mesh = config->find("mesh");
-            mesh != nullptr && mesh->type == JsonValue::Type::String) {
-          kb.mesh = mesh->scalar;
+            mesh != nullptr && mesh->type == JsonValue::Type::String &&
+            std::sscanf(mesh->scalar.c_str(), "%dx%d", &w, &h) == 2 &&
+            w > 0 && h > 0) {
+          kb.nodes = w * h;
         }
         if (const JsonValue* load = config->find("offered_load");
             load != nullptr) {
@@ -365,19 +371,9 @@ void print_preflight(const std::vector<const Experiment*>& to_run,
                  "get ETAs\n",
                  DXBAR_SOURCE_DIR);
   } else {
-    // A baseline recorded under a different measurement config still
-    // yields an ETA, but an off-scale one; say so up front instead of
-    // letting a stale file mislead silently.
-    char mesh[32];
-    std::snprintf(mesh, sizeof(mesh), "%dx%d", opt.base.mesh_width,
-                  opt.base.mesh_height);
-    if (!kb.mesh.empty() && kb.mesh != mesh) {
-      std::fprintf(stderr,
-                   "dxbar_bench: warning: %s rates were measured on a %s "
-                   "mesh but this session's base config is %s — ETAs scale "
-                   "with mesh size and may be off\n",
-                   kb.source.c_str(), kb.mesh.c_str(), mesh);
-    }
+    // A baseline recorded at a different load still yields an ETA, but
+    // an off-scale one; say so up front instead of letting a stale file
+    // mislead silently.
     if (kb.offered_load >= 0.0 &&
         std::fabs(kb.offered_load - opt.base.offered_load) > 1e-9) {
       std::fprintf(stderr,
@@ -391,7 +387,7 @@ void print_preflight(const std::vector<const Experiment*>& to_run,
   const unsigned long long seeds =
       static_cast<unsigned long long>(std::max(1, opt.seeds));
   double total_sec = 0.0;
-  unsigned long long total_points = 0, total_cycles = 0;
+  unsigned long long total_points = 0, total_simulated = 0, total_cycles = 0;
   std::vector<std::string> unmeasured;
   for (const Experiment* e : to_run) {
     if (!e->grid) {
@@ -400,9 +396,13 @@ void print_preflight(const std::vector<const Experiment*>& to_run,
       continue;
     }
     const std::vector<SimConfig> cfgs = e->grid(ctx);
+    // run_sweep simulates one config per dynamics class and prices the
+    // rest, so only the first member of each class costs cycles.
+    std::set<std::vector<std::uint8_t>> classes;
     unsigned long long cycles = 0;
     double sec = 0.0;
     for (const SimConfig& c : cfgs) {
+      if (!classes.insert(dynamics_signature(c)).second) continue;
       // Replicas share one warmup (run_sweep forks them from its
       // snapshot), so --seeds N costs one warmup plus N measurement
       // windows per point.
@@ -410,7 +410,10 @@ void print_preflight(const std::vector<const Experiment*>& to_run,
           c.warmup_cycles + seeds * c.measure_cycles;
       cycles += pt;
       if (!kb.source.empty()) {
-        sec += static_cast<double>(pt) / rate_for(kb, c.design);
+        const double scale =
+            kb.nodes > 0 ? static_cast<double>(c.num_nodes()) / kb.nodes
+                         : 1.0;
+        sec += static_cast<double>(pt) * scale / rate_for(kb, c.design);
         if (find_rate(kb, c.design) == nullptr) {
           const std::string label(to_string(c.design));
           if (std::find(unmeasured.begin(), unmeasured.end(), label) ==
@@ -421,20 +424,22 @@ void print_preflight(const std::vector<const Experiment*>& to_run,
       }
     }
     sec /= workers;
-    total_points += cfgs.size() * seeds;
+    const std::size_t points = cfgs.size() * seeds;
+    const std::size_t simulated = classes.size() * seeds;
+    total_points += points;
+    total_simulated += simulated;
     total_cycles += cycles;
     total_sec += sec;
     if (kb.source.empty()) {
       std::fprintf(stderr,
-                   "dxbar_bench:   %-24s %4zu points, %8llu cycles\n",
-                   e->name.c_str(),
-                   static_cast<std::size_t>(cfgs.size() * seeds), cycles);
+                   "dxbar_bench:   %-24s %4zu points (%zu simulated), %8llu "
+                   "cycles\n",
+                   e->name.c_str(), points, simulated, cycles);
     } else {
       std::fprintf(stderr,
-                   "dxbar_bench:   %-24s %4zu points, %8llu cycles, "
-                   "ETA %s\n",
-                   e->name.c_str(),
-                   static_cast<std::size_t>(cfgs.size() * seeds), cycles,
+                   "dxbar_bench:   %-24s %4zu points (%zu simulated), %8llu "
+                   "cycles, ETA %s\n",
+                   e->name.c_str(), points, simulated, cycles,
                    fmt_eta(sec).c_str());
     }
   }
@@ -451,14 +456,16 @@ void print_preflight(const std::vector<const Experiment*>& to_run,
   }
   if (kb.source.empty()) {
     std::fprintf(stderr,
-                 "dxbar_bench: preflight total: %llu points, %llu cycles\n",
-                 total_points, total_cycles);
+                 "dxbar_bench: preflight total: %llu points (%llu "
+                 "simulated), %llu cycles\n",
+                 total_points, total_simulated, total_cycles);
   } else {
     std::fprintf(stderr,
-                 "dxbar_bench: preflight total: %llu points, %llu cycles, "
-                 "ETA %s (upper bound; warm-start sharing and drain slack "
-                 "reduce it)\n",
-                 total_points, total_cycles, fmt_eta(total_sec).c_str());
+                 "dxbar_bench: preflight total: %llu points (%llu "
+                 "simulated), %llu cycles, ETA %s (estimate from per-design "
+                 "kernel rates scaled by node count; drain not counted)\n",
+                 total_points, total_simulated, total_cycles,
+                 fmt_eta(total_sec).c_str());
   }
 }
 

@@ -150,6 +150,14 @@ class EnergyMeter {
 
   [[nodiscard]] const EnergyParams& params() const noexcept { return params_; }
 
+  /// This meter's event counts priced at `params` instead: the same
+  /// events costed at another operating point (tech node, flit width).
+  [[nodiscard]] EnergyMeter priced_at(const EnergyParams& params) const {
+    EnergyMeter m = *this;
+    m.params_ = params;
+    return m;
+  }
+
   // Snapshot protocol: the gate flag and the five event counts (the
   // per-event parameters are configuration).  Version 2 layout — the v1
   // stream stored four double accumulators instead, so v1 snapshots are

@@ -55,7 +55,7 @@ struct ResultDoc {
   std::string git_describe;  ///< source version the result was built at
   bool quick = false;
   std::string executor;  ///< "warm_sweep" | "campaign" | "custom"
-  std::uint64_t warm_groups = 0;
+  std::uint64_t warm_groups = 0;  ///< groups among simulated points
   std::vector<std::string> overrides;
   SimConfig base_config;
   std::vector<TableDoc> tables;

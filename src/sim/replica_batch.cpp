@@ -30,6 +30,16 @@ std::size_t WarmupCache::entries() const {
   return map_.size();
 }
 
+namespace {
+
+std::vector<std::uint8_t> config_bytes(const SimConfig& cfg) {
+  SnapshotWriter w;
+  save_config(w, cfg);
+  return w.take();
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> warmup_signature(const SimConfig& cfg) {
   // The full config with every field that cannot influence the warmup
   // phase neutralized: members of one signature replay an identical
@@ -40,9 +50,14 @@ std::vector<std::uint8_t> warmup_signature(const SimConfig& cfg) {
   key.drain_cycles = 0;
   key.measure_seed = 0;
   if (key.warmup_load >= 0.0) key.offered_load = 0.0;
-  SnapshotWriter w;
-  save_config(w, key);
-  return w.take();
+  return config_bytes(key);
+}
+
+std::vector<std::uint8_t> dynamics_signature(const SimConfig& cfg) {
+  SimConfig key = cfg;
+  key.tech_node = SimConfig{}.tech_node;
+  key.flit_bits = SimConfig{}.flit_bits;
+  return config_bytes(key);
 }
 
 }  // namespace dxbar

@@ -1,9 +1,13 @@
-// Warm-snapshot sharing for replica sweeps (see sim/sweep.hpp).
+// Warm-snapshot sharing and pricing classes for replica sweeps (see
+// sim/sweep.hpp).
 //
-// run_sweep groups configs by their warmup signature, runs each group's
-// warmup once, and forks every member from the snapshot.  The session
-// cache below lets those warmups outlive one sweep call, so `--all` and
-// `--seeds N` warm each (design, warmup) pair once per session.
+// run_sweep first collapses configs that differ only in pricing-only
+// fields into one dynamics class (simulated once, the others repriced
+// from its event counts), then groups the classes' representatives by
+// their warmup signature, runs each group's warmup once, and forks every
+// member from the snapshot.  The session cache below lets those warmups
+// outlive one sweep call, so `--all` and `--seeds N` warm each
+// (design, warmup) pair once per session.
 #pragma once
 
 #include <cstdint>
@@ -48,5 +52,13 @@ class WarmupCache {
 /// The warmup-signature cache key for `cfg`: configs with equal
 /// signatures replay an identical warmup (exposed for tests).
 std::vector<std::uint8_t> warmup_signature(const SimConfig& cfg);
+
+/// The dynamics-class key for `cfg`: the serialized config with the
+/// pricing-only fields (tech_node, flit_bits) reset to their defaults.
+/// Those fields feed only the energy/area model, never the cycle-level
+/// behaviour, so configs with equal signatures produce identical event
+/// counts and RunStats apart from the energy fields.  This is the one
+/// place that lists the pricing-only fields.
+std::vector<std::uint8_t> dynamics_signature(const SimConfig& cfg);
 
 }  // namespace dxbar

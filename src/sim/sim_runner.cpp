@@ -20,6 +20,16 @@ void advance_open_loop(Network& net, Cycle until) {
   }
 }
 
+void fill_energy_stats(RunStats& out, const EnergyMeter& events,
+                       const SimConfig& cfg) {
+  const EnergyMeter priced = events.priced_at(derive_energy_params(cfg));
+  out.energy_buffer_nj = priced.buffer_nj();
+  out.energy_crossbar_nj = priced.crossbar_nj();
+  out.energy_link_nj = priced.link_nj();
+  out.energy_control_nj = priced.control_nj();
+  out.energy_leakage_nj = network_leakage_nj(cfg, out.cycles);
+}
+
 RunStats finish_open_loop(Network& net, WorkloadModel& workload,
                           std::vector<PacketRecord>* packets_out) {
   const SimConfig& cfg = net.config();
@@ -39,11 +49,7 @@ RunStats finish_open_loop(Network& net, WorkloadModel& workload,
 
   RunStats out = net.stats().summarize(cfg.offered_load, drained);
   out.packet_length = cfg.packet_length;
-  out.energy_buffer_nj = net.energy().buffer_nj();
-  out.energy_crossbar_nj = net.energy().crossbar_nj();
-  out.energy_link_nj = net.energy().link_nj();
-  out.energy_control_nj = net.energy().control_nj();
-  out.energy_leakage_nj = network_leakage_nj(cfg, out.cycles);
+  fill_energy_stats(out, net.energy(), cfg);
   workload.fill_run_stats(out);
   if (packets_out != nullptr) *packets_out = net.stats().window_packets();
   return out;

@@ -41,6 +41,15 @@ void advance_open_loop(Network& net, Cycle until);
 RunStats finish_open_loop(Network& net, WorkloadModel& workload,
                           std::vector<PacketRecord>* packets_out = nullptr);
 
+/// Fills the five energy fields of `out` (buffer, crossbar, link,
+/// control, and leakage over out.cycles) by pricing the meter's event
+/// counts at `cfg`'s operating point.  The one pricing step of an
+/// open-loop run: finish_open_loop calls it with its own config, and
+/// run_sweep calls it with a sibling config that differs only in
+/// pricing-only fields, so a repriced result equals the cold run.
+void fill_energy_stats(RunStats& out, const EnergyMeter& events,
+                       const SimConfig& cfg);
+
 /// Open-loop run that also returns the per-packet records of the
 /// measurement window (for per-node fairness analysis, latency
 /// distributions, custom post-processing).

@@ -31,20 +31,31 @@ std::vector<std::uint8_t> warm_up(const SimConfig& cfg) {
   return w.take();
 }
 
-/// Forks one replica: its own network and workload, restored from the
-/// group's warm state, then measured and drained exactly as the tail of
-/// run_open_loop.  The snapshot's structural fingerprint must match
-/// `cfg`, which is the statement that `cfg` shares the warmup.
-RunStats run_forked(const SimConfig& cfg,
-                    const std::vector<std::uint8_t>& warm_state) {
+/// Runs the representative `configs[rep]` of a dynamics class, forked
+/// from `warm_state` when non-null and cold otherwise, then prices each
+/// sibling in `priced` from the same network's event counts.  A fork's
+/// snapshot fingerprint must match the representative, which is the
+/// statement that it shares the warmup; the fork and the pricing both
+/// reproduce run_open_loop of their config byte for byte.
+void run_class(const std::vector<SimConfig>& configs, std::size_t rep,
+               const std::vector<std::size_t>& priced,
+               const std::vector<std::uint8_t>* warm_state,
+               std::vector<RunStats>& results) {
+  const SimConfig& cfg = configs[rep];
   Network net(cfg);
   const auto workload = make_workload(cfg, net.mesh());
   net.set_workload(workload.get());
-  SnapshotReader r(warm_state);
-  net.load(r);
-  (void)r.expect_section(kSecWorkload);
-  workload->load_state(r);
-  return finish_open_loop(net, *workload);
+  if (warm_state != nullptr) {
+    SnapshotReader r(*warm_state);
+    net.load(r);
+    (void)r.expect_section(kSecWorkload);
+    workload->load_state(r);
+  }
+  results[rep] = finish_open_loop(net, *workload);
+  for (const std::size_t j : priced) {
+    results[j] = results[rep];
+    fill_energy_stats(results[j], net.energy(), configs[j]);
+  }
 }
 
 }  // namespace
@@ -96,25 +107,45 @@ std::vector<RunStats> run_sweep(const std::vector<SimConfig>& configs,
     bool from_cache = false;
   };
 
-  // A config can share a warmup when it is single-sharded and actually
-  // has a warmup phase, and either carries an explicit warmup_load (the
-  // measurement load is neutralized out of the signature) or has at
-  // least one sibling identical up to measure_seed / drain cap (seed
-  // replication without an explicit warmup_load).
+  // Dynamics classes: configs equal up to the pricing-only fields run
+  // one simulation.  The lowest index represents its class; the other
+  // members are priced from the representative's event counts.
+  std::vector<std::size_t> reps;
+  std::vector<std::vector<std::size_t>> priced;  // aligned with reps
+  {
+    std::map<std::vector<std::uint8_t>, std::size_t> class_of;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      const auto [it, inserted] =
+          class_of.try_emplace(dynamics_signature(configs[i]), reps.size());
+      if (inserted) {
+        reps.push_back(i);
+        priced.emplace_back();
+      } else {
+        priced[it->second].push_back(i);
+      }
+    }
+  }
+
+  // A representative can share a warmup when it is single-sharded and
+  // actually has a warmup phase, and either carries an explicit
+  // warmup_load (the measurement load is neutralized out of the
+  // signature) or has at least one sibling representative identical up
+  // to measure_seed / drain cap (seed replication without an explicit
+  // warmup_load).
   const auto eligible = [](const SimConfig& cfg) {
     return cfg.shards == 1 && cfg.warmup_cycles > 0;
   };
   std::map<std::vector<std::uint8_t>, std::size_t> key_count;
-  for (const SimConfig& cfg : configs) {
-    if (eligible(cfg)) ++key_count[warmup_signature(cfg)];
+  for (const std::size_t i : reps) {
+    if (eligible(configs[i])) ++key_count[warmup_signature(configs[i])];
   }
 
   std::vector<Group> groups;
   std::map<std::vector<std::uint8_t>, std::size_t> group_of;
-  // -1 == cold run (no shared-warmup eligibility).
-  std::vector<std::ptrdiff_t> group_index(configs.size(), -1);
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    const SimConfig& cfg = configs[i];
+  // Per representative; -1 == cold run (no shared-warmup eligibility).
+  std::vector<std::ptrdiff_t> group_index(reps.size(), -1);
+  for (std::size_t k = 0; k < reps.size(); ++k) {
+    const SimConfig& cfg = configs[reps[k]];
     if (!eligible(cfg)) continue;
     auto key = warmup_signature(cfg);
     if (cfg.warmup_load < 0.0 && key_count[key] < 2) continue;
@@ -123,8 +154,8 @@ std::vector<RunStats> run_sweep(const std::vector<SimConfig>& configs,
       groups.emplace_back();
       groups.back().key = std::move(key);
     }
-    groups[it->second].members.push_back(i);
-    group_index[i] = static_cast<std::ptrdiff_t>(it->second);
+    groups[it->second].members.push_back(reps[k]);
+    group_index[k] = static_cast<std::ptrdiff_t>(it->second);
   }
 
   // Phase 1: one warmup per group — served from the session cache when
@@ -149,17 +180,18 @@ std::vector<RunStats> run_sweep(const std::vector<SimConfig>& configs,
       },
       threads);
 
-  // Phase 2: every config on its own — grouped ones forked from their
-  // group's warm state, the rest cold.
+  // Phase 2: every representative on its own (grouped ones forked from
+  // their group's warm state, the rest cold), pricing its siblings while
+  // its network is alive.
   std::vector<RunStats> results(configs.size());
   parallel_for(
-      configs.size(),
-      [&](std::size_t i) {
-        const std::ptrdiff_t g = group_index[i];
-        results[i] =
-            g < 0 ? run_open_loop(configs[i])
-                  : run_forked(configs[i],
-                               *groups[static_cast<std::size_t>(g)].warm_state);
+      reps.size(),
+      [&](std::size_t k) {
+        const std::ptrdiff_t g = group_index[k];
+        run_class(configs, reps[k], priced[k],
+                  g < 0 ? nullptr
+                        : groups[static_cast<std::size_t>(g)].warm_state.get(),
+                  results);
       },
       threads);
 
@@ -170,7 +202,8 @@ std::vector<RunStats> run_sweep(const std::vector<SimConfig>& configs,
       if (cache != nullptr) ++(g.from_cache ? report->cache_hits
                                             : report->cache_misses);
     }
-    report->cold_points = configs.size() - report->warm_points();
+    report->priced_points = configs.size() - reps.size();
+    report->cold_points = reps.size() - report->warm_points();
   }
   return results;
 }

@@ -17,13 +17,16 @@ class WarmupCache;  // sim/replica_batch.hpp
 
 /// How a run_sweep call executed its configs: one entry per
 /// shared-warmup group (member indices into the config vector), the
-/// count of configs that ran cold, and how the group warmups were served
-/// by the session cache (both counts zero when no cache was supplied).
-/// Lets callers log which groups were formed (the experiment harness
-/// prints this per grid).
+/// count of simulated configs that ran cold, the count of configs priced
+/// from a sibling's simulation instead of simulated, and how the group
+/// warmups were served by the session cache (both counts zero when no
+/// cache was supplied).  warm + cold + priced == configs.size().  Lets
+/// callers log which groups were formed (the experiment harness prints
+/// this per grid).
 struct SweepReport {
   std::vector<std::vector<std::size_t>> groups;
   std::size_t cold_points = 0;
+  std::size_t priced_points = 0;
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
 
@@ -52,7 +55,15 @@ struct SweepReport {
 ///
 /// Configs with warmup_cycles == 0, sharded configs (shards > 1; they
 /// parallelize inside one simulation instead), and configs with no
-/// warmup to share run cold through run_open_loop in the same call.
+/// warmup to share run cold in the same call.
+///
+/// Before any of that, configs are collapsed into dynamics classes
+/// (equal dynamics_signature: equal up to the pricing-only fields
+/// tech_node and flit_bits).  Only each class's representative, its
+/// lowest index, is grouped and simulated; every other member copies the
+/// representative's RunStats and has its energy fields priced from the
+/// same integer event counts at its own operating point
+/// (fill_energy_stats, the step finish_open_loop itself uses).
 std::vector<RunStats> run_sweep(const std::vector<SimConfig>& configs,
                                 unsigned threads = 0,
                                 WarmupCache* cache = nullptr,

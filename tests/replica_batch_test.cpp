@@ -1,9 +1,12 @@
-// The replica sweep's contract: run_sweep warms each group of configs
-// that share a warmup once, forks every member from the warm snapshot,
-// and each forked replica's RunStats are byte-for-byte those of a plain
-// run_open_loop of its config — across all router designs (the SCARAB
-// NACK network included), fault plans, and groups that mix loads and
-// measurement seeds.
+// The replica sweep's contract: run_sweep simulates each dynamics class
+// once (configs equal up to the pricing-only tech_node / flit_bits),
+// warms each group of representatives that share a warmup once, forks
+// every member from the warm snapshot, and prices the other class
+// members from the representative's event counts.  Each result's
+// RunStats are byte-for-byte those of a plain run_open_loop of its
+// config — across all router designs (the SCARAB NACK network
+// included), fault plans, closed-loop clients, sharded configs, and
+// groups that mix loads and measurement seeds.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -240,6 +243,131 @@ TEST(ReplicaBatchTest, SweepSerializesShardedConfigs) {
   ASSERT_EQ(report.groups.size(), 1u);
   EXPECT_EQ(report.groups[0].size(), 2u);
   EXPECT_EQ(report.cold_points, 1u);
+}
+
+// --- pricing classes ---------------------------------------------------
+
+constexpr RouterDesign kAllDesigns[] = {
+    RouterDesign::DXbar,     RouterDesign::FlitBless,  RouterDesign::Buffered4,
+    RouterDesign::Buffered8, RouterDesign::BufferedVC, RouterDesign::Scarab,
+    RouterDesign::UnifiedXbar, RouterDesign::Afc,      RouterDesign::Damq,
+    RouterDesign::MinBD};
+
+/// `s` with its five energy fields zeroed: what a pricing-only field
+/// may not change.
+RunStats without_energy(RunStats s) {
+  s.energy_buffer_nj = s.energy_crossbar_nj = s.energy_link_nj = 0.0;
+  s.energy_control_nj = s.energy_leakage_nj = 0.0;
+  return s;
+}
+
+TEST(PricingClassTest, PricingOnlyFieldsNeverShapeTheRun) {
+  // The claim run_sweep's dedupe rests on: tech_node and flit_bits feed
+  // only the energy model.  If either ever shapes traffic (say flit
+  // width started serializing multi-phit flits), the non-energy bytes
+  // diverge here.
+  struct Point {
+    int tech_node;
+    int flit_bits;
+  };
+  constexpr Point kPoints[] = {{65, 128}, {32, 256}, {16, 64}};
+  for (const RouterDesign design : kAllDesigns) {
+    SCOPED_TRACE(std::string(to_string(design)));
+    std::vector<RunStats> runs;
+    for (const Point& p : kPoints) {
+      SimConfig cfg = small_cfg(design);
+      cfg.tech_node = p.tech_node;
+      cfg.flit_bits = p.flit_bits;
+      runs.push_back(run_open_loop(cfg));
+    }
+    for (std::size_t i = 1; i < runs.size(); ++i) {
+      EXPECT_EQ(stats_bytes(without_energy(runs[i])),
+                stats_bytes(without_energy(runs[0])));
+      EXPECT_NE(runs[i].total_energy_nj(), runs[0].total_energy_nj());
+    }
+  }
+}
+
+TEST(PricingClassTest, DynamicsSignatureNeutralizesOnlyPricingFields) {
+  const SimConfig base = small_cfg(RouterDesign::DXbar);
+  SimConfig priced = base;
+  priced.tech_node = 16;
+  priced.flit_bits = 64;
+  EXPECT_EQ(dynamics_signature(base), dynamics_signature(priced));
+
+  SimConfig seeded = base;
+  seeded.measure_seed = 3;
+  EXPECT_NE(dynamics_signature(base), dynamics_signature(seeded));
+  SimConfig deeper = base;
+  deeper.buffer_depth = 8;
+  EXPECT_NE(dynamics_signature(base), dynamics_signature(deeper));
+}
+
+TEST(PricingClassTest, PricedSweepMatchesColdRuns) {
+  // Every design x {65, 32, 16} nm x two measurement seeds, plus a
+  // sharded, a closed-loop and a fault-plan point (each with a 16 nm
+  // twin) and a flit_bits variant: every result, simulated or priced,
+  // must equal the cold run of its own config.
+  std::vector<SimConfig> configs;
+  for (const RouterDesign design : kAllDesigns) {
+    for (const int node : {65, 32, 16}) {
+      for (const std::uint64_t ms : {0u, 77u}) {
+        SimConfig cfg = small_cfg(design);
+        cfg.tech_node = node;
+        cfg.measure_seed = ms;
+        configs.push_back(cfg);
+      }
+    }
+  }
+  SimConfig sharded = small_cfg(RouterDesign::DXbar);
+  sharded.shards = 2;
+  // shards is not part of a config's identity (sharded runs are
+  // bit-identical to one shard), so a fresh seed keeps this point out
+  // of the grid's DXbar class and makes it simulate sharded.
+  sharded.seed = 9;
+  SimConfig closed = small_cfg(RouterDesign::Buffered4);
+  closed.workload = WorkloadKind::ClosedLoop;
+  closed.mlp = 2;
+  SimConfig faulty = small_cfg(RouterDesign::Scarab);
+  faulty.fault_fraction = 0.5;
+  faulty.fault_onset_spread = 300;
+  for (const SimConfig& extra : {sharded, closed, faulty}) {
+    configs.push_back(extra);
+    configs.push_back(extra);
+    configs.back().tech_node = 16;
+  }
+  SimConfig wide = small_cfg(RouterDesign::UnifiedXbar);
+  wide.flit_bits = 256;
+  configs.push_back(wide);
+
+  WarmupCache cache;
+  SweepReport report;
+  const std::vector<RunStats> swept = run_sweep(configs, 2, &cache, &report);
+  ASSERT_EQ(swept.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    SCOPED_TRACE("config " + std::to_string(i));
+    EXPECT_EQ(stats_bytes(swept[i]), stats_bytes(run_open_loop(configs[i])));
+  }
+
+  // 20 grid classes warm in 10 seed groups; the three extras run cold;
+  // everything else (40 grid twins, 3 extra twins, the wide flit) is
+  // priced.
+  EXPECT_EQ(report.groups.size(), 10u);
+  EXPECT_EQ(report.warm_points(), 20u);
+  EXPECT_EQ(report.cold_points, 3u);
+  EXPECT_EQ(report.priced_points, 44u);
+  EXPECT_EQ(report.warm_points() + report.cold_points + report.priced_points,
+            configs.size());
+  EXPECT_EQ(report.cache_misses, report.groups.size());
+
+  SweepReport again;
+  const std::vector<RunStats> reswept = run_sweep(configs, 2, &cache, &again);
+  EXPECT_EQ(again.cache_hits, report.groups.size());
+  EXPECT_EQ(again.cache_misses, 0u);
+  ASSERT_EQ(reswept.size(), swept.size());
+  for (std::size_t i = 0; i < swept.size(); ++i) {
+    EXPECT_EQ(stats_bytes(reswept[i]), stats_bytes(swept[i]));
+  }
 }
 
 // --- warmup cache ------------------------------------------------------
