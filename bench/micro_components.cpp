@@ -58,7 +58,7 @@ BENCHMARK(BM_DeflectionRanking);
 void BM_SeparableAllocator(benchmark::State& state) {
   SeparableAllocator alloc(5, 5);
   Rng rng(5);
-  std::vector<std::uint32_t> req(5);
+  std::array<std::uint32_t, kNumPorts> req{};
   for (auto _ : state) {
     for (auto& r : req) r = static_cast<std::uint32_t>(rng()) & 0x1F;
     benchmark::DoNotOptimize(alloc.allocate(req));

@@ -1,5 +1,6 @@
 // Simulation-kernel throughput bench: simulated cycles/sec and
-// flit-events/sec for each router design on the 8x8 uniform-random mesh.
+// flit-events/sec for each of the ten router designs on the 8x8
+// uniform-random mesh.
 //
 // This is the first point of the perf trajectory (see EXPERIMENTS.md):
 // every hot-path change re-runs this bench and compares against the
@@ -121,6 +122,10 @@ int main(int argc, char** argv) {
       {"Buffered 8", RouterDesign::Buffered8},
       {"DXbar", RouterDesign::DXbar},
       {"Unified", RouterDesign::UnifiedXbar},
+      {"Buffered VC", RouterDesign::BufferedVC},
+      {"AFC", RouterDesign::Afc},
+      {"DAMQ", RouterDesign::Damq},
+      {"minBD", RouterDesign::MinBD},
   };
 
   std::printf("perf_kernel: %dx%d %s load=%.2f window=%llu reps=%d\n",

@@ -5,8 +5,12 @@
 // designs and DXbar, where the oldest flit must win to bound deflections).
 #pragma once
 
+#include <array>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 
 #include "common/flit.hpp"
 #include "snapshot/snapshot.hpp"
@@ -15,11 +19,16 @@ namespace dxbar {
 
 /// Round-robin arbiter over up to 32 requesters.  `grant` returns the
 /// winning index (or -1 when no requests) and rotates priority past it.
+/// The pick is a bit-scan: the lowest request at or after the priority
+/// pointer, else the lowest request overall.
 class RoundRobinArbiter {
  public:
-  explicit RoundRobinArbiter(int num_inputs) : n_(num_inputs) {}
+  explicit RoundRobinArbiter(int num_inputs) : n_(num_inputs) {
+    assert(num_inputs >= 1 && num_inputs <= 32);
+  }
 
-  /// `requests` bit i set means input i requests the resource.
+  /// `requests` bit i set means input i requests the resource; bits at
+  /// or above `num_inputs()` are ignored.
   [[nodiscard]] int pick(std::uint32_t requests) const noexcept;
 
   /// Picks and advances the priority pointer past the winner.
@@ -36,6 +45,15 @@ class RoundRobinArbiter {
   int n_;
   int next_ = 0;
 };
+
+/// `N` arbiters over `num_inputs` requesters each, held by value.
+template <std::size_t N>
+std::array<RoundRobinArbiter, N> make_arbiter_bank(int num_inputs) {
+  return [num_inputs]<std::size_t... I>(std::index_sequence<I...>) {
+    return std::array<RoundRobinArbiter, N>{
+        {((void)I, RoundRobinArbiter(num_inputs))...}};
+  }(std::make_index_sequence<N>{});
+}
 
 /// Index of the oldest flit among the non-null entries (age-based
 /// priority with the deterministic tie-break from Flit::older_than);

@@ -1,55 +1,51 @@
 #include "alloc/separable_allocator.hpp"
 
+#include <bit>
 #include <cassert>
 
 namespace dxbar {
 
 SeparableAllocator::SeparableAllocator(int num_inputs, int num_outputs)
-    : num_inputs_(num_inputs), num_outputs_(num_outputs) {
-  output_arbiters_.reserve(static_cast<std::size_t>(num_outputs));
-  for (int o = 0; o < num_outputs; ++o) {
-    output_arbiters_.emplace_back(num_inputs);
-  }
-  input_arbiters_.reserve(static_cast<std::size_t>(num_inputs));
-  for (int i = 0; i < num_inputs; ++i) {
-    input_arbiters_.emplace_back(num_outputs);
-  }
+    : num_inputs_(num_inputs),
+      num_outputs_(num_outputs),
+      output_arbiters_(make_arbiter_bank<kNumPorts>(num_inputs)),
+      input_arbiters_(make_arbiter_bank<kNumPorts>(num_outputs)) {
+  assert(num_inputs >= 1 && num_inputs <= kNumPorts);
+  assert(num_outputs >= 1 && num_outputs <= kNumPorts);
 }
 
-std::vector<int> SeparableAllocator::allocate(
-    const std::vector<std::uint32_t>& requests) {
+std::array<int, kNumPorts> SeparableAllocator::allocate(
+    std::span<const std::uint32_t> requests) {
   assert(static_cast<int>(requests.size()) == num_inputs_);
+  const std::uint32_t output_bits = (1u << num_outputs_) - 1u;
 
-  // Stage 1: each output picks one requesting input.
-  std::vector<int> output_winner(static_cast<std::size_t>(num_outputs_), -1);
+  // Transpose: column o holds the inputs requesting output o.
+  std::array<std::uint32_t, kNumPorts> requesters{};
+  for (int i = 0; i < num_inputs_; ++i) {
+    for (std::uint32_t m = requests[i] & output_bits; m != 0; m &= m - 1) {
+      requesters[std::countr_zero(m)] |= 1u << i;
+    }
+  }
+
+  // Stage 1: each output picks one requesting input; collect, per input,
+  // the outputs that picked it.
+  std::array<std::uint32_t, kNumPorts> won{};
   for (int o = 0; o < num_outputs_; ++o) {
-    std::uint32_t req = 0;
-    for (int i = 0; i < num_inputs_; ++i) {
-      if (requests[static_cast<std::size_t>(i)] & (1u << o)) req |= 1u << i;
-    }
-    output_winner[static_cast<std::size_t>(o)] =
-        output_arbiters_[static_cast<std::size_t>(o)].pick(req);
+    const int winner = output_arbiters_[o].pick(requesters[o]);
+    if (winner >= 0) won[winner] |= 1u << o;
   }
 
-  // Stage 2: each input picks one output that granted it.
-  std::vector<int> grant(static_cast<std::size_t>(num_inputs_), -1);
+  // Stage 2: each input picks one output that granted it.  Advance only
+  // the arbiters whose grants were actually consumed, so unmatched
+  // requesters keep their priority (work-conserving rotation).
+  std::array<int, kNumPorts> grant;
+  grant.fill(-1);
   for (int i = 0; i < num_inputs_; ++i) {
-    std::uint32_t won = 0;
-    for (int o = 0; o < num_outputs_; ++o) {
-      if (output_winner[static_cast<std::size_t>(o)] == i) won |= 1u << o;
-    }
-    grant[static_cast<std::size_t>(i)] =
-        input_arbiters_[static_cast<std::size_t>(i)].pick(won);
-  }
-
-  // Advance only the arbiters whose grants were actually consumed, so
-  // unmatched requesters keep their priority (work-conserving rotation).
-  for (int i = 0; i < num_inputs_; ++i) {
-    const int o = grant[static_cast<std::size_t>(i)];
-    if (o >= 0) {
-      input_arbiters_[static_cast<std::size_t>(i)].grant(1u << o);
-      output_arbiters_[static_cast<std::size_t>(o)].grant(1u << i);
-    }
+    const int o = input_arbiters_[i].pick(won[i]);
+    if (o < 0) continue;
+    grant[i] = o;
+    input_arbiters_[i].grant(1u << o);
+    output_arbiters_[o].grant(1u << i);
   }
   return grant;
 }

@@ -6,11 +6,14 @@
 // granted it.  The result is a legal partial matching computed in a
 // single cycle, possibly leaving some matchable pairs unmatched — the
 // same quality/complexity trade-off real routers make.
+//
+// All state is fixed-width (at most kNumPorts inputs and outputs), so an
+// allocation touches no heap.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "alloc/arbiter.hpp"
 #include "common/types.hpp"
@@ -19,32 +22,36 @@ namespace dxbar {
 
 class SeparableAllocator {
  public:
+  /// Both dimensions must be at most kNumPorts.
   SeparableAllocator(int num_inputs, int num_outputs);
 
-  /// `requests[i]` is the bitmask of outputs input i wants.  Returns for
-  /// each input the granted output index or -1.  Each output is granted
+  /// `requests[i]` is the bitmask of outputs input i wants (one entry per
+  /// input).  Returns for each input the granted output index or -1;
+  /// entries at or beyond `num_inputs()` are -1.  Each output is granted
   /// to at most one input and vice versa.
-  [[nodiscard]] std::vector<int> allocate(
-      const std::vector<std::uint32_t>& requests);
+  [[nodiscard]] std::array<int, kNumPorts> allocate(
+      std::span<const std::uint32_t> requests);
 
   [[nodiscard]] int num_inputs() const noexcept { return num_inputs_; }
   [[nodiscard]] int num_outputs() const noexcept { return num_outputs_; }
 
   // Snapshot protocol: both arbiter banks' priority pointers.
   void save(SnapshotWriter& w) const {
-    for (const RoundRobinArbiter& a : output_arbiters_) a.save(w);
-    for (const RoundRobinArbiter& a : input_arbiters_) a.save(w);
+    for (int o = 0; o < num_outputs_; ++o) output_arbiters_[o].save(w);
+    for (int i = 0; i < num_inputs_; ++i) input_arbiters_[i].save(w);
   }
   void load(SnapshotReader& r) {
-    for (RoundRobinArbiter& a : output_arbiters_) a.load(r);
-    for (RoundRobinArbiter& a : input_arbiters_) a.load(r);
+    for (int o = 0; o < num_outputs_; ++o) output_arbiters_[o].load(r);
+    for (int i = 0; i < num_inputs_; ++i) input_arbiters_[i].load(r);
   }
 
  private:
   int num_inputs_;
   int num_outputs_;
-  std::vector<RoundRobinArbiter> output_arbiters_;  ///< stage 1, per output
-  std::vector<RoundRobinArbiter> input_arbiters_;   ///< stage 2, per input
+  /// Stage 1, per output; only the first num_outputs_ are used.
+  std::array<RoundRobinArbiter, kNumPorts> output_arbiters_;
+  /// Stage 2, per input; only the first num_inputs_ are used.
+  std::array<RoundRobinArbiter, kNumPorts> input_arbiters_;
 };
 
 }  // namespace dxbar

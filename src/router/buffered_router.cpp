@@ -35,7 +35,7 @@ void BufferedRouter::step(Cycle now) {
   };
 
   // ---- per-input-port requests: union over eligible lane heads --------
-  std::vector<std::uint32_t> requests(kNumPorts, 0);
+  std::array<std::uint32_t, kNumPorts> requests{};
   std::array<std::array<std::uint32_t, 2>, kNumLinkDirs> lane_masks{};
   for (int d = 0; d < kNumLinkDirs; ++d) {
     for (int k = 0; k < lanes_per_input_; ++k) {
@@ -53,7 +53,7 @@ void BufferedRouter::step(Cycle now) {
   }
 
   // ---- allocate and traverse ------------------------------------------
-  const std::vector<int> grants = allocator_.allocate(requests);
+  const std::array<int, kNumPorts> grants = allocator_.allocate(requests);
   for (int i = 0; i < kNumPorts; ++i) {
     const int out = grants[static_cast<std::size_t>(i)];
     if (out < 0) continue;

@@ -80,7 +80,7 @@ void DamqRouter::step(Cycle now) {
     return mask;
   };
 
-  std::vector<std::uint32_t> requests(kNumPorts, 0);
+  std::array<std::uint32_t, kNumPorts> requests{};
   for (int d = 0; d < kNumLinkDirs; ++d) {
     const auto& q = queues_[static_cast<std::size_t>(d)];
     if (!q.empty() && now >= q.front().ready) {
@@ -92,7 +92,7 @@ void DamqRouter::step(Cycle now) {
         request_mask_for(source->front());
   }
 
-  const std::vector<int> grants = allocator_.allocate(requests);
+  const std::array<int, kNumPorts> grants = allocator_.allocate(requests);
   for (int i = 0; i < kNumPorts; ++i) {
     const int out = grants[static_cast<std::size_t>(i)];
     if (out < 0) continue;

@@ -10,16 +10,14 @@ VcRouter::VcRouter(NodeId id, const RouterEnv& env)
       vc_depth_(env.cfg->buffer_depth / env.cfg->num_vcs),
       class_vcs_(env.cfg->workload == WorkloadKind::ClosedLoop &&
                  env.cfg->num_vcs >= 2),
+      vc_pick_(make_arbiter_bank<kNumLinkDirs>(num_vcs_)),
+      out_vc_pick_(make_arbiter_bank<kNumLinkDirs>(num_vcs_)),
       allocator_(kNumPorts, kNumPorts) {
   assert(vc_depth_ >= 1);
   vcs_.reserve(static_cast<std::size_t>(kNumLinkDirs * num_vcs_));
   for (int i = 0; i < kNumLinkDirs * num_vcs_; ++i) {
     vcs_.emplace_back(static_cast<std::size_t>(vc_depth_));
   }
-  vc_pick_.reserve(kNumLinkDirs);
-  for (int d = 0; d < kNumLinkDirs; ++d) vc_pick_.emplace_back(num_vcs_);
-  out_vc_pick_.reserve(kNumLinkDirs);
-  for (int d = 0; d < kNumLinkDirs; ++d) out_vc_pick_.emplace_back(num_vcs_);
 }
 
 void VcRouter::step(Cycle now) {
@@ -28,7 +26,7 @@ void VcRouter::step(Cycle now) {
   // ---- per-input VC selection (round-robin among eligible heads) ------
   std::array<int, kNumLinkDirs> chosen_vc;
   chosen_vc.fill(-1);
-  std::vector<std::uint32_t> requests(kNumPorts, 0);
+  std::array<std::uint32_t, kNumPorts> requests{};
   for (int d = 0; d < kNumLinkDirs; ++d) {
     std::uint32_t eligible = 0;
     for (int v = 0; v < num_vcs_; ++v) {
@@ -60,7 +58,7 @@ void VcRouter::step(Cycle now) {
   }
 
   // ---- switch allocation + (post-win) VC allocation ---------------------
-  const std::vector<int> grants = allocator_.allocate(requests);
+  const std::array<int, kNumPorts> grants = allocator_.allocate(requests);
   for (int i = 0; i <= inj_input; ++i) {
     const int out = grants[static_cast<std::size_t>(i)];
     if (out < 0) continue;

@@ -20,6 +20,7 @@
 // (the partition only activates for workload=closedloop).
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "alloc/arbiter.hpp"
@@ -69,8 +70,8 @@ class VcRouter final : public Router {
   int vc_depth_;
   bool class_vcs_;  ///< partition VCs by message class (closed loop)
   std::vector<FixedQueue<Entry>> vcs_;  ///< kNumLinkDirs * num_vcs_
-  std::vector<RoundRobinArbiter> vc_pick_;  ///< per input dir
-  std::vector<RoundRobinArbiter> out_vc_pick_;  ///< per output dir
+  std::array<RoundRobinArbiter, kNumLinkDirs> vc_pick_;  ///< per input dir
+  std::array<RoundRobinArbiter, kNumLinkDirs> out_vc_pick_;  ///< per output dir
   SeparableAllocator allocator_;
   std::uint64_t speculation_failures_ = 0;
 };

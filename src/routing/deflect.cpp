@@ -16,6 +16,7 @@ std::array<Direction, kNumLinkDirs> deflection_ranking(const Mesh& mesh,
   // Wrap-aware signed offsets: on a torus the shorter way around wins.
   const int dx = mesh.offset_x(cur, dst);
   const int dy = mesh.offset_y(cur, dst);
+  const Coord here = mesh.coord(cur);
 
   // Score each direction: progress made (+2 per productive hop with the
   // larger remaining offset slightly preferred), link existence required.
@@ -27,7 +28,7 @@ std::array<Direction, kNumLinkDirs> deflection_ranking(const Mesh& mesh,
   int i = 0;
   for (Direction dir : kLinkDirs) {
     int score = 0;
-    if (!mesh.has_link(cur, dir)) {
+    if (!mesh.has_link(here, dir)) {
       score = -1000;  // never pick a missing edge link
     } else {
       // Signed offset remaining along this direction's axis, positive when

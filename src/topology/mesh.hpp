@@ -59,9 +59,23 @@ class Mesh {
   /// The neighbour reached over output `dir`, or nullopt at a mesh edge.
   [[nodiscard]] std::optional<NodeId> neighbor(NodeId n, Direction dir) const;
 
-  /// True when router `n` has a link in direction `dir`.
-  [[nodiscard]] bool has_link(NodeId n, Direction dir) const {
-    return neighbor(n, dir).has_value();
+  /// True when router `n` has a link in direction `dir`: every link
+  /// direction on a torus, on a mesh each one that stays inside the edge;
+  /// never Local.
+  [[nodiscard]] bool has_link(NodeId n, Direction dir) const noexcept {
+    return has_link(coord(n), dir);
+  }
+
+  /// has_link for a router already located at `c`.
+  [[nodiscard]] bool has_link(Coord c, Direction dir) const noexcept {
+    switch (dir) {
+      case Direction::East: return wrap_ || c.x + 1 < width_;
+      case Direction::West: return wrap_ || c.x > 0;
+      case Direction::North: return wrap_ || c.y + 1 < height_;
+      case Direction::South: return wrap_ || c.y > 0;
+      case Direction::Local: break;
+    }
+    return false;
   }
 
   /// Hop distance under minimal routing (wrap-aware on a torus).

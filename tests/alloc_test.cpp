@@ -2,6 +2,11 @@
 // unified dual-input allocator, fairness counter.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "alloc/arbiter.hpp"
 #include "alloc/fairness.hpp"
 #include "alloc/separable_allocator.hpp"
@@ -55,10 +60,11 @@ TEST(PickOldest, FindsOldestAndHandlesNulls) {
 
 // ---- separable allocator -----------------------------------------------
 
-bool grants_are_legal(const std::vector<std::uint32_t>& req,
-                      const std::vector<int>& grant, int num_outputs) {
+bool grants_are_legal(std::span<const std::uint32_t> req,
+                      const std::array<int, kNumPorts>& grant,
+                      int num_outputs) {
   std::vector<int> out_owner(static_cast<std::size_t>(num_outputs), -1);
-  for (std::size_t i = 0; i < grant.size(); ++i) {
+  for (std::size_t i = 0; i < req.size(); ++i) {
     const int o = grant[i];
     if (o < 0) continue;
     if (!(req[i] & (1u << o))) return false;            // unrequested grant
@@ -70,7 +76,7 @@ bool grants_are_legal(const std::vector<std::uint32_t>& req,
 
 TEST(Separable, SingleRequestGranted) {
   SeparableAllocator alloc(5, 5);
-  std::vector<std::uint32_t> req(5, 0);
+  std::array<std::uint32_t, 5> req{};
   req[2] = 0b00010;  // input 2 wants output 1
   const auto g = alloc.allocate(req);
   EXPECT_EQ(g[2], 1);
@@ -79,7 +85,7 @@ TEST(Separable, SingleRequestGranted) {
 
 TEST(Separable, ConflictGrantsExactlyOne) {
   SeparableAllocator alloc(5, 5);
-  std::vector<std::uint32_t> req(5, 0);
+  std::array<std::uint32_t, 5> req{};
   req[0] = req[1] = req[2] = 0b00001;  // all want output 0
   const auto g = alloc.allocate(req);
   int winners = 0;
@@ -92,7 +98,7 @@ TEST(Separable, ConflictGrantsExactlyOne) {
 
 TEST(Separable, DisjointRequestsAllGranted) {
   SeparableAllocator alloc(5, 5);
-  std::vector<std::uint32_t> req(5, 0);
+  std::array<std::uint32_t, 5> req{};
   for (int i = 0; i < 5; ++i) req[static_cast<std::size_t>(i)] = 1u << i;
   const auto g = alloc.allocate(req);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(g[static_cast<std::size_t>(i)], i);
@@ -105,7 +111,7 @@ TEST(Separable, RandomRequestsAlwaysLegal) {
   SeparableAllocator alloc(5, 5);
   Rng rng(123);
   for (int iter = 0; iter < 2000; ++iter) {
-    std::vector<std::uint32_t> req(5);
+    std::array<std::uint32_t, 5> req{};
     for (auto& r : req) r = static_cast<std::uint32_t>(rng()) & 0x1F;
     const auto g = alloc.allocate(req);
     ASSERT_TRUE(grants_are_legal(req, g, 5));
@@ -129,7 +135,7 @@ TEST(Separable, RandomRequestsAlwaysLegal) {
 
 TEST(Separable, LongRunFairness) {
   SeparableAllocator alloc(2, 1);
-  std::vector<std::uint32_t> req = {1, 1};  // both always want output 0
+  std::array<std::uint32_t, 2> req = {1, 1};  // both always want output 0
   int wins[2] = {0, 0};
   for (int i = 0; i < 1000; ++i) {
     const auto g = alloc.allocate(req);
@@ -313,6 +319,249 @@ TEST(Fairness, FlipClearsOnceServed) {
   EXPECT_TRUE(fc.flipped());
   fc.record(true, true, false);  // flip cycle: waiting flit served
   EXPECT_FALSE(fc.flipped());
+}
+
+// ---- equivalence with the loop-based reference implementations ---------
+//
+// The arbiters and allocators above are bit-scan rewrites of plain loop
+// code.  The references below keep that loop code verbatim; the rewrites
+// must return the same winners and leave the same state on every input.
+
+/// Round-robin arbiter as a modulo scan from the priority pointer.
+struct ReferenceRoundRobin {
+  int n;
+  int next = 0;
+
+  [[nodiscard]] int pick(std::uint32_t requests) const {
+    if (requests == 0) return -1;
+    for (int k = 0; k < n; ++k) {
+      const int i = (next + k) % n;
+      if (requests & (1u << i)) return i;
+    }
+    return -1;
+  }
+  int grant(std::uint32_t requests) {
+    const int winner = pick(requests);
+    if (winner >= 0) next = (winner + 1) % n;
+    return winner;
+  }
+};
+
+/// An n-input arbiter whose priority pointer sits at `next`.
+RoundRobinArbiter arbiter_at(int n, int next) {
+  RoundRobinArbiter arb(n);
+  arb.grant(1u << (next == 0 ? n - 1 : next - 1));
+  return arb;
+}
+
+void expect_same_arbitration(int n, int next, std::uint32_t mask) {
+  RoundRobinArbiter arb = arbiter_at(n, next);
+  ASSERT_EQ(arb.priority_pointer(), next);
+  ReferenceRoundRobin ref{n, next};
+  ASSERT_EQ(arb.pick(mask), ref.pick(mask))
+      << "n=" << n << " next=" << next << " mask=" << mask;
+  ASSERT_EQ(arb.grant(mask), ref.grant(mask))
+      << "n=" << n << " next=" << next << " mask=" << mask;
+  ASSERT_EQ(arb.priority_pointer(), ref.next)
+      << "n=" << n << " next=" << next << " mask=" << mask;
+}
+
+TEST(AllocEquivalence, RoundRobinExhaustiveUpTo8Inputs) {
+  // Every 8-bit mask, so requests at or above n are covered too.
+  for (int n = 1; n <= 8; ++n) {
+    for (int next = 0; next < n; ++next) {
+      for (std::uint32_t mask = 0; mask < 256; ++mask) {
+        expect_same_arbitration(n, next, mask);
+      }
+    }
+  }
+}
+
+TEST(AllocEquivalence, RoundRobinRandomUpTo32Inputs) {
+  Rng rng(2024);
+  for (int n = 1; n <= 32; ++n) {
+    for (int next = 0; next < n; ++next) {
+      for (int iter = 0; iter < 400; ++iter) {
+        // Dense, sparse and single-bit masks over all 32 bits.
+        std::uint32_t mask = static_cast<std::uint32_t>(rng());
+        if (iter % 3 == 1) mask &= static_cast<std::uint32_t>(rng());
+        if (iter % 3 == 2) mask = 1u << rng.below(32);
+        expect_same_arbitration(n, next, mask);
+      }
+    }
+  }
+}
+
+/// Separable allocator built from reference arbiters, loop by loop.
+struct ReferenceSeparable {
+  int num_inputs;
+  int num_outputs;
+  std::vector<ReferenceRoundRobin> output_arbiters;
+  std::vector<ReferenceRoundRobin> input_arbiters;
+
+  ReferenceSeparable(int ni, int no)
+      : num_inputs(ni),
+        num_outputs(no),
+        output_arbiters(static_cast<std::size_t>(no), ReferenceRoundRobin{ni}),
+        input_arbiters(static_cast<std::size_t>(ni), ReferenceRoundRobin{no}) {}
+
+  std::vector<int> allocate(const std::vector<std::uint32_t>& requests) {
+    std::vector<int> output_winner(static_cast<std::size_t>(num_outputs), -1);
+    for (int o = 0; o < num_outputs; ++o) {
+      std::uint32_t req = 0;
+      for (int i = 0; i < num_inputs; ++i) {
+        if (requests[static_cast<std::size_t>(i)] & (1u << o)) req |= 1u << i;
+      }
+      output_winner[static_cast<std::size_t>(o)] =
+          output_arbiters[static_cast<std::size_t>(o)].pick(req);
+    }
+    std::vector<int> grant(static_cast<std::size_t>(num_inputs), -1);
+    for (int i = 0; i < num_inputs; ++i) {
+      std::uint32_t won = 0;
+      for (int o = 0; o < num_outputs; ++o) {
+        if (output_winner[static_cast<std::size_t>(o)] == i) won |= 1u << o;
+      }
+      grant[static_cast<std::size_t>(i)] =
+          input_arbiters[static_cast<std::size_t>(i)].pick(won);
+    }
+    for (int i = 0; i < num_inputs; ++i) {
+      const int o = grant[static_cast<std::size_t>(i)];
+      if (o >= 0) {
+        input_arbiters[static_cast<std::size_t>(i)].grant(1u << o);
+        output_arbiters[static_cast<std::size_t>(o)].grant(1u << i);
+      }
+    }
+    return grant;
+  }
+};
+
+TEST(AllocEquivalence, SeparableMatchesReferenceOverLongRuns) {
+  for (const auto& [ni, no] : {std::pair{5, 5}, std::pair{2, 1},
+                               std::pair{3, 4}, std::pair{5, 2}}) {
+    SeparableAllocator alloc(ni, no);
+    ReferenceSeparable ref(ni, no);
+    Rng rng(static_cast<std::uint64_t>(ni * 10 + no));
+    for (int cycle = 0; cycle < 20000; ++cycle) {
+      // Request bits at or above num_outputs must be ignored.
+      std::vector<std::uint32_t> req(static_cast<std::size_t>(ni));
+      for (auto& r : req) r = static_cast<std::uint32_t>(rng()) & 0xFF;
+      const std::array<int, kNumPorts> got = alloc.allocate(req);
+      const std::vector<int> want = ref.allocate(req);
+      for (int i = 0; i < kNumPorts; ++i) {
+        ASSERT_EQ(got[static_cast<std::size_t>(i)],
+                  i < ni ? want[static_cast<std::size_t>(i)] : -1)
+            << ni << "x" << no << " cycle " << cycle << " input " << i;
+      }
+    }
+  }
+}
+
+/// The unified allocator as first written: priority keys recomputed per
+/// (output, port) pair and won outputs gathered into a list.
+UnifiedGrants reference_unified_allocate(
+    const std::array<UnifiedPortRequest, kNumPorts>& req,
+    bool incoming_priority) {
+  struct Key {
+    int klass;
+    std::uint64_t age;
+    [[nodiscard]] bool beats(const Key& o) const {
+      if (klass != o.klass) return klass < o.klass;
+      return age < o.age;
+    }
+  };
+  auto key_of = [&](const UnifiedCandidate& c, bool is_incoming) {
+    const bool favoured = c.elevated || (is_incoming == incoming_priority);
+    return Key{favoured ? 0 : 1, c.age};
+  };
+
+  UnifiedGrants result;
+  std::array<int, kNumPorts> output_winner;
+  output_winner.fill(-1);
+  for (int o = 0; o < kNumPorts; ++o) {
+    int best_port = -1;
+    Key best_key{2, ~std::uint64_t{0}};
+    for (int p = 0; p < kNumPorts; ++p) {
+      const UnifiedPortRequest& r = req[static_cast<std::size_t>(p)];
+      Key port_key{2, ~std::uint64_t{0}};
+      bool requests = false;
+      if (r.incoming.valid && (r.incoming.request_mask & (1u << o))) {
+        port_key = key_of(r.incoming, true);
+        requests = true;
+      }
+      if (r.buffered.valid && (r.buffered.request_mask & (1u << o))) {
+        const Key k = key_of(r.buffered, false);
+        if (!requests || k.beats(port_key)) port_key = k;
+        requests = true;
+      }
+      if (requests && (best_port < 0 || port_key.beats(best_key))) {
+        best_port = p;
+        best_key = port_key;
+      }
+    }
+    output_winner[static_cast<std::size_t>(o)] = best_port;
+  }
+
+  for (int p = 0; p < kNumPorts; ++p) {
+    const UnifiedPortRequest& r = req[static_cast<std::size_t>(p)];
+    std::vector<int> won;
+    for (int o = 0; o < kNumPorts; ++o) {
+      if (output_winner[static_cast<std::size_t>(o)] == p) won.push_back(o);
+    }
+    if (won.empty()) continue;
+    const std::uint32_t in_mask = r.incoming.valid ? r.incoming.request_mask : 0;
+    const std::uint32_t buf_mask = r.buffered.valid ? r.buffered.request_mask : 0;
+    const int o1 = won[0];
+    const int o2 = won.size() > 1 ? won[1] : -1;
+    auto legal = [](std::uint32_t mask, int o) {
+      return o >= 0 && (mask & (1u << o)) != 0;
+    };
+    const int direct = (legal(in_mask, o1) ? 1 : 0) + (legal(buf_mask, o2) ? 1 : 0);
+    const int swapped = (legal(in_mask, o2) ? 1 : 0) + (legal(buf_mask, o1) ? 1 : 0);
+    UnifiedPortGrant& g = result.port[static_cast<std::size_t>(p)];
+    if (swapped > direct) {
+      if (legal(in_mask, o2)) g.incoming_out = o2;
+      if (legal(buf_mask, o1)) g.buffered_out = o1;
+      if (o2 >= 0) ++result.swaps;
+    } else {
+      if (legal(in_mask, o1)) g.incoming_out = o1;
+      if (legal(buf_mask, o2)) g.buffered_out = o2;
+    }
+  }
+  return result;
+}
+
+TEST(AllocEquivalence, UnifiedMatchesReferenceOnRandomRequests) {
+  UnifiedAllocator alloc;
+  Rng rng(4242);
+  // Invalid candidates keep random masks and ages (they must be ignored),
+  // masks carry bits above the five ports, and ages are drawn from a
+  // small range so priority ties are common.
+  auto random_candidate = [&rng] {
+    UnifiedCandidate c;
+    c.valid = rng.bernoulli(0.7);
+    c.request_mask = static_cast<std::uint32_t>(rng()) & 0xFF;
+    c.age = rng() & 0xF;
+    c.elevated = rng.bernoulli(0.1);
+    return c;
+  };
+  for (int iter = 0; iter < 100000; ++iter) {
+    std::array<UnifiedPortRequest, kNumPorts> req{};
+    for (UnifiedPortRequest& r : req) {
+      r.incoming = random_candidate();
+      r.buffered = random_candidate();
+    }
+    for (const bool prio : {true, false}) {
+      const UnifiedGrants got = alloc.allocate(req, prio);
+      const UnifiedGrants want = reference_unified_allocate(req, prio);
+      ASSERT_EQ(got.swaps, want.swaps) << "iter " << iter << " prio " << prio;
+      for (std::size_t p = 0; p < kNumPorts; ++p) {
+        ASSERT_EQ(got.port[p].incoming_out, want.port[p].incoming_out)
+            << "iter " << iter << " prio " << prio << " port " << p;
+        ASSERT_EQ(got.port[p].buffered_out, want.port[p].buffered_out)
+            << "iter " << iter << " prio " << prio << " port " << p;
+      }
+    }
+  }
 }
 
 }  // namespace

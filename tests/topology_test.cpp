@@ -1,6 +1,10 @@
 // Unit tests for topology/: mesh geometry and link channels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
+#include "routing/deflect.hpp"
 #include "topology/channel.hpp"
 #include "topology/mesh.hpp"
 
@@ -75,6 +79,91 @@ TEST(Mesh, AverageDistanceMatchesClosedForm) {
   // self-pairs; excluding them scales by n^2/(n(n-1)) = 64/63.
   const Mesh m(8, 8);
   EXPECT_NEAR(m.average_distance(), 5.25 * 64.0 / 63.0, 1e-9);
+}
+
+// ---- equivalence with the neighbour-based reference ---------------------
+//
+// has_link and deflection_ranking read link existence straight from the
+// coordinates; the references below derive it from neighbor(), as the
+// original code did.  The three meshes cover square, non-square and
+// wrap-around geometry.
+
+std::array<Mesh, 3> equivalence_meshes() {
+  return {Mesh(8, 8), Mesh(5, 3), Mesh(4, 4, /*wrap=*/true)};
+}
+
+TEST(MeshEquivalence, HasLinkMatchesNeighbor) {
+  for (const Mesh& m : equivalence_meshes()) {
+    for (NodeId n = 0; n < static_cast<NodeId>(m.num_nodes()); ++n) {
+      for (Direction d : {Direction::East, Direction::West, Direction::North,
+                          Direction::South, Direction::Local}) {
+        EXPECT_EQ(m.has_link(n, d), m.neighbor(n, d).has_value())
+            << m.width() << "x" << m.height() << " node " << n << " dir "
+            << to_string(d);
+        EXPECT_EQ(m.has_link(m.coord(n), d), m.has_link(n, d));
+      }
+    }
+  }
+}
+
+/// deflection_ranking with link existence taken from neighbor().
+std::array<Direction, kNumLinkDirs> reference_ranking(const Mesh& mesh,
+                                                      NodeId cur, NodeId dst,
+                                                      std::uint64_t salt) {
+  const int dx = mesh.offset_x(cur, dst);
+  const int dy = mesh.offset_y(cur, dst);
+  struct Ranked {
+    Direction dir;
+    int score;
+  };
+  std::array<Ranked, kNumLinkDirs> ranked{};
+  int i = 0;
+  for (Direction dir : kLinkDirs) {
+    int score = 0;
+    if (!mesh.neighbor(cur, dir).has_value()) {
+      score = -1000;
+    } else {
+      int progress = 0;
+      switch (dir) {
+        case Direction::East: progress = dx; break;
+        case Direction::West: progress = -dx; break;
+        case Direction::North: progress = dy; break;
+        case Direction::South: progress = -dy; break;
+        case Direction::Local: break;
+      }
+      if (progress > 0) {
+        score = 100 + progress;
+      } else if (progress < 0) {
+        score = -10;
+      }
+      score = score * 4 + static_cast<int>((salt >> (port_index(dir) * 2)) & 3);
+    }
+    ranked[i++] = {dir, score};
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const Ranked& a, const Ranked& b) { return a.score > b.score; });
+  std::array<Direction, kNumLinkDirs> out{};
+  for (int k = 0; k < kNumLinkDirs; ++k) out[k] = ranked[k].dir;
+  return out;
+}
+
+TEST(MeshEquivalence, DeflectionRankingMatchesReference) {
+  // The low salt byte holds the four 2-bit tie-break nibbles; bits above
+  // it must not matter.
+  for (const Mesh& m : equivalence_meshes()) {
+    const auto nodes = static_cast<NodeId>(m.num_nodes());
+    for (NodeId cur = 0; cur < nodes; ++cur) {
+      for (NodeId dst = 0; dst < nodes; ++dst) {
+        for (std::uint64_t salt = 0; salt < 256; ++salt) {
+          const std::uint64_t s = salt | (std::uint64_t{cur} << 40);
+          ASSERT_EQ(deflection_ranking(m, cur, dst, s),
+                    reference_ranking(m, cur, dst, s))
+              << m.width() << "x" << m.height() << " cur " << cur << " dst "
+              << dst << " salt " << s;
+        }
+      }
+    }
+  }
 }
 
 TEST(Channel, TwoCycleDeliveryLatency) {
