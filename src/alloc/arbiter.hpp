@@ -6,6 +6,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -28,11 +29,24 @@ class RoundRobinArbiter {
   }
 
   /// `requests` bit i set means input i requests the resource; bits at
-  /// or above `num_inputs()` are ignored.
-  [[nodiscard]] int pick(std::uint32_t requests) const noexcept;
+  /// or above `num_inputs()` are ignored.  Inline: the router kernels
+  /// call it several times per router per cycle.
+  [[nodiscard]] int pick(std::uint32_t requests) const noexcept {
+    // Bits at or above n_ name no requester; drop them before the scan.
+    requests &= ~0u >> (32 - n_);
+    if (requests == 0) return -1;
+    // Lowest request at or after the priority pointer, else wrap around
+    // to the lowest request overall.
+    const std::uint32_t ahead = requests & (~0u << next_);
+    return std::countr_zero(ahead != 0 ? ahead : requests);
+  }
 
   /// Picks and advances the priority pointer past the winner.
-  int grant(std::uint32_t requests) noexcept;
+  int grant(std::uint32_t requests) noexcept {
+    const int winner = pick(requests);
+    if (winner >= 0) next_ = winner + 1 == n_ ? 0 : winner + 1;
+    return winner;
+  }
 
   [[nodiscard]] int num_inputs() const noexcept { return n_; }
   [[nodiscard]] int priority_pointer() const noexcept { return next_; }

@@ -18,6 +18,15 @@ std::array<int, kNumPorts> SeparableAllocator::allocate(
     std::span<const std::uint32_t> requests) {
   assert(static_cast<int>(requests.size()) == num_inputs_);
   const std::uint32_t output_bits = (1u << num_outputs_) - 1u;
+  std::array<int, kNumPorts> grant;
+  grant.fill(-1);
+
+  // No request: every arbiter would pick -1, so no pointer moves.  The
+  // common case in a lightly loaded buffered router, whose inputs often
+  // hold only this cycle's arrivals or heads not yet eligible.
+  std::uint32_t any = 0;
+  for (const std::uint32_t r : requests) any |= r;
+  if ((any & output_bits) == 0) return grant;
 
   // Transpose: column o holds the inputs requesting output o.
   std::array<std::uint32_t, kNumPorts> requesters{};
@@ -38,8 +47,6 @@ std::array<int, kNumPorts> SeparableAllocator::allocate(
   // Stage 2: each input picks one output that granted it.  Advance only
   // the arbiters whose grants were actually consumed, so unmatched
   // requesters keep their priority (work-conserving rotation).
-  std::array<int, kNumPorts> grant;
-  grant.fill(-1);
   for (int i = 0; i < num_inputs_; ++i) {
     const int o = input_arbiters_[i].pick(won[i]);
     if (o < 0) continue;

@@ -28,7 +28,8 @@ class SeparableAllocator {
   /// `requests[i]` is the bitmask of outputs input i wants (one entry per
   /// input).  Returns for each input the granted output index or -1;
   /// entries at or beyond `num_inputs()` are -1.  Each output is granted
-  /// to at most one input and vice versa.
+  /// to at most one input and vice versa.  A request vector with no bit
+  /// set returns at once: it would move no arbiter pointer.
   [[nodiscard]] std::array<int, kNumPorts> allocate(
       std::span<const std::uint32_t> requests);
 

@@ -3,15 +3,32 @@
 
 #include <cassert>
 #include <cstddef>
+#include <memory>
+#include <type_traits>
 
 namespace dxbar {
 
+/// The storage is left uninitialised: only [0, size()) is ever read, and
+/// push_back constructs each slot as it fills.  A router step builds
+/// several of these per cycle, most of them empty, so value-initialising
+/// N flits up front would dominate an idle cycle.  Restricted to
+/// trivially copyable, trivially destructible element types so that
+/// copying the whole object and dropping elements on clear() are both
+/// well defined.
 template <typename T, std::size_t N>
 class SmallVec {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "SmallVec copies its storage bytewise");
+  static_assert(std::is_trivially_destructible_v<T>,
+                "SmallVec never destroys its elements");
+
  public:
-  void push_back(T v) {
+  SmallVec() noexcept {}  // leaves data_ uninitialised on purpose
+
+  void push_back(const T& v) {
     assert(size_ < N);
-    data_[size_++] = v;
+    std::construct_at(&data_[size_], v);
+    ++size_;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
@@ -38,7 +55,9 @@ class SmallVec {
   }
 
  private:
-  T data_[N] = {};
+  union {
+    T data_[N];
+  };
   std::size_t size_ = 0;
 };
 

@@ -74,7 +74,7 @@ void AfcRouter::step_bufferless(Cycle now) {
       ++incoming;
     }
   }
-  if (source != nullptr && !source->empty() && incoming < degree_) {
+  if (has_injection() && incoming < degree_) {
     flits.push_back(source->pop_front());
   }
   if (flits.empty()) return;
@@ -131,7 +131,7 @@ void AfcRouter::step_buffered(Cycle now) {
                          buffers_[static_cast<std::size_t>(d)].front()});
     }
   }
-  if (source != nullptr && !source->empty()) {
+  if (has_injection()) {
     waiting.push_back({Candidate::Kind::Injection, -1, source->front()});
   }
   sort_by_age(waiting);
@@ -141,6 +141,7 @@ void AfcRouter::step_buffered(Cycle now) {
     Flit f;
     if (c.kind == Candidate::Kind::BufferHead) {
       f = buffers_[static_cast<std::size_t>(c.dir)].pop();
+      --held_;
       env_.energy->buffer_read();
     } else {
       f = source->pop_front();
@@ -160,12 +161,15 @@ void AfcRouter::step_buffered(Cycle now) {
     const bool ok = buffers_[static_cast<std::size_t>(d)].push(*arrival);
     assert(ok);
     (void)ok;
+    ++held_;
     env_.energy->buffer_write();
     arrival.reset();
   }
 }
 
 void AfcRouter::step(Cycle now) {
+  assert(held_ == occupancy());
+
   // Mode control from the smoothed arrival rate.
   int arrivals = 0;
   for (const auto& a : in) {
@@ -177,11 +181,14 @@ void AfcRouter::step(Cycle now) {
   if (!buffered_mode_ && arrival_ema_ > kBufferOn) {
     buffered_mode_ = true;
     ++mode_switches_;
-  } else if (buffered_mode_ && arrival_ema_ < kBufferOff &&
-             occupancy() == 0) {
+  } else if (buffered_mode_ && arrival_ema_ < kBufferOff && held_ == 0) {
     buffered_mode_ = false;
     ++mode_switches_;
   }
+
+  // Idle early-out: the mode control above is the only state an empty
+  // cycle moves; both step paths would find no candidate.
+  if (held_ == 0 && arrivals == 0 && !has_injection()) return;
 
   if (buffered_mode_) {
     step_buffered(now);
@@ -208,6 +215,7 @@ void AfcRouter::load_state(SnapshotReader& r) {
   buffered_mode_ = r.boolean();
   arrival_ema_ = r.f64();
   mode_switches_ = r.u64();
+  held_ = occupancy();
 }
 
 }  // namespace dxbar

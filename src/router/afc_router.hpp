@@ -31,16 +31,17 @@ class AfcRouter final : public Router {
   void save_state(SnapshotWriter& w) const override;
   void load_state(SnapshotReader& r) override;
 
-  // --- introspection for tests ---------------------------------------
-  [[nodiscard]] bool buffered_mode() const { return buffered_mode_; }
-  [[nodiscard]] std::uint64_t mode_switches() const { return mode_switches_; }
-
- private:
   /// EMA thresholds in arrivals/cycle (router capacity is ~4).
   static constexpr double kBufferOn = 1.75;
   static constexpr double kBufferOff = 1.0;
   static constexpr double kEmaAlpha = 1.0 / 32.0;
 
+  // --- introspection for tests ---------------------------------------
+  [[nodiscard]] bool buffered_mode() const { return buffered_mode_; }
+  [[nodiscard]] std::uint64_t mode_switches() const { return mode_switches_; }
+  [[nodiscard]] double arrival_ema() const { return arrival_ema_; }
+
+ private:
   struct AllocState {
     std::array<bool, kNumPorts> taken{};
   };
@@ -52,6 +53,10 @@ class AfcRouter final : public Router {
 
   int degree_;
   std::array<FixedQueue<Flit>, kNumLinkDirs> buffers_;
+  /// Flits in the input buffers, kept so the idle test reads one field
+  /// instead of every buffer.  Derived state: load_state rebuilds it,
+  /// the snapshot does not carry it.
+  int held_ = 0;
   bool buffered_mode_ = false;
   double arrival_ema_ = 0.0;
   std::uint64_t mode_switches_ = 0;

@@ -31,7 +31,7 @@ void BlessRouter::step(Cycle now) {
   // Inject only when an input slot is free: the assignment below then
   // always finds a port for every flit (#flits <= degree, and at most
   // one flit can take the Local port).
-  if (source != nullptr && !source->empty() && incoming < degree_) {
+  if (has_injection() && incoming < degree_) {
     flits.push_back(source->pop_front());
   }
   if (flits.empty()) return;

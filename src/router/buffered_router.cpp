@@ -18,6 +18,12 @@ BufferedRouter::BufferedRouter(NodeId id, const RouterEnv& env,
 }
 
 void BufferedRouter::step(Cycle now) {
+  // Idle early-out: with no arrival, no buffered flit and no injection,
+  // every request below is zero, so the allocator grants nothing and
+  // moves no arbiter pointer, and there is nothing to write.
+  assert(held_ == occupancy());
+  if (held_ == 0 && !has_injection() && !has_arrival()) return;
+
   // The crossbar is 5x5: each input *port* forwards at most one flit per
   // cycle regardless of how many lanes buffer behind it.  With two lanes
   // (Buffered 8) either eligible head may be the one served, which is
@@ -47,7 +53,7 @@ void BufferedRouter::step(Cycle now) {
       }
     }
   }
-  if (source != nullptr && !source->empty()) {
+  if (has_injection()) {
     requests[static_cast<std::size_t>(inj_input)] =
         request_mask_for(source->front());
   }
@@ -80,6 +86,7 @@ void BufferedRouter::step(Cycle now) {
       }
       assert(pick >= 0 && "granted output must match a requesting head");
       f = lanes_[static_cast<std::size_t>(lane(i, pick))].pop().flit;
+      --held_;
       env_.energy->buffer_read();
       return_credit(port_from_index(i));
     }
@@ -108,6 +115,7 @@ void BufferedRouter::step(Cycle now) {
         Entry{*arrival, now + 1});
     assert(ok && "credit flow control must prevent buffer overflow");
     (void)ok;
+    ++held_;
     env_.energy->buffer_write();
     arrival.reset();
   }
@@ -139,6 +147,7 @@ void BufferedRouter::load_state(SnapshotReader& r) {
     });
   }
   allocator_.load(r);
+  held_ = occupancy();
 }
 
 }  // namespace dxbar

@@ -64,6 +64,18 @@ void DamqRouter::grant_credits() {
 }
 
 void DamqRouter::step(Cycle now) {
+  // Idle early-out.  With no arrival, no queued flit and no injection,
+  // the allocator gets an all-zero request vector (no pointer moves) and
+  // no claim changes.  grant_credits() ran to its fixpoint at the end of
+  // the previous step (or in the constructor), and can_grant depends
+  // only on the claims, so its sweep would grant nothing; the one state
+  // it still moves is the round-robin start, rotated here the same way.
+  assert(held_ == occupancy());
+  if (held_ == 0 && !has_injection() && !has_arrival()) {
+    grant_rr_ = (grant_rr_ + 1) % kNumLinkDirs;
+    return;
+  }
+
   // Same 3-stage pipeline and 5x5 separable allocation as the buffered
   // baseline (RC / SA-ST / LT): heads of the four logical FIFOs plus
   // the injection front bid for output ports; arrivals written this
@@ -87,7 +99,7 @@ void DamqRouter::step(Cycle now) {
       requests[static_cast<std::size_t>(d)] = request_mask_for(q.front().flit);
     }
   }
-  if (source != nullptr && !source->empty()) {
+  if (has_injection()) {
     requests[static_cast<std::size_t>(inj_input)] =
         request_mask_for(source->front());
   }
@@ -103,6 +115,7 @@ void DamqRouter::step(Cycle now) {
       f = source->pop_front();
     } else {
       f = queues_[static_cast<std::size_t>(i)].pop().flit;
+      --held_;
       env_.energy->buffer_read();
     }
     env_.energy->crossbar_traversal();
@@ -125,6 +138,7 @@ void DamqRouter::step(Cycle now) {
         Entry{*arrival, now + 1});
     assert(ok && "DAMQ grant accounting must prevent pool overflow");
     (void)ok;
+    ++held_;
     env_.energy->buffer_write();
     arrival.reset();
   }
@@ -169,6 +183,7 @@ void DamqRouter::load_state(SnapshotReader& r) {
   for (int& o : outstanding_) o = r.i32();
   grant_rr_ = r.i32();
   allocator_.load(r);
+  held_ = occupancy();
 }
 
 }  // namespace dxbar

@@ -73,6 +73,8 @@ class DamqRouter final : public Router {
   [[nodiscard]] int outstanding(int d) const noexcept {
     return outstanding_[static_cast<std::size_t>(d)];
   }
+  /// Port the next grant sweep starts at; rotates by one every step.
+  [[nodiscard]] int grant_rr() const noexcept { return grant_rr_; }
 
   /// Credits an upstream may hold at once: enough to cover the
   /// grant-post + link round trip (credit usable next cycle, flit lands
@@ -109,6 +111,10 @@ class DamqRouter final : public Router {
   int pool_;    ///< kNumLinkDirs * depth_
   int shared_;  ///< pool_ minus window() reserved slots per live input
   std::array<FixedQueue<Entry>, kNumLinkDirs> queues_;
+  /// Flits in the logical FIFOs, kept so the idle test reads one field
+  /// instead of every FIFO.  Derived state: load_state rebuilds it,
+  /// the snapshot does not carry it.
+  int held_ = 0;
   std::array<int, kNumLinkDirs> outstanding_{};
   int grant_rr_ = 0;  ///< round-robin start of the grant sweep
   SeparableAllocator allocator_;

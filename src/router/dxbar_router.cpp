@@ -98,7 +98,7 @@ void DXbarRouter::deflect(Flit f, AllocState& st, bool via_primary) {
 }
 
 bool DXbarRouter::any_waiting() const {
-  return buffered_count_ != 0 || (source != nullptr && !source->empty());
+  return buffered_count_ != 0 || has_injection();
 }
 
 bool DXbarRouter::serve_waiting(AllocState& st, bool via_primary) {
@@ -109,7 +109,7 @@ bool DXbarRouter::serve_waiting(AllocState& st, bool via_primary) {
                          &buffers_[static_cast<std::size_t>(d)].front()});
     }
   }
-  if (source != nullptr && !source->empty()) {
+  if (has_injection()) {
     waiting.push_back({Candidate::Kind::Injection, -1, &source->front()});
   }
   if (waiting.empty()) return false;
@@ -360,7 +360,7 @@ void DXbarRouter::step_primary_only(Cycle now) {
   for (int d = 0; d < kNumLinkDirs; ++d) {
     if (!line_used[static_cast<std::size_t>(d)]) line_free = true;
   }
-  if (line_free && source != nullptr && !source->empty()) {
+  if (line_free && has_injection()) {
     const auto out = pick_output(source->front(), st);
     if (out) {
       Flit f = source->pop_front();
@@ -400,11 +400,7 @@ void DXbarRouter::step(Cycle now) {
   // does not change state, and the stop signals were already deasserted
   // by the step that drained the last buffered flit (a full FIFO implies
   // buffered_count_ > 0, so stop can never be pending while idle).
-  if (buffered_count_ == 0 && (source == nullptr || source->empty()) &&
-      !in[0].has_value() && !in[1].has_value() && !in[2].has_value() &&
-      !in[3].has_value()) {
-    return;
-  }
+  if (buffered_count_ == 0 && !has_injection() && !has_arrival()) return;
 
   // On/off backpressure needs no per-step pass here: stop signals are
   // maintained on FIFO full/non-full transitions inside pop_buffer and

@@ -46,7 +46,7 @@ void MinBDRouter::step(Cycle now) {
   // Inject only when an input slot is free, exactly like Flit-Bless: the
   // assignment invariant (#flits <= degree, at most one takes Local)
   // then always finds every non-captured flit a port.
-  if (source != nullptr && !source->empty() && incoming < degree_) {
+  if (has_injection() && incoming < degree_) {
     flits.push_back(source->pop_front());
   }
   if (flits.empty()) return;

@@ -142,6 +142,19 @@ class Router {
   [[nodiscard]] NodeId id() const noexcept { return id_; }
 
  protected:
+  /// Some input register holds a flit this cycle.
+  [[nodiscard]] bool has_arrival() const noexcept {
+    for (const auto& a : in) {
+      if (a.has_value()) return true;
+    }
+    return false;
+  }
+
+  /// The local PE has a flit waiting to inject.
+  [[nodiscard]] bool has_injection() const noexcept {
+    return source != nullptr && !source->empty();
+  }
+
   /// True when an output link exists in `d` and has a credit + free slot.
   [[nodiscard]] bool can_send(Direction d) const {
     Channel* ch = env_.out_links[port_index(d)];

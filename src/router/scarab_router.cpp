@@ -59,7 +59,7 @@ void ScarabRouter::step(Cycle now) {
 
   // Inject only into a free productive port — new flits are never the
   // ones dropped.
-  if (source != nullptr && !source->empty()) {
+  if (has_injection()) {
     const Flit& head = source->front();
     if (head.dst == id_) {
       if (!local_taken) eject(source->pop_front());

@@ -38,6 +38,16 @@ void UnifiedRouter::depart(Flit f, int out) {
 void UnifiedRouter::step(Cycle now) {
   (void)now;
 
+  // ---- idle early-out ------------------------------------------------------
+  // With no arrival, no buffered flit and no injection, the rest of this
+  // function changes no state: every request is empty, so the allocator
+  // grants nothing, no wait counter moves (they advance only for a head
+  // that is present), fairness_.record(false, ...) returns at once, and
+  // each set_stop(full()) would write the `false` that the previous
+  // step already wrote (buffers change only inside step).
+  assert(held_ == occupancy());
+  if (held_ == 0 && !has_injection() && !has_arrival()) return;
+
   // ---- build the dual-candidate request of every input port ----------
   std::array<UnifiedPortRequest, kNumPorts> req{};
   for (int d = 0; d < kNumLinkDirs; ++d) {
@@ -62,7 +72,7 @@ void UnifiedRouter::step(Cycle now) {
     }
   }
   // Port 4 carries only the (unbuffered) PE injection flit.
-  const bool have_injection = source != nullptr && !source->empty();
+  const bool have_injection = has_injection();
   if (have_injection) {
     req[kNumPorts - 1].buffered = {
         true,
@@ -150,6 +160,7 @@ void UnifiedRouter::step(Cycle now) {
         f = source->pop_front();
       } else {
         f = buffers_[static_cast<std::size_t>(p)].pop();
+        --held_;
         env_.energy->buffer_read();
         return_credit(port_from_index(p));
       }
@@ -171,6 +182,7 @@ void UnifiedRouter::step(Cycle now) {
           const bool ok = buffers_[static_cast<std::size_t>(p)].push(*arrival);
           assert(ok && "escape valve must cover full-FIFO arrivals");
           (void)ok;
+          ++held_;
           env_.energy->buffer_write();
         }
         arrival.reset();
@@ -214,6 +226,7 @@ void UnifiedRouter::load_state(SnapshotReader& r) {
   swap_count_ = r.u64();
   dual_grant_cycles_ = r.u64();
   overflow_deflections_ = r.u64();
+  held_ = occupancy();
 }
 
 }  // namespace dxbar

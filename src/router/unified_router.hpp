@@ -53,6 +53,10 @@ class UnifiedRouter final : public Router {
   void depart(Flit f, int out);
 
   std::array<FixedQueue<Flit>, kNumLinkDirs> buffers_;
+  /// Flits in the input buffers, kept so the idle test reads one field
+  /// instead of every buffer.  Derived state: load_state rebuilds it,
+  /// the snapshot does not carry it.
+  int held_ = 0;
   FairnessCounter fairness_;
   /// Consecutive cycles each FIFO head (and the injection front) has
   /// been denied a port; at cfg.stall_escape_delay it overrides stop signals.

@@ -21,6 +21,12 @@ VcRouter::VcRouter(NodeId id, const RouterEnv& env)
 }
 
 void VcRouter::step(Cycle now) {
+  // Idle early-out: with no arrival, no buffered flit and no injection,
+  // every VC pick (a const pick, not a grant) returns -1 and every
+  // request is zero, so no arbiter pointer moves and nothing is written.
+  assert(held_ == occupancy());
+  if (held_ == 0 && !has_injection() && !has_arrival()) return;
+
   const int inj_input = kNumLinkDirs;
 
   // ---- per-input VC selection (round-robin among eligible heads) ------
@@ -47,7 +53,7 @@ void VcRouter::step(Cycle now) {
       }
     }
   }
-  if (source != nullptr && !source->empty()) {
+  if (has_injection()) {
     for (Direction dir : routes(source->front().dst)) {
       if (dir == Direction::Local ||
           env_.out_links[port_index(dir)] != nullptr) {
@@ -97,6 +103,7 @@ void VcRouter::step(Cycle now) {
     } else {
       const int v = chosen_vc[static_cast<std::size_t>(i)];
       f = vcs_[static_cast<std::size_t>(vc_index(i, v))].pop().flit;
+      --held_;
       env_.energy->buffer_read();
       Channel* up = env_.in_links[static_cast<std::size_t>(i)];
       if (up != nullptr) up->return_credit_vc(v);
@@ -120,6 +127,7 @@ void VcRouter::step(Cycle now) {
         Entry{*arrival, now + 1});
     assert(ok && "per-VC credits must prevent overflow");
     (void)ok;
+    ++held_;
     env_.energy->buffer_write();
     arrival.reset();
   }
@@ -157,6 +165,7 @@ void VcRouter::load_state(SnapshotReader& r) {
   for (auto& a : out_vc_pick_) a.load(r);
   allocator_.load(r);
   speculation_failures_ = r.u64();
+  held_ = occupancy();
 }
 
 }  // namespace dxbar

@@ -70,6 +70,10 @@ class VcRouter final : public Router {
   int vc_depth_;
   bool class_vcs_;  ///< partition VCs by message class (closed loop)
   std::vector<FixedQueue<Entry>> vcs_;  ///< kNumLinkDirs * num_vcs_
+  /// Flits in the input buffers, kept so the idle test reads one field
+  /// instead of every buffer.  Derived state: load_state rebuilds it,
+  /// the snapshot does not carry it.
+  int held_ = 0;
   std::array<RoundRobinArbiter, kNumLinkDirs> vc_pick_;  ///< per input dir
   std::array<RoundRobinArbiter, kNumLinkDirs> out_vc_pick_;  ///< per output dir
   SeparableAllocator allocator_;

@@ -1,10 +1,15 @@
-// Unit tests for common/: types, rng, fixed queue, config, stats.
+// Unit tests for common/: types, rng, fixed queue, small vector, config,
+// stats.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
 
 #include "common/config.hpp"
 #include "common/fixed_queue.hpp"
 #include "common/flit.hpp"
 #include "common/rng.hpp"
+#include "common/small_vec.hpp"
 #include "common/stats.hpp"
 #include "common/text.hpp"
 
@@ -143,6 +148,80 @@ TEST(FixedQueue, AtIndexesFromHead) {
   EXPECT_EQ(q.at(0), 11);
   EXPECT_EQ(q.at(1), 12);
   EXPECT_EQ(q.at(2), 13);
+}
+
+// SmallVec leaves its storage uninitialised, so these read only the live
+// prefix; under ASan/UBSan they also check that copies and reuse never
+// touch a slot outside it.
+TEST(SmallVec, CopyAndAssignPartlyFilled) {
+  SmallVec<Flit, 5> a;
+  for (PacketId p = 1; p <= 3; ++p) a.push_back(Flit{.packet = p, .hops = 7});
+
+  const SmallVec<Flit, 5> copy(a);
+  SmallVec<Flit, 5> assigned;
+  assigned.push_back(Flit{.packet = 99});
+  assigned = a;
+  a[0].packet = 42;  // copies are independent of the source
+  a.push_back(Flit{.packet = 4});
+
+  const SmallVec<Flit, 5>& assigned_ref = assigned;
+  for (const SmallVec<Flit, 5>* v : {&copy, &assigned_ref}) {
+    ASSERT_EQ(v->size(), 3u);
+    for (std::size_t i = 0; i < v->size(); ++i) {
+      EXPECT_EQ((*v)[i].packet, i + 1);
+      EXPECT_EQ((*v)[i].hops, 7);
+    }
+  }
+  EXPECT_EQ(a.size(), 4u);
+  EXPECT_EQ(a[0].packet, 42u);
+}
+
+TEST(SmallVec, ClearAndReuse) {
+  SmallVec<int, 4> v;
+  EXPECT_TRUE(v.empty());
+  for (int i = 0; i < 4; ++i) v.push_back(i);
+  EXPECT_EQ(v.size(), 4u);
+  v.clear();
+  EXPECT_TRUE(v.empty());
+  EXPECT_EQ(v.begin(), v.end());
+  EXPECT_FALSE(v.contains(0));
+  v.push_back(10);
+  v.push_back(11);
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_EQ(v[0], 10);
+  EXPECT_EQ(v[1], 11);
+  EXPECT_EQ(std::count(v.begin(), v.end(), 0), 0);
+}
+
+struct Keyed {
+  int key;
+  int tag;
+  bool operator==(const Keyed&) const = default;
+};
+
+TEST(SmallVec, InsertionSortAndContainsAtEverySize) {
+  constexpr std::size_t kN = 6;
+  // Keys with repeats so stability is visible: tags record push order.
+  constexpr std::array<int, kN> keys = {3, 1, 3, 0, 1, 2};
+  for (std::size_t n = 0; n <= kN; ++n) {
+    SCOPED_TRACE("size " + std::to_string(n));
+    SmallVec<Keyed, kN> v;
+    for (std::size_t i = 0; i < n; ++i) {
+      v.push_back({keys[i], static_cast<int>(i)});
+    }
+    insertion_sort(v, [](const Keyed& a, const Keyed& b) {
+      return a.key < b.key;
+    });
+    ASSERT_EQ(v.size(), n);
+    for (std::size_t i = 1; i < n; ++i) {
+      EXPECT_TRUE(v[i - 1].key < v[i].key ||
+                  (v[i - 1].key == v[i].key && v[i - 1].tag < v[i].tag));
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(v.contains({keys[i], static_cast<int>(i)}));
+    }
+    EXPECT_FALSE(v.contains({keys[0], static_cast<int>(n)}));
+  }
 }
 
 TEST(Config, DefaultsValid) {

@@ -13,6 +13,13 @@
 // If an intentional behaviour change ever invalidates these, re-record
 // them (see EXPERIMENTS.md, "Perf harness") in the same commit that
 // changes the behaviour, and say why in that commit's message.
+//
+// kLowLoadGoldens pins the seven other designs where their routers sit
+// idle most of the time: 8x8 uniform random at offered 0.02 and 0.10,
+// plus one closed-loop coherence row (mlp=1, read_fraction=0.7,
+// service_delay=8), all on the same stock config.  They were recorded
+// on the revision before the routers gained their idle-cycle early-outs
+// (DESIGN.md section 5, "Router-phase kernel"), which must be exact.
 #include <gtest/gtest.h>
 
 #include "sim/sim_runner.hpp"
@@ -32,6 +39,9 @@ struct Golden {
   std::uint64_t flits_ejected;
   std::uint64_t packets_completed;
   bool drained;
+  /// Closed-loop rows ignore `load`.  (The flag fits in the struct's
+  /// tail padding; ctest names embed the parameter's size.)
+  bool closed_loop = false;
 };
 
 constexpr Golden kGoldens[] = {
@@ -61,16 +71,77 @@ constexpr Golden kGoldens[] = {
      2482.7858351106861, 40.612806746586259, 0, 137577, 137550, 40791, true},
 };
 
-class GoldenReproductionTest : public ::testing::TestWithParam<Golden> {};
+constexpr Golden kLowLoadGoldens[] = {
+    {"Buffered8", RouterDesign::Buffered8, 0.02, 0.019580078125000001,
+     20.646882793017458, 20.608478802992519, 0, 10023, 10025, 2005, true},
+    {"Buffered8", RouterDesign::Buffered8, 0.10, 0.099281250000000001,
+     22.412979351032448, 22.129695181907572, 0, 50851, 50832, 10170, true},
+    {"Buffered8", RouterDesign::Buffered8, 0, 0.1506171875,
+     21.659697828939017, 20.416902958229294, 0, 77085, 77116, 23629, true,
+     true},
+    {"Unified", RouterDesign::UnifiedXbar, 0.02, 0.019576171874999999,
+     15.10922693266833, 15.019451371571073, 0.00069825436408977551, 10021,
+     10023, 2005, true},
+    {"Unified", RouterDesign::UnifiedXbar, 0.10, 0.099287109375000002,
+     16.719567354965584, 16.10757128810226, 0.0039921337266470014, 50856,
+     50835, 10170, true},
+    {"Unified", RouterDesign::UnifiedXbar, 0, 0.18219726562499999,
+     17.279027461955572, 15.000804617806542, 0.0048787810553178714, 93287,
+     93285, 28585, true, true},
+    {"BufferedVC", RouterDesign::BufferedVC, 0.02, 0.019580078125000001,
+     20.64788029925187, 20.609476309226931, 0, 10023, 10025, 2005, true},
+    {"BufferedVC", RouterDesign::BufferedVC, 0.10, 0.099281250000000001,
+     22.575319567354967, 22.256342182890855, 0, 50853, 50832, 10170, true},
+    {"BufferedVC", RouterDesign::BufferedVC, 0, 0.11909570312499999,
+     29.534853907376743, 24.796271566689814, 0, 61001, 60977, 18721, true,
+     true},
+    {"AFC", RouterDesign::Afc, 0.02, 0.019576171874999999,
+     15.084289276807979, 15.050374064837905, 0.036009975062344136, 10025,
+     10023, 2005, true},
+    {"AFC", RouterDesign::Afc, 0.10, 0.099320312499999994,
+     18.08456243854474, 17.724090462143561, 0.20119960668633236, 50850,
+     50852, 10170, true},
+    {"AFC", RouterDesign::Afc, 0, 0.14518359375000001, 22.114244300961918,
+     20.439847147186718, 0.16976052337555697, 74323, 74334, 22767, true,
+     true},
+    {"DAMQ", RouterDesign::Damq, 0.02, 0.019580078125000001,
+     20.648877805486283, 20.610473815461347, 0, 10023, 10025, 2005, true},
+    {"DAMQ", RouterDesign::Damq, 0.10, 0.099281250000000001,
+     22.448180924287119, 22.159095378564405, 0, 50851, 50832, 10170, true},
+    {"DAMQ", RouterDesign::Damq, 0, 0.15043945312500001, 21.775650258408881,
+     20.459713632127425, 0, 77044, 77025, 23606, true, true},
+    {"minBD", RouterDesign::MinBD, 0.02, 0.019576171874999999,
+     15.037406483790523, 15.003491271820449, 0.018254364089775561, 10025,
+     10023, 2005, true},
+    {"minBD", RouterDesign::MinBD, 0.10, 0.099283203124999997,
+     16.27158308751229, 16.035299901671582, 0.12607669616519174, 50848,
+     50833, 10170, true},
+    {"minBD", RouterDesign::MinBD, 0, 0.18437890625, 16.609202157079647,
+     15.365147953539823, 0.23998601220752797, 94379, 94402, 28928, true,
+     true},
+    {"SCARAB", RouterDesign::Scarab, 0.02, 0.019578124999999998,
+     16.1571072319202, 15.10423940149626, 0, 10025, 10024, 2005, true},
+    {"SCARAB", RouterDesign::Scarab, 0.10, 0.099292968750000002,
+     18.413176007866273, 16.99518190757129, 0, 50852, 50838, 10170, true},
+    {"SCARAB", RouterDesign::Scarab, 0, 0.15907421875, 19.741191543882127,
+     17.170003203074952, 0, 81457, 81446, 24976, true, true},
+};
 
-TEST_P(GoldenReproductionTest, MatchesPreOptimizationKernelExactly) {
-  const Golden& g = GetParam();
+SimConfig golden_config(const Golden& g) {
   SimConfig cfg;  // stock defaults; only the swept axes vary
   cfg.design = g.design;
-  cfg.offered_load = g.load;
+  if (g.closed_loop) {
+    cfg.workload = WorkloadKind::ClosedLoop;
+    cfg.mlp = 1;
+    cfg.read_fraction = 0.7;
+    cfg.service_delay = 8;
+  } else {
+    cfg.offered_load = g.load;
+  }
+  return cfg;
+}
 
-  const RunStats s = run_open_loop(cfg);
-
+void expect_golden(const RunStats& s, const Golden& g) {
   EXPECT_EQ(s.accepted_load, g.accepted_load);
   EXPECT_EQ(s.avg_packet_latency, g.avg_packet_latency);
   EXPECT_EQ(s.avg_network_latency, g.avg_network_latency);
@@ -81,48 +152,46 @@ TEST_P(GoldenReproductionTest, MatchesPreOptimizationKernelExactly) {
   EXPECT_EQ(s.drained, g.drained);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Pinned, GoldenReproductionTest, ::testing::ValuesIn(kGoldens),
-    [](const ::testing::TestParamInfo<Golden>& info) {
-      const int pct = static_cast<int>(info.param.load * 100 + 0.5);
-      return std::string(info.param.name) + "_load" + std::to_string(pct);
-    });
+std::string golden_name(const ::testing::TestParamInfo<Golden>& info) {
+  if (info.param.closed_loop) return std::string(info.param.name) + "_closed";
+  const int pct = static_cast<int>(info.param.load * 100 + 0.5);
+  return std::string(info.param.name) + "_load" + std::to_string(pct);
+}
+
+class GoldenReproductionTest : public ::testing::TestWithParam<Golden> {};
+
+TEST_P(GoldenReproductionTest, MatchesPreOptimizationKernelExactly) {
+  const Golden& g = GetParam();
+  expect_golden(run_open_loop(golden_config(g)), g);
+}
+
+INSTANTIATE_TEST_SUITE_P(Pinned, GoldenReproductionTest,
+                         ::testing::ValuesIn(kGoldens), golden_name);
+INSTANTIATE_TEST_SUITE_P(LowLoad, GoldenReproductionTest,
+                         ::testing::ValuesIn(kLowLoadGoldens), golden_name);
 
 // The sharded execution path must reproduce the same pre-optimization
 // goldens: threading one simulation is an execution choice, not a
-// behaviour change.  One load point per design keeps this subset cheap;
-// the full cross-design sweep lives in determinism_test.cpp.
+// behaviour change.  One load point per pinned design keeps this subset
+// cheap (the low-load rows are cheap anyway); the full cross-design
+// sweep lives in determinism_test.cpp.
 class GoldenShardReproductionTest : public ::testing::TestWithParam<Golden> {};
 
 TEST_P(GoldenShardReproductionTest, ShardedRunMatchesGoldensExactly) {
   const Golden& g = GetParam();
   for (int shards : {2, 4}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    SimConfig cfg;
-    cfg.design = g.design;
-    cfg.offered_load = g.load;
+    SimConfig cfg = golden_config(g);
     cfg.shards = shards;
-
-    const RunStats s = run_open_loop(cfg);
-
-    EXPECT_EQ(s.accepted_load, g.accepted_load);
-    EXPECT_EQ(s.avg_packet_latency, g.avg_packet_latency);
-    EXPECT_EQ(s.avg_network_latency, g.avg_network_latency);
-    EXPECT_EQ(s.deflections_per_flit, g.deflections_per_flit);
-    EXPECT_EQ(s.flits_injected, g.flits_injected);
-    EXPECT_EQ(s.flits_ejected, g.flits_ejected);
-    EXPECT_EQ(s.packets_completed, g.packets_completed);
-    EXPECT_EQ(s.drained, g.drained);
+    expect_golden(run_open_loop(cfg), g);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Pinned, GoldenShardReproductionTest,
-    ::testing::Values(kGoldens[1], kGoldens[4], kGoldens[7]),
-    [](const ::testing::TestParamInfo<Golden>& info) {
-      const int pct = static_cast<int>(info.param.load * 100 + 0.5);
-      return std::string(info.param.name) + "_load" + std::to_string(pct);
-    });
+    ::testing::Values(kGoldens[1], kGoldens[4], kGoldens[7]), golden_name);
+INSTANTIATE_TEST_SUITE_P(LowLoad, GoldenShardReproductionTest,
+                         ::testing::ValuesIn(kLowLoadGoldens), golden_name);
 
 }  // namespace
 }  // namespace dxbar

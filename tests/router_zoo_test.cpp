@@ -6,10 +6,14 @@
 // design-specific invariants those sweeps cannot see — grant
 // accounting, dynamic slot sharing, side-buffer capture, golden-epoch
 // rotation — plus name-tagged shard-equivalence runs for the TSan job.
+// The idle-step suite at the end covers all ten designs: a router with
+// no flit to move must leave its state exactly as it was.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "router/afc_router.hpp"
 #include "router/damq_router.hpp"
 #include "router/minbd_router.hpp"
 #include "sim/network.hpp"
@@ -220,6 +224,134 @@ INSTANTIATE_TEST_SUITE_P(DamqAndMinBD, ZooSnapshotTest,
                                       ? std::string("Damq")
                                       : std::string("MinBD");
                          });
+
+// --- idle steps are exact --------------------------------------------------
+
+std::vector<std::uint8_t> router_state(const Router& r) {
+  SnapshotWriter w;
+  r.save_state(w);
+  return w.take();
+}
+
+// AFC keeps its mode control on idle cycles: each one decays the arrival
+// EMA toward zero, and a router leaves buffered operation once the EMA
+// falls below kBufferOff.  Everything else (the empty buffers) holds.
+void expect_afc_idle_steps_follow_mode_control(Network& net, NodeId nodes) {
+  // A drained network has left buffered mode already, so one router is
+  // put back into it (empty buffers, EMA just under kBufferOn, in
+  // AfcRouter::save_state's layout) to exercise the hysteresis; 40
+  // steps take that EMA below kBufferOff.
+  SnapshotWriter sw;
+  for (int d = 0; d < kNumLinkDirs; ++d) sw.u64(0);
+  sw.boolean(true);
+  sw.f64(AfcRouter::kBufferOn - 0.05);
+  sw.u64(1);
+  SnapshotReader sr(sw.data());
+  net.router(nodes / 2).load_state(sr);
+  int left_buffered_mode = 0;
+  for (int k = 0; k < 40; ++k) {
+    std::vector<double> ema;
+    std::vector<bool> mode;
+    std::vector<std::uint64_t> switches;
+    for (NodeId n = 0; n < nodes; ++n) {
+      const auto& r = dynamic_cast<const AfcRouter&>(net.router(n));
+      ema.push_back(r.arrival_ema());
+      mode.push_back(r.buffered_mode());
+      switches.push_back(r.mode_switches());
+    }
+    net.step();
+    for (NodeId n = 0; n < nodes; ++n) {
+      const auto& r = dynamic_cast<const AfcRouter&>(net.router(n));
+      const double expect_ema = ema[n] * (1.0 - AfcRouter::kEmaAlpha) +
+                                0.0 * AfcRouter::kEmaAlpha;
+      const bool leaves = mode[n] && expect_ema < AfcRouter::kBufferOff;
+      ASSERT_EQ(r.arrival_ema(), expect_ema) << "node " << n;
+      ASSERT_EQ(r.buffered_mode(), mode[n] && !leaves) << "node " << n;
+      ASSERT_EQ(r.mode_switches(), switches[n] + (leaves ? 1 : 0));
+      ASSERT_EQ(r.occupancy(), 0);
+      left_buffered_mode += leaves ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(left_buffered_mode, 1);
+}
+
+class IdleStepTest : public ::testing::TestWithParam<RouterDesign> {};
+
+TEST_P(IdleStepTest, EmptyRouterStepLeavesStateUnchanged) {
+  // A burst leaves arbiter pointers, fairness counts, DAMQ credits and
+  // the AFC arrival EMA behind.  Once the network drains, one more step
+  // must leave every router's serialized state as it was: a router with
+  // no flit to move returns early, and that is exact only if the code it
+  // skips would have changed nothing.  DAMQ's grant rotation and AFC's
+  // mode control still run and are checked against their own rules.
+  const RouterDesign design = GetParam();
+  const SimConfig cfg = zoo_cfg(design, 0.45);
+  Network net(cfg);
+  SyntheticWorkload w(cfg, net.mesh());
+  net.set_workload(&w);
+  for (Cycle t = 0; t < 300; ++t) net.step();
+  w.set_injection_enabled(false);
+  for (Cycle t = 0; t < 20000 && !net.idle(); ++t) net.step();
+  ASSERT_TRUE(net.idle());
+  ASSERT_GT(net.flits_delivered(), 1000u);
+
+  const NodeId nodes = static_cast<NodeId>(cfg.num_nodes());
+  Network fresh(cfg);
+  std::vector<std::vector<std::uint8_t>> before;
+  bool burst_left_state = false;
+  for (NodeId n = 0; n < nodes; ++n) {
+    before.push_back(router_state(net.router(n)));
+    ASSERT_EQ(net.router(n).occupancy(), 0);
+    burst_left_state =
+        burst_left_state || before.back() != router_state(fresh.router(n));
+  }
+  // The stateless designs (and minBD, whose only state is its side
+  // buffer) hold nothing once drained.
+  if (design != RouterDesign::FlitBless && design != RouterDesign::Scarab &&
+      design != RouterDesign::MinBD) {
+    EXPECT_TRUE(burst_left_state) << "the burst left no state to protect";
+  }
+
+  if (design == RouterDesign::Afc) {
+    expect_afc_idle_steps_follow_mode_control(net, nodes);
+    return;
+  }
+  if (design == RouterDesign::Damq) {
+    // Each idle step rotates the grant sweep's start by one and nothing
+    // else, so kNumLinkDirs steps close the cycle.
+    for (int k = 0; k < kNumLinkDirs; ++k) {
+      std::vector<int> rr;
+      for (NodeId n = 0; n < nodes; ++n) {
+        rr.push_back(dynamic_cast<const DamqRouter&>(net.router(n)).grant_rr());
+      }
+      net.step();
+      for (NodeId n = 0; n < nodes; ++n) {
+        const auto& r = dynamic_cast<const DamqRouter&>(net.router(n));
+        ASSERT_EQ(r.grant_rr(), (rr[n] + 1) % kNumLinkDirs) << "node " << n;
+      }
+    }
+  } else {
+    net.step();
+  }
+  for (NodeId n = 0; n < nodes; ++n) {
+    EXPECT_EQ(router_state(net.router(n)), before[n]) << "node " << n;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllDesigns, IdleStepTest,
+    ::testing::Values(RouterDesign::FlitBless, RouterDesign::Scarab,
+                      RouterDesign::Buffered4, RouterDesign::Buffered8,
+                      RouterDesign::DXbar, RouterDesign::UnifiedXbar,
+                      RouterDesign::BufferedVC, RouterDesign::Afc,
+                      RouterDesign::Damq, RouterDesign::MinBD),
+    [](const ::testing::TestParamInfo<RouterDesign>& info) {
+      std::string name(to_string(info.param));
+      for (char& c : name) {
+        if (c == '-' || c == ' ') c = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace dxbar
