@@ -3,12 +3,17 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <iterator>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 namespace dxbar {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 std::string lower(std::string_view s) {
   std::string out(s);
@@ -17,124 +22,283 @@ std::string lower(std::string_view s) {
   return out;
 }
 
-bool parse_double(std::string_view v, double& out) {
-  // std::from_chars<double> is not universally available; use strtod on a
-  // bounded copy.
-  std::string buf(v);
-  char* end = nullptr;
-  const double x = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return false;
-  out = x;
+/// A value's canonical name (its to_string() display name), or an alias.
+template <class E>
+constexpr FieldName name(E e, std::string_view alias = {}) {
+  return {static_cast<std::uint8_t>(e), alias.empty() ? to_string(e) : alias};
+}
+
+constexpr FieldName kTopologyNames[] = {{0, "mesh"}, {1, "torus"}};
+
+using D = RouterDesign;
+constexpr FieldName kDesignNames[] = {
+    name(D::FlitBless), name(D::Scarab), name(D::Buffered4),
+    name(D::Buffered8), name(D::DXbar), name(D::UnifiedXbar),
+    name(D::BufferedVC), name(D::Afc), name(D::Damq), name(D::MinBD),
+    name(D::FlitBless, "bless"), name(D::FlitBless, "flitbless"),
+    name(D::Buffered4, "buffered4"), name(D::Buffered4, "buffered"),
+    name(D::Buffered8, "buffered8"), name(D::UnifiedXbar, "unified"),
+    name(D::UnifiedXbar, "unifiedxbar"), name(D::BufferedVC, "bufferedvc"),
+    name(D::BufferedVC, "vc"),
+};
+
+using R = RoutingAlgo;
+constexpr FieldName kRoutingNames[] = {
+    name(R::DOR), name(R::WestFirst), name(R::NegativeFirst),
+    name(R::NorthLast), name(R::DOR, "xy"), name(R::WestFirst, "west-first"),
+    name(R::WestFirst, "westfirst"), name(R::NegativeFirst, "negative-first"),
+    name(R::NegativeFirst, "negativefirst"), name(R::NorthLast, "north-last"),
+    name(R::NorthLast, "northlast"),
+};
+
+using P = TrafficPattern;
+constexpr FieldName kPatternNames[] = {
+    name(P::UniformRandom), name(P::NonUniformRandom), name(P::BitReversal),
+    name(P::Butterfly), name(P::Complement), name(P::Transpose),
+    name(P::PerfectShuffle), name(P::Neighbor), name(P::Tornado),
+    name(P::UniformRandom, "uniform"), name(P::NonUniformRandom, "hotspot"),
+    name(P::BitReversal, "bitreversal"), name(P::Butterfly, "butterfly"),
+    name(P::Complement, "complement"), name(P::Transpose, "transpose"),
+    name(P::PerfectShuffle, "shuffle"), name(P::Neighbor, "neighbor"),
+    name(P::Tornado, "tornado"),
+};
+
+constexpr FieldName kWorkloadNames[] = {
+    name(WorkloadKind::Synthetic), name(WorkloadKind::ClosedLoop),
+    name(WorkloadKind::Synthetic, "open"),
+    name(WorkloadKind::ClosedLoop, "closed"),
+};
+
+constexpr int kTechNodes[] = {65, 32, 16};
+
+// Fields written only off their default keep older result corpora (and
+// the golden fixture) byte-identical: the paper's 65 nm node, the
+// single-stream seed, and the whole closed-loop block for synthetic
+// runs (read_fraction only off the pure-read mix).
+constexpr bool off_65nm(const SimConfig& c) { return c.tech_node != 65; }
+constexpr bool reseeded(const SimConfig& c) { return c.measure_seed != 0; }
+constexpr bool closed_loop(const SimConfig& c) {
+  return c.workload != WorkloadKind::Synthetic;
+}
+constexpr bool mixed_reads(const SimConfig& c) {
+  return closed_loop(c) && c.read_fraction != 1.0;
+}
+
+using WriteIf = bool (*)(const SimConfig&);
+
+/// A numeric field valid in [lo, hi].
+template <class T>
+constexpr ConfigField number(std::string_view key, T SimConfig::*member,
+                             double lo, double hi, unsigned roles = 0,
+                             WriteIf write_if = nullptr) {
+  return {.key = key, .member = member, .lo = lo, .hi = hi,
+          .write_if = write_if, .roles = roles};
+}
+
+/// An enum-valued field.
+template <class T>
+constexpr ConfigField named(std::string_view key, T SimConfig::*member,
+                            std::span<const FieldName> names,
+                            unsigned roles = 0, WriteIf write_if = nullptr) {
+  return {.key = key, .member = member, .names = names, .write_if = write_if,
+          .roles = roles};
+}
+
+using C = SimConfig;
+
+// Table order is the JSON key order and the snapshot byte order.  The
+// workload kind is structural because it gates the VC router's class
+// partition; the other closed-loop knobs live in the workload model.
+constexpr ConfigField kFields[] = {
+    number("width", &C::mesh_width, 2, kInf, kStructural),
+    number("height", &C::mesh_height, 2, kInf, kStructural),
+    named("topology", &C::torus, kTopologyNames, kStructural),
+    named("design", &C::design, kDesignNames, kStructural),
+    named("routing", &C::routing, kRoutingNames, kStructural),
+    named("pattern", &C::pattern, kPatternNames),
+    number("buffer_depth", &C::buffer_depth, 1, kInf, kStructural),
+    number("fairness_threshold", &C::fairness_threshold, 1, kInf, kStructural),
+    number("stall_escape", &C::stall_escape_delay, 1, kInf, kStructural),
+    number("num_vcs", &C::num_vcs, 1, kInf, kStructural),
+    number("source_queue_depth", &C::source_queue_depth, 1, kInf),
+    number("retransmit_buffer", &C::retransmit_buffer, 1, kInf, kStructural),
+    number("load", &C::offered_load, 0, 1),
+    number("warmup_load", &C::warmup_load, -kInf, kInf),
+    number("packet_length", &C::packet_length, 1, kInf, kStructural),
+    number("flit_bits", &C::flit_bits, 1, kInf, kStructural | kPricingOnly),
+    {.key = "tech", .member = &C::tech_node, .choices = kTechNodes,
+     .write_if = off_65nm, .roles = kStructural | kPricingOnly},
+    number("warmup", &C::warmup_cycles, 0, kInf, kStructural),
+    number("measure", &C::measure_cycles, 0, kInf, kStructural),
+    number("drain", &C::drain_cycles, 0, kInf, kWarmupNeutral),
+    number("faults", &C::fault_fraction, 0, 1, kStructural),
+    number("fault_detect_delay", &C::fault_detect_delay, 0, kInf, kStructural),
+    number("fault_onset_spread", &C::fault_onset_spread, 0, kInf, kStructural),
+    number("link_faults", &C::link_fault_fraction, 0, 1, kStructural),
+    number("seed", &C::seed, 0, kInf, kStructural),
+    number("measure_seed", &C::measure_seed, 0, kInf, kWarmupNeutral,
+           reseeded),
+    named("workload", &C::workload, kWorkloadNames, kStructural, closed_loop),
+    number("mlp", &C::mlp, 1, kInf, 0, closed_loop),
+    number("service_delay", &C::service_delay, 0, kInf, 0, closed_loop),
+    number("request_length", &C::request_length, 1, kInf, 0, closed_loop),
+    number("hotspot_fraction", &C::hotspot_fraction, 0, 1, 0, closed_loop),
+    number("read_fraction", &C::read_fraction, 0, 1, 0, mixed_reads),
+    number("shards", &C::shards, 1, kInf, kExecutionOnly),
+};
+
+// A member added without a table entry changes the (LP64) size and
+// fails here: every member needs its row above.
+static_assert(sizeof(void*) != 8 ||
+              (sizeof(SimConfig) == 192 && std::size(kFields) == 33));
+
+template <class T>
+constexpr bool kIsNumber = std::is_arithmetic_v<T> && !std::is_same_v<T, bool>;
+
+/// The one number conversion for overrides and result JSON: the whole
+/// token, in range for T (so no sign on an unsigned T), and finite.
+/// Locale-independent, and a double reads back to the exact bits
+/// `%.17g` or to_chars wrote.
+template <class T>
+bool parse_number(std::string_view s, T& out) {
+  T v{};
+  const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || p != s.data() + s.size()) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) return false;
+  }
+  out = v;
   return true;
 }
 
-bool parse_int(std::string_view v, long long& out) {
-  auto [p, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-  return ec == std::errc{} && p == v.data() + v.size();
+/// The canonical entry for `value`: the first one naming it.
+const FieldName* canonical(std::span<const FieldName> names,
+                           std::uint8_t value) {
+  for (const FieldName& n : names) {
+    if (n.value == value) return &n;
+  }
+  return nullptr;
+}
+
+/// Sets `out` to the value `token` names; false when it names none.
+template <class E>
+bool parse_name(std::span<const FieldName> names, std::string_view token,
+                bool canonical_only, E& out) {
+  for (const FieldName& n : names) {
+    if (canonical_only ? n.name == token && canonical(names, n.value) == &n
+                       : lower(n.name) == lower(token)) {
+      out = static_cast<E>(n.value);
+      return true;
+    }
+  }
+  return false;
+}
+
+std::string field_error(const ConfigField& f) {
+  std::string msg(f.key);
+  if (f.named()) return msg + " has no valid value";
+  if (!f.choices.empty()) {
+    msg += " must be one of";
+    for (std::size_t i = 0; i < f.choices.size(); ++i) {
+      msg += (i == 0 ? " " : ", ") + std::to_string(f.choices[i]);
+    }
+    return msg;
+  }
+  char buf[96];
+  if (f.hi == kInf) {
+    std::snprintf(buf, sizeof(buf), " must be a number >= %g", f.lo);
+  } else {
+    std::snprintf(buf, sizeof(buf), " must lie in [%g, %g]", f.lo, f.hi);
+  }
+  return msg + buf;
+}
+
+bool field_valid(const ConfigField& f, const SimConfig& cfg) {
+  if (f.named()) return !f.name_of(cfg).empty();
+  double v = 0.0;
+  f.visit(cfg, [&](auto x) {
+    if constexpr (kIsNumber<decltype(x)>) v = static_cast<double>(x);
+  });
+  if (!f.choices.empty()) {
+    return std::find(f.choices.begin(), f.choices.end(), v) != f.choices.end();
+  }
+  return v >= f.lo && v <= f.hi;  // false for NaN
+}
+
+const ConfigField* find_field(std::string_view key) {
+  for (const ConfigField& f : kFields) {
+    if (f.key == key) return &f;
+  }
+  return nullptr;
 }
 
 }  // namespace
 
-bool parse_design(std::string_view name, RouterDesign& out) {
-  const std::string n = lower(name);
-  if (n == "bless" || n == "flit-bless" || n == "flitbless") {
-    out = RouterDesign::FlitBless;
-  } else if (n == "scarab") {
-    out = RouterDesign::Scarab;
-  } else if (n == "buffered4" || n == "buffered") {
-    out = RouterDesign::Buffered4;
-  } else if (n == "buffered8") {
-    out = RouterDesign::Buffered8;
-  } else if (n == "dxbar") {
-    out = RouterDesign::DXbar;
-  } else if (n == "unified" || n == "unifiedxbar") {
-    out = RouterDesign::UnifiedXbar;
-  } else if (n == "bufferedvc" || n == "vc") {
-    out = RouterDesign::BufferedVC;
-  } else if (n == "afc") {
-    out = RouterDesign::Afc;
-  } else if (n == "damq") {
-    out = RouterDesign::Damq;
-  } else if (n == "minbd") {
-    out = RouterDesign::MinBD;
-  } else {
-    return false;
+std::span<const ConfigField> config_fields() { return kFields; }
+
+void reset_fields(SimConfig& cfg, unsigned roles) {
+  static const SimConfig kDefaults;
+  for (const ConfigField& f : kFields) {
+    if (f.has(roles)) {
+      std::visit([&](auto m) { cfg.*m = kDefaults.*m; }, f.member);
+    }
   }
-  return true;
 }
 
-bool parse_pattern(std::string_view name, TrafficPattern& out) {
-  const std::string n = lower(name);
-  if (n == "ur" || n == "uniform") {
-    out = TrafficPattern::UniformRandom;
-  } else if (n == "nur" || n == "hotspot") {
-    out = TrafficPattern::NonUniformRandom;
-  } else if (n == "br" || n == "bitreversal") {
-    out = TrafficPattern::BitReversal;
-  } else if (n == "bf" || n == "butterfly") {
-    out = TrafficPattern::Butterfly;
-  } else if (n == "cp" || n == "complement") {
-    out = TrafficPattern::Complement;
-  } else if (n == "mt" || n == "transpose") {
-    out = TrafficPattern::Transpose;
-  } else if (n == "ps" || n == "shuffle") {
-    out = TrafficPattern::PerfectShuffle;
-  } else if (n == "nb" || n == "neighbor") {
-    out = TrafficPattern::Neighbor;
-  } else if (n == "tor" || n == "tornado") {
-    out = TrafficPattern::Tornado;
-  } else {
-    return false;
-  }
-  return true;
+std::string_view ConfigField::name_of(const SimConfig& cfg) const {
+  std::uint8_t v = 0;
+  visit(cfg, [&](auto x) {
+    if constexpr (!kIsNumber<decltype(x)>) v = static_cast<std::uint8_t>(x);
+  });
+  const FieldName* n = canonical(names, v);
+  return n != nullptr ? n->name : std::string_view{};
+}
+
+std::string ConfigField::text(const SimConfig& cfg) const {
+  if (named()) return std::string(name_of(cfg));
+  std::string out;
+  visit(cfg, [&](auto x) {
+    if constexpr (kIsNumber<decltype(x)>) {
+      char buf[32];
+      const auto res = std::to_chars(buf, buf + sizeof(buf), x);
+      out.assign(buf, res.ptr);
+    }
+  });
+  return out;
+}
+
+bool ConfigField::parse(SimConfig& cfg, std::string_view token,
+                        bool canonical_only) const {
+  bool ok = false;
+  visit(cfg, [&](auto& v) {
+    if constexpr (kIsNumber<std::remove_reference_t<decltype(v)>>) {
+      ok = parse_number(token, v);
+    } else {
+      ok = parse_name(names, token, canonical_only, v);
+    }
+  });
+  return ok;
+}
+
+bool parse_design(std::string_view name, RouterDesign& out) {
+  return parse_name(kDesignNames, name, false, out);
 }
 
 bool parse_routing(std::string_view name, RoutingAlgo& out) {
-  const std::string n = lower(name);
-  if (n == "dor" || n == "xy") {
-    out = RoutingAlgo::DOR;
-  } else if (n == "wf" || n == "west-first" || n == "westfirst") {
-    out = RoutingAlgo::WestFirst;
-  } else if (n == "nf" || n == "negative-first" || n == "negativefirst") {
-    out = RoutingAlgo::NegativeFirst;
-  } else if (n == "nl" || n == "north-last" || n == "northlast") {
-    out = RoutingAlgo::NorthLast;
-  } else {
-    return false;
-  }
-  return true;
+  return parse_name(kRoutingNames, name, false, out);
 }
 
 std::string SimConfig::validate() const {
-  if (mesh_width < 2 || mesh_height < 2) {
-    return "mesh must be at least 2x2";
+  for (const ConfigField& f : kFields) {
+    if (!field_valid(f, *this)) return field_error(f);
   }
-  if (buffer_depth < 1) return "buffer_depth must be >= 1";
-  if (fairness_threshold < 1) return "fairness_threshold must be >= 1";
-  if (stall_escape_delay < 1) return "stall_escape_delay must be >= 1";
-  if (num_vcs < 1) return "num_vcs must be >= 1";
+  // Cross-field rules.
   if (design == RouterDesign::BufferedVC && buffer_depth % num_vcs != 0) {
     return "buffer_depth must be divisible by num_vcs for the VC router";
-  }
-  if (offered_load < 0.0 || offered_load > 1.0) {
-    return "offered_load must lie in [0, 1]";
   }
   if (warmup_load > 1.0) {
     return "warmup_load must lie in [0, 1] (or be negative for "
            "\"same as offered_load\")";
-  }
-  if (packet_length < 1) return "packet_length must be >= 1";
-  if (flit_bits < 1) return "flit_bits must be >= 1";
-  if (tech_node != 65 && tech_node != 32 && tech_node != 16) {
-    return "tech_node must be one of 65, 32, 16 (nm)";
-  }
-  if (mlp < 1) return "mlp must be >= 1";
-  if (request_length < 1) return "request_length must be >= 1";
-  if (hotspot_fraction < 0.0 || hotspot_fraction > 1.0) {
-    return "hotspot_fraction must lie in [0, 1]";
-  }
-  if (read_fraction < 0.0 || read_fraction > 1.0) {
-    return "read_fraction must lie in [0, 1]";
   }
   if (workload == WorkloadKind::ClosedLoop &&
       design == RouterDesign::BufferedVC && num_vcs < 2) {
@@ -142,78 +306,31 @@ std::string SimConfig::validate() const {
     // there is no partition and request-reply cycles could deadlock.
     return "closedloop workload on the VC router requires num_vcs >= 2";
   }
-  if (fault_fraction < 0.0 || fault_fraction > 1.0) {
-    return "fault_fraction must lie in [0, 1]";
-  }
-  if (link_fault_fraction < 0.0 || link_fault_fraction > 1.0) {
-    return "link_fault_fraction must lie in [0, 1]";
-  }
-  if (torus && (design == RouterDesign::Buffered4 ||
-                design == RouterDesign::Buffered8 ||
-                design == RouterDesign::BufferedVC ||
-                design == RouterDesign::Damq)) {
-    // Wrap links close ring dependency cycles; without VC datelines the
-    // credit-based designs (DAMQ included — its grants are credits over
-    // a shared pool) can deadlock on a torus.
-    return "torus requires a design with a deflection escape valve "
+  const bool credit_based = design == RouterDesign::Buffered4 ||
+                            design == RouterDesign::Buffered8 ||
+                            design == RouterDesign::BufferedVC ||
+                            design == RouterDesign::Damq;
+  if (credit_based && (torus || link_fault_fraction > 0.0)) {
+    // Wrap links close ring dependency cycles (there are no VC
+    // datelines), and fault-aware table routing abandons the turn-model
+    // acyclicity: without a deflection escape valve the credit-based
+    // designs (DAMQ included — its grants are credits over a shared
+    // pool) can deadlock on either.
+    return std::string(torus ? "torus requires" : "link faults require") +
+           " a design with a deflection escape valve "
            "(dxbar, unified, bless, scarab, afc, minbd)";
   }
-  if (link_fault_fraction > 0.0 &&
-      (design == RouterDesign::Buffered4 ||
-       design == RouterDesign::Buffered8 ||
-       design == RouterDesign::BufferedVC ||
-       design == RouterDesign::Damq)) {
-    // Fault-aware table routing abandons the turn-model acyclicity the
-    // credit-based routers rely on; without a deflection escape valve
-    // they can deadlock on a degraded topology.
-    return "link faults require a design with a deflection escape valve "
-           "(dxbar, unified, bless, scarab, afc, minbd)";
-  }
-  if (source_queue_depth < 1) return "source_queue_depth must be >= 1";
-  if (retransmit_buffer < 1) return "retransmit_buffer must be >= 1";
-  if (shards < 1) return "shards must be >= 1";
   return {};
 }
 
 std::string SimConfig::describe() const {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof(buf),
-      "mesh              %dx%d%s\n"
-      "design            %s\n"
-      "routing           %s\n"
-      "pattern           %s\n"
-      "workload          %s (mlp %d, service %llu, req_len %d, "
-      "hotspot %.2f, reads %.2f)\n"
-      "offered_load      %.3f\n"
-      "packet_length     %d flits (%d bits each)\n"
-      "tech_node         %d nm\n"
-      "buffer_depth      %d\n"
-      "num_vcs           %d\n"
-      "fairness          %d\n"
-      "stall_escape      %d\n"
-      "phases            warmup %llu / measure %llu / drain %llu\n"
-      "faults            crossbar %.2f (detect %llu, spread %llu), "
-      "links %.2f\n"
-      "shards            %d\n"
-      "seed              %llu\n"
-      "measure_seed      %llu\n",
-      mesh_width, mesh_height, torus ? " torus" : "",
-      std::string(to_string(design)).c_str(),
-      std::string(to_string(routing)).c_str(),
-      std::string(to_string(pattern)).c_str(),
-      std::string(to_string(workload)).c_str(), mlp,
-      static_cast<unsigned long long>(service_delay), request_length,
-      hotspot_fraction, read_fraction, offered_load, packet_length,
-      flit_bits, tech_node, buffer_depth, num_vcs, fairness_threshold,
-      stall_escape_delay, static_cast<unsigned long long>(warmup_cycles),
-      static_cast<unsigned long long>(measure_cycles),
-      static_cast<unsigned long long>(drain_cycles), fault_fraction,
-      static_cast<unsigned long long>(fault_detect_delay),
-      static_cast<unsigned long long>(fault_onset_spread),
-      link_fault_fraction, shards, static_cast<unsigned long long>(seed),
-      static_cast<unsigned long long>(measure_seed));
-  return buf;
+  std::string out = "mesh                " + std::to_string(mesh_width) +
+                    "x" + std::to_string(mesh_height) + "\n";
+  for (const ConfigField& f : kFields) {
+    const std::size_t pad = f.key.size() < 20 ? 20 - f.key.size() : 1;
+    out += std::string(f.key).append(pad, ' ') + f.text(*this) + '\n';
+  }
+  return out;
 }
 
 std::string apply_override(SimConfig& cfg, std::string_view arg) {
@@ -222,113 +339,10 @@ std::string apply_override(SimConfig& cfg, std::string_view arg) {
     return "expected key=value, got '" + std::string(arg) + "'";
   }
   const std::string key = lower(arg.substr(0, eq));
-  const std::string_view val = arg.substr(eq + 1);
-
-  auto bad = [&] { return "bad value for '" + key + "'"; };
-
-  long long i = 0;
-  double d = 0.0;
-  if (key == "width") {
-    if (!parse_int(val, i)) return bad();
-    cfg.mesh_width = static_cast<int>(i);
-  } else if (key == "height") {
-    if (!parse_int(val, i)) return bad();
-    cfg.mesh_height = static_cast<int>(i);
-  } else if (key == "topology") {
-    const std::string t = lower(val);
-    if (t == "torus") {
-      cfg.torus = true;
-    } else if (t == "mesh") {
-      cfg.torus = false;
-    } else {
-      return bad();
-    }
-  } else if (key == "design") {
-    if (!parse_design(val, cfg.design)) return bad();
-  } else if (key == "routing") {
-    if (!parse_routing(val, cfg.routing)) return bad();
-  } else if (key == "pattern") {
-    if (!parse_pattern(val, cfg.pattern)) return bad();
-  } else if (key == "buffer_depth") {
-    if (!parse_int(val, i)) return bad();
-    cfg.buffer_depth = static_cast<int>(i);
-  } else if (key == "fairness_threshold") {
-    if (!parse_int(val, i)) return bad();
-    cfg.fairness_threshold = static_cast<int>(i);
-  } else if (key == "stall_escape") {
-    if (!parse_int(val, i)) return bad();
-    cfg.stall_escape_delay = static_cast<int>(i);
-  } else if (key == "num_vcs") {
-    if (!parse_int(val, i)) return bad();
-    cfg.num_vcs = static_cast<int>(i);
-  } else if (key == "workload") {
-    const std::string w = lower(val);
-    if (w == "synthetic" || w == "open") {
-      cfg.workload = WorkloadKind::Synthetic;
-    } else if (w == "closedloop" || w == "closed") {
-      cfg.workload = WorkloadKind::ClosedLoop;
-    } else {
-      return bad();
-    }
-  } else if (key == "mlp") {
-    if (!parse_int(val, i)) return bad();
-    cfg.mlp = static_cast<int>(i);
-  } else if (key == "service_delay") {
-    if (!parse_int(val, i)) return bad();
-    cfg.service_delay = static_cast<Cycle>(i);
-  } else if (key == "request_length") {
-    if (!parse_int(val, i)) return bad();
-    cfg.request_length = static_cast<int>(i);
-  } else if (key == "hotspot_fraction") {
-    if (!parse_double(val, d)) return bad();
-    cfg.hotspot_fraction = d;
-  } else if (key == "read_fraction") {
-    if (!parse_double(val, d)) return bad();
-    cfg.read_fraction = d;
-  } else if (key == "load") {
-    if (!parse_double(val, d)) return bad();
-    cfg.offered_load = d;
-  } else if (key == "warmup_load") {
-    if (!parse_double(val, d)) return bad();
-    cfg.warmup_load = d;
-  } else if (key == "packet_length") {
-    if (!parse_int(val, i)) return bad();
-    cfg.packet_length = static_cast<int>(i);
-  } else if (key == "flit_bits") {
-    if (!parse_int(val, i)) return bad();
-    cfg.flit_bits = static_cast<int>(i);
-  } else if (key == "tech") {
-    if (!parse_int(val, i)) return bad();
-    cfg.tech_node = static_cast<int>(i);
-  } else if (key == "warmup") {
-    if (!parse_int(val, i)) return bad();
-    cfg.warmup_cycles = static_cast<Cycle>(i);
-  } else if (key == "measure") {
-    if (!parse_int(val, i)) return bad();
-    cfg.measure_cycles = static_cast<Cycle>(i);
-  } else if (key == "drain") {
-    if (!parse_int(val, i)) return bad();
-    cfg.drain_cycles = static_cast<Cycle>(i);
-  } else if (key == "faults") {
-    if (!parse_double(val, d)) return bad();
-    cfg.fault_fraction = d;
-  } else if (key == "link_faults") {
-    if (!parse_double(val, d)) return bad();
-    cfg.link_fault_fraction = d;
-  } else if (key == "fault_onset_spread") {
-    if (!parse_int(val, i)) return bad();
-    cfg.fault_onset_spread = static_cast<Cycle>(i);
-  } else if (key == "shards") {
-    if (!parse_int(val, i)) return bad();
-    cfg.shards = static_cast<int>(i);
-  } else if (key == "seed") {
-    if (!parse_int(val, i)) return bad();
-    cfg.seed = static_cast<std::uint64_t>(i);
-  } else if (key == "measure_seed") {
-    if (!parse_int(val, i)) return bad();
-    cfg.measure_seed = static_cast<std::uint64_t>(i);
-  } else {
-    return "unknown key '" + key + "'";
+  const ConfigField* f = find_field(key);
+  if (f == nullptr) return "unknown key '" + key + "'";
+  if (!f->parse(cfg, arg.substr(eq + 1), false)) {
+    return "bad value for '" + key + "'";
   }
   return {};
 }

@@ -7,6 +7,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <variant>
 
 #include "common/types.hpp"
 
@@ -63,9 +64,7 @@ struct SimConfig {
 
   // --- technology -------------------------------------------------------
   /// Process node in nm for the parametric energy/area model (65, 32 or
-  /// 16; the paper's Table III point is 65).  Structural for snapshot
-  /// identity: the derived per-event energies are part of what a result
-  /// means, even though the cycle-level dynamics are node-independent.
+  /// 16; the paper's Table III point is 65).
   int tech_node = 65;
 
   // --- closed-loop workload (workload=closedloop; DESIGN.md section 12) --
@@ -118,8 +117,7 @@ struct SimConfig {
   /// Worker threads one simulation is sharded across (row-strip mesh
   /// partition; see DESIGN.md §10).  Purely an execution knob: results
   /// are bit-exact for every value, and it is clamped to the mesh height
-  /// at build time.  Not part of the snapshot identity — a checkpoint
-  /// taken at any shard count restores under any other.
+  /// at build time.
   int shards = 1;
 
   // --- misc ---------------------------------------------------------------
@@ -141,26 +139,104 @@ struct SimConfig {
 
   /// Human-readable one-per-line summary of every knob.
   [[nodiscard]] std::string describe() const;
+
+  bool operator==(const SimConfig&) const = default;
 };
 
-/// Applies "key=value" overrides (e.g. "load=0.5", "design=bless",
-/// "routing=wf") to `cfg`.  Returns an error message for an unknown key
-/// or malformed value, empty string on success.
+// ---- the field table --------------------------------------------------
+//
+// Each SimConfig member is one config_fields() entry.  Overrides,
+// validate(), describe(), result JSON, the snapshot codec, the
+// structural fingerprint and the sweep signatures all loop over it.
+
+/// Role flags of a field (ConfigField::roles).
+enum FieldRole : unsigned {
+  kStructural = 1u << 0,     ///< in structural_fingerprint()
+  kWarmupNeutral = 1u << 1,  ///< ignored by warmup_signature()
+  kPricingOnly = 1u << 2,    ///< energy/area only; dynamics_signature()
+                             ///< ignores it
+  kExecutionOnly = 1u << 3,  ///< override only; never serialized
+};
+
+/// One name of an enum-valued (or mesh/torus) field's value.  The first
+/// entry for a value is its canonical name, which JSON writes and reads;
+/// overrides take it in any case, and later entries as aliases.
+struct FieldName {
+  std::uint8_t value;
+  std::string_view name;
+};
+
+struct ConfigField {
+  using Member =
+      std::variant<int SimConfig::*, double SimConfig::*,
+                   std::uint64_t SimConfig::*, bool SimConfig::*,
+                   RouterDesign SimConfig::*, RoutingAlgo SimConfig::*,
+                   TrafficPattern SimConfig::*, WorkloadKind SimConfig::*>;
+
+  std::string_view key;  ///< override key and JSON key
+  Member member;
+  double lo = 0.0;  ///< valid range [lo, hi] of a numeric field
+  double hi = 0.0;
+  std::span<const int> choices = {};  ///< if set, the only valid values
+  std::span<const FieldName> names = {};  ///< enum-valued fields only
+  /// Written only where this holds (and then optional on read); null
+  /// means always written.
+  bool (*write_if)(const SimConfig&) = nullptr;
+  unsigned roles = 0;  ///< FieldRole bits
+
+  [[nodiscard]] bool has(unsigned role) const { return (roles & role) != 0; }
+  [[nodiscard]] bool named() const { return !names.empty(); }
+  /// True when the result JSON carries this field for `cfg`.
+  [[nodiscard]] bool written(const SimConfig& cfg) const {
+    return !has(kExecutionOnly) && (write_if == nullptr || write_if(cfg));
+  }
+
+  /// Calls `fn(cfg.*member)` with the member's own type (`Cfg` is
+  /// SimConfig or const SimConfig).
+  template <class Cfg, class Fn>
+  void visit(Cfg& cfg, Fn&& fn) const {
+    std::visit([&](auto m) { fn(cfg.*m); }, member);
+  }
+
+  /// Canonical name of the field's value in `cfg` (named fields); empty
+  /// when the value has no name.
+  [[nodiscard]] std::string_view name_of(const SimConfig& cfg) const;
+
+  /// The value as override text: the canonical name, an integer, or the
+  /// shortest decimal that reads back to the same double.
+  [[nodiscard]] std::string text(const SimConfig& cfg) const;
+
+  /// Parses `token` into the field of `cfg`; false (cfg untouched) when
+  /// malformed.  An integer must be the whole token, fit the member's
+  /// type and carry no sign for an unsigned member; a double must be
+  /// finite.  A named field takes only a canonical name when
+  /// `canonical_only`, else any name in any case.
+  bool parse(SimConfig& cfg, std::string_view token,
+             bool canonical_only) const;
+};
+
+/// Every SimConfig member, in JSON and snapshot order.
+std::span<const ConfigField> config_fields();
+
+/// Resets every field that has any of `roles` to its default.
+void reset_fields(SimConfig& cfg, unsigned roles);
+
+/// Applies a "key=value" override (e.g. "load=0.5", "design=bless",
+/// "routing=wf") to `cfg`; the keys are config_fields()' keys.  Returns
+/// an error message for an unknown key or malformed value, empty string
+/// on success.
 std::string apply_override(SimConfig& cfg, std::string_view arg);
 
 /// Applies a span of overrides; stops at the first error.
 std::string apply_overrides(SimConfig& cfg, std::span<const char* const> args);
 
-/// Parses a design name ("bless", "scarab", "buffered4", "buffered8",
-/// "dxbar", "unified", "vc", "afc", "damq", "minbd"); returns true on
-/// success.
+/// Parses a design name as the `design` override does ("bless",
+/// "scarab", "buffered4", "buffered8", "dxbar", "unified", "vc", "afc",
+/// "damq", "minbd", or a display name); returns true on success.
 bool parse_design(std::string_view name, RouterDesign& out);
 
-/// Parses a routing algorithm name ("dor" or "wf").
+/// Parses a routing algorithm name as the `routing` override does ("dor",
+/// "wf", "nf", "nl", ...).
 bool parse_routing(std::string_view name, RoutingAlgo& out);
-
-/// Parses a traffic pattern name ("ur", "nur", "br", "bf", "cp", "mt",
-/// "ps", "nb", "tor").
-bool parse_pattern(std::string_view name, TrafficPattern& out);
 
 }  // namespace dxbar

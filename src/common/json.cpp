@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 namespace dxbar {
 
@@ -397,50 +398,15 @@ std::string json_parse(std::string_view text, JsonValue& out) {
 
 void json_config(JsonWriter& w, const SimConfig& cfg) {
   w.begin_object();
-  w.key("width").value(cfg.mesh_width);
-  w.key("height").value(cfg.mesh_height);
-  w.key("topology").value(cfg.torus ? "torus" : "mesh");
-  w.key("design").value(to_string(cfg.design));
-  w.key("routing").value(to_string(cfg.routing));
-  w.key("pattern").value(to_string(cfg.pattern));
-  w.key("buffer_depth").value(cfg.buffer_depth);
-  w.key("fairness_threshold").value(cfg.fairness_threshold);
-  w.key("stall_escape").value(cfg.stall_escape_delay);
-  w.key("num_vcs").value(cfg.num_vcs);
-  w.key("source_queue_depth").value(cfg.source_queue_depth);
-  w.key("retransmit_buffer").value(cfg.retransmit_buffer);
-  w.key("load").value(cfg.offered_load);
-  w.key("warmup_load").value(cfg.warmup_load);
-  w.key("packet_length").value(cfg.packet_length);
-  w.key("flit_bits").value(cfg.flit_bits);
-  // Written only off the paper's 65 nm default so existing result
-  // corpora (including the golden fixture) stay byte-identical.
-  if (cfg.tech_node != 65) w.key("tech").value(cfg.tech_node);
-  w.key("warmup").value(static_cast<std::uint64_t>(cfg.warmup_cycles));
-  w.key("measure").value(static_cast<std::uint64_t>(cfg.measure_cycles));
-  w.key("drain").value(static_cast<std::uint64_t>(cfg.drain_cycles));
-  w.key("faults").value(cfg.fault_fraction);
-  w.key("fault_detect_delay")
-      .value(static_cast<std::uint64_t>(cfg.fault_detect_delay));
-  w.key("fault_onset_spread")
-      .value(static_cast<std::uint64_t>(cfg.fault_onset_spread));
-  w.key("link_faults").value(cfg.link_fault_fraction);
-  w.key("seed").value(cfg.seed);
-  // Written only when set, like the `shards` execution knob it follows:
-  // existing result corpora stay byte-identical.
-  if (cfg.measure_seed != 0) w.key("measure_seed").value(cfg.measure_seed);
-  // Closed-loop knobs appear only for closed-loop runs, so synthetic
-  // result corpora (including the golden file) stay byte-identical.
-  if (cfg.workload != WorkloadKind::Synthetic) {
-    w.key("workload").value(to_string(cfg.workload));
-    w.key("mlp").value(cfg.mlp);
-    w.key("service_delay").value(static_cast<std::uint64_t>(cfg.service_delay));
-    w.key("request_length").value(cfg.request_length);
-    w.key("hotspot_fraction").value(cfg.hotspot_fraction);
-    // Written only off the pure-read default, so pre-coherence-mix
-    // closed-loop corpora stay byte-identical.
-    if (cfg.read_fraction != 1.0) {
-      w.key("read_fraction").value(cfg.read_fraction);
+  for (const ConfigField& f : config_fields()) {
+    if (!f.written(cfg)) continue;
+    w.key(f.key);
+    if (f.named()) {
+      w.value(f.name_of(cfg));
+    } else {
+      f.visit(cfg, [&](auto v) {
+        if constexpr (std::is_arithmetic_v<decltype(v)>) w.value(v);
+      });
     }
   }
   w.end_object();

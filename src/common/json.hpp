@@ -109,9 +109,10 @@ struct JsonValue {
 /// position ("line 3:17: expected ':' after object key").
 std::string json_parse(std::string_view text, JsonValue& out);
 
-/// Emits every SimConfig knob as one JSON object, using the same key
-/// names apply_override accepts where one exists (so a config object can
-/// be replayed as key=value overrides).
+/// Emits the serialized SimConfig fields as one JSON object, in
+/// config_fields() order and under their override keys (so a config
+/// object can be replayed as key=value overrides); a field with a
+/// write_if is emitted only where it holds.
 void json_config(JsonWriter& w, const SimConfig& cfg);
 
 /// Emits a RunStats as one JSON object (raw fields plus the derived

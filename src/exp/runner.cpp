@@ -102,7 +102,7 @@ std::string make_base_config(const BenchArgs& args, SimConfig& out) {
     out.drain_cycles = 2000;
   }
   // Overrides are applied after the quick defaults so an explicit
-  // `warmup_cycles=...` on the command line wins regardless of where it
+  // `warmup=...` on the command line wins regardless of where it
   // appeared relative to --quick.
   for (const std::string& o : args.overrides) {
     if (const auto err = apply_override(out, o); !err.empty()) return err;

@@ -159,9 +159,7 @@ class EnergyMeter {
   }
 
   // Snapshot protocol: the gate flag and the five event counts (the
-  // per-event parameters are configuration).  Version 2 layout — the v1
-  // stream stored four double accumulators instead, so v1 snapshots are
-  // rejected here rather than silently misread.
+  // per-event parameters are configuration).
   void save(SnapshotWriter& w) const {
     w.boolean(enabled_);
     w.u64(crossbar_events_);
@@ -171,11 +169,6 @@ class EnergyMeter {
     w.u64(nack_hop_events_);
   }
   void load(SnapshotReader& r) {
-    if (r.version() < 2) {
-      throw SnapshotError(
-          "energy meter requires snapshot version >= 2 (v1 stored double "
-          "accumulators; re-record the checkpoint)");
-    }
     enabled_ = r.boolean();
     crossbar_events_ = r.u64();
     link_events_ = r.u64();

@@ -71,43 +71,6 @@ std::string to_json(const ResultDoc& doc) {
 
 namespace {
 
-/// Reverse of to_string(RouterDesign) — the config serializer writes
-/// display names ("Flit-Bless"), not the parse_design() short forms.
-bool design_from_string(std::string_view s, RouterDesign& out) {
-  for (RouterDesign d :
-       {RouterDesign::FlitBless, RouterDesign::Scarab, RouterDesign::Buffered4,
-        RouterDesign::Buffered8, RouterDesign::DXbar,
-        RouterDesign::UnifiedXbar, RouterDesign::BufferedVC,
-        RouterDesign::Afc, RouterDesign::Damq, RouterDesign::MinBD}) {
-    if (to_string(d) == s) {
-      out = d;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool routing_from_string(std::string_view s, RoutingAlgo& out) {
-  for (RoutingAlgo a : {RoutingAlgo::DOR, RoutingAlgo::WestFirst,
-                        RoutingAlgo::NegativeFirst, RoutingAlgo::NorthLast}) {
-    if (to_string(a) == s) {
-      out = a;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool pattern_from_string(std::string_view s, TrafficPattern& out) {
-  for (TrafficPattern p : kAllPatterns) {
-    if (to_string(p) == s) {
-      out = p;
-      return true;
-    }
-  }
-  return false;
-}
-
 /// Strict member extraction with JSON-path error messages.  Every
 /// getter records the member as "seen"; `finish()` then rejects any
 /// member the schema does not know, so stray keys (schema drift) are
@@ -185,26 +148,15 @@ class ObjReader {
   }
 
   /// Like uint64(), but a missing key leaves `out` untouched — for
-  /// fields the writer omits at their default value (measure_seed).
+  /// fields the writer omits at their default value.
   void opt_uint64(std::string_view key, std::uint64_t& out) {
     if (!err_.empty() || v_.find(key) == nullptr) return;
     uint64(key, out);
   }
 
-  /// Writer-omits-at-default variants for the closed-loop blocks.
-  void opt_integer(std::string_view key, int& out) {
-    if (!err_.empty() || v_.find(key) == nullptr) return;
-    integer(key, out);
-  }
-
   void opt_number(std::string_view key, double& out) {
     if (!err_.empty() || v_.find(key) == nullptr) return;
     number(key, out);
-  }
-
-  void opt_string(std::string_view key, std::string& out) {
-    if (!err_.empty() || v_.find(key) == nullptr) return;
-    string(key, out);
   }
 
   const JsonValue* array(std::string_view key) {
@@ -246,80 +198,29 @@ class ObjReader {
   std::vector<std::string> seen_;
 };
 
+/// Reads the fields json_config() writes: named fields by their
+/// canonical name, numbers through the checked conversion the overrides
+/// use.  A field the writer emits only conditionally is optional.
 void read_config(const JsonValue& v, const std::string& path, SimConfig& cfg,
                  std::string& err) {
   ObjReader r(v, path, err);
-  r.integer("width", cfg.mesh_width);
-  r.integer("height", cfg.mesh_height);
-  std::string topology;
-  r.string("topology", topology);
-  if (r.ok()) {
-    if (topology == "torus") {
-      cfg.torus = true;
-    } else if (topology == "mesh") {
-      cfg.torus = false;
-    } else {
-      err = path + ".topology: unknown topology '" + topology + "'";
+  for (const ConfigField& f : config_fields()) {
+    if (!r.ok()) return;
+    const bool optional = f.write_if != nullptr;
+    if (f.has(kExecutionOnly) || (optional && v.find(f.key) == nullptr)) {
+      continue;
+    }
+    const JsonValue* m =
+        f.named() ? r.get(f.key, JsonValue::Type::String, "string")
+                  : r.get(f.key, JsonValue::Type::Number, "number");
+    if (m != nullptr && !f.parse(cfg, m->scalar, /*canonical_only=*/true)) {
+      const std::string key(f.key);
+      err = path + "." + key + ": " +
+            (f.named() ? "unknown " + key + " '" + m->scalar + "'"
+                       : "bad value " + m->scalar);
       return;
     }
   }
-  std::string design, routing, pattern;
-  r.string("design", design);
-  if (r.ok() && !design_from_string(design, cfg.design)) {
-    err = path + ".design: unknown design '" + design + "'";
-    return;
-  }
-  r.string("routing", routing);
-  if (r.ok() && !routing_from_string(routing, cfg.routing)) {
-    err = path + ".routing: unknown routing '" + routing + "'";
-    return;
-  }
-  r.string("pattern", pattern);
-  if (r.ok() && !pattern_from_string(pattern, cfg.pattern)) {
-    err = path + ".pattern: unknown pattern '" + pattern + "'";
-    return;
-  }
-  r.integer("buffer_depth", cfg.buffer_depth);
-  r.integer("fairness_threshold", cfg.fairness_threshold);
-  r.integer("stall_escape", cfg.stall_escape_delay);
-  r.integer("num_vcs", cfg.num_vcs);
-  r.integer("source_queue_depth", cfg.source_queue_depth);
-  r.integer("retransmit_buffer", cfg.retransmit_buffer);
-  r.number("load", cfg.offered_load);
-  r.number("warmup_load", cfg.warmup_load);
-  r.integer("packet_length", cfg.packet_length);
-  r.integer("flit_bits", cfg.flit_bits);
-  r.opt_integer("tech", cfg.tech_node);
-  r.uint64("warmup", cfg.warmup_cycles);
-  r.uint64("measure", cfg.measure_cycles);
-  r.uint64("drain", cfg.drain_cycles);
-  r.number("faults", cfg.fault_fraction);
-  r.uint64("fault_detect_delay", cfg.fault_detect_delay);
-  r.uint64("fault_onset_spread", cfg.fault_onset_spread);
-  r.number("link_faults", cfg.link_fault_fraction);
-  r.uint64("seed", cfg.seed);
-  r.opt_uint64("measure_seed", cfg.measure_seed);
-  // Closed-loop block: present only when the writer saw a non-synthetic
-  // workload, so the kind defaults to Synthetic when absent.
-  std::string workload;
-  r.opt_string("workload", workload);
-  if (r.ok() && !workload.empty()) {
-    if (workload == to_string(WorkloadKind::ClosedLoop)) {
-      cfg.workload = WorkloadKind::ClosedLoop;
-    } else if (workload == to_string(WorkloadKind::Synthetic)) {
-      cfg.workload = WorkloadKind::Synthetic;
-    } else {
-      err = path + ".workload: unknown workload '" + workload + "'";
-      return;
-    }
-  }
-  r.opt_integer("mlp", cfg.mlp);
-  std::uint64_t service_delay = cfg.service_delay;
-  r.opt_uint64("service_delay", service_delay);
-  cfg.service_delay = service_delay;
-  r.opt_integer("request_length", cfg.request_length);
-  r.opt_number("hotspot_fraction", cfg.hotspot_fraction);
-  r.opt_number("read_fraction", cfg.read_fraction);
   r.finish();
 }
 

@@ -43,20 +43,17 @@ std::vector<std::uint8_t> config_bytes(const SimConfig& cfg) {
 std::vector<std::uint8_t> warmup_signature(const SimConfig& cfg) {
   // The full config with every field that cannot influence the warmup
   // phase neutralized: members of one signature replay an identical
-  // warmup.  The drain cap and measure_seed never matter (the reseed
-  // fires after the warmup snapshot point); offered_load matters only
-  // when no explicit warmup_load pins the warmup rate.
+  // warmup.  The offered load matters only when no explicit warmup_load
+  // pins the warmup rate.
   SimConfig key = cfg;
-  key.drain_cycles = 0;
-  key.measure_seed = 0;
+  reset_fields(key, kWarmupNeutral);
   if (key.warmup_load >= 0.0) key.offered_load = 0.0;
   return config_bytes(key);
 }
 
 std::vector<std::uint8_t> dynamics_signature(const SimConfig& cfg) {
   SimConfig key = cfg;
-  key.tech_node = SimConfig{}.tech_node;
-  key.flit_bits = SimConfig{}.flit_bits;
+  reset_fields(key, kPricingOnly);
   return config_bytes(key);
 }
 

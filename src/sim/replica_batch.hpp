@@ -49,16 +49,17 @@ class WarmupCache {
   std::size_t misses_ = 0;
 };
 
-/// The warmup-signature cache key for `cfg`: configs with equal
-/// signatures replay an identical warmup (exposed for tests).
+/// The warmup-signature cache key for `cfg`: the serialized config with
+/// the kWarmupNeutral fields reset (and the offered load, when a
+/// warmup_load pins the warmup rate).  Configs with equal signatures
+/// replay an identical warmup (exposed for tests).
 std::vector<std::uint8_t> warmup_signature(const SimConfig& cfg);
 
 /// The dynamics-class key for `cfg`: the serialized config with the
-/// pricing-only fields (tech_node, flit_bits) reset to their defaults.
-/// Those fields feed only the energy/area model, never the cycle-level
-/// behaviour, so configs with equal signatures produce identical event
-/// counts and RunStats apart from the energy fields.  This is the one
-/// place that lists the pricing-only fields.
+/// kPricingOnly fields (tech, flit_bits; see config_fields()) reset to
+/// their defaults.  Those fields feed only the energy/area model, never
+/// the cycle-level behaviour, so configs with equal signatures produce
+/// identical event counts and RunStats apart from the energy fields.
 std::vector<std::uint8_t> dynamics_signature(const SimConfig& cfg);
 
 }  // namespace dxbar

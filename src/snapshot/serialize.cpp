@@ -1,5 +1,7 @@
 #include "snapshot/serialize.hpp"
 
+#include <type_traits>
+
 namespace dxbar {
 
 void save_run_stats(SnapshotWriter& w, const RunStats& s) {
@@ -25,17 +27,13 @@ void save_run_stats(SnapshotWriter& w, const RunStats& s) {
   w.f64(s.energy_crossbar_nj);
   w.f64(s.energy_link_nj);
   w.f64(s.energy_control_nj);
-  // Closed-loop request-reply block, added in snapshot version 4.
   w.f64(s.avg_req_latency);
   w.f64(s.req_latency_p50);
   w.f64(s.req_latency_p95);
   w.f64(s.req_latency_p99);
   w.f64(s.req_latency_max);
   w.u64(s.requests_completed);
-  // Full request-latency histogram (sparse), added in snapshot
-  // version 5 so replicated runs can pool tail quantiles.
   s.req_hist.save(w);
-  // Separate static-power column, added in snapshot version 6.
   w.f64(s.energy_leakage_nj);
 }
 
@@ -63,141 +61,56 @@ RunStats load_run_stats(SnapshotReader& r) {
   s.energy_crossbar_nj = r.f64();
   s.energy_link_nj = r.f64();
   s.energy_control_nj = r.f64();
-  if (r.version() >= 4) {
-    s.avg_req_latency = r.f64();
-    s.req_latency_p50 = r.f64();
-    s.req_latency_p95 = r.f64();
-    s.req_latency_p99 = r.f64();
-    s.req_latency_max = r.f64();
-    s.requests_completed = r.u64();
-  }
-  // Pre-v5 streams carry the quantile summary only; the histogram
-  // stays empty, which merges as "no samples".
-  if (r.version() >= 5) s.req_hist.load(r);
-  // Pre-v6 streams are dynamic-only; zero means "not modelled", which
-  // matches how those runs were reported.
-  if (r.version() >= 6) s.energy_leakage_nj = r.f64();
+  s.avg_req_latency = r.f64();
+  s.req_latency_p50 = r.f64();
+  s.req_latency_p95 = r.f64();
+  s.req_latency_p99 = r.f64();
+  s.req_latency_max = r.f64();
+  s.requests_completed = r.u64();
+  s.req_hist.load(r);
+  s.energy_leakage_nj = r.f64();
   return s;
 }
 
+namespace {
+
+// Each field's bytes take its member type's width: i32, f64, u64, one
+// byte for a bool and u8 for an enum.
+void put(SnapshotWriter& w, int v) { w.i32(v); }
+void put(SnapshotWriter& w, double v) { w.f64(v); }
+void put(SnapshotWriter& w, std::uint64_t v) { w.u64(v); }
+void put(SnapshotWriter& w, bool v) { w.boolean(v); }
+template <class E> requires std::is_enum_v<E>
+void put(SnapshotWriter& w, E v) { w.u8(static_cast<std::uint8_t>(v)); }
+
+void get(SnapshotReader& r, int& v) { v = r.i32(); }
+void get(SnapshotReader& r, double& v) { v = r.f64(); }
+void get(SnapshotReader& r, std::uint64_t& v) { v = r.u64(); }
+void get(SnapshotReader& r, bool& v) { v = r.boolean(); }
+template <class E> requires std::is_enum_v<E>
+void get(SnapshotReader& r, E& v) { v = static_cast<E>(r.u8()); }
+
+}  // namespace
+
 void save_config(SnapshotWriter& w, const SimConfig& cfg) {
-  w.i32(cfg.mesh_width);
-  w.i32(cfg.mesh_height);
-  w.boolean(cfg.torus);
-  w.u8(static_cast<std::uint8_t>(cfg.design));
-  w.u8(static_cast<std::uint8_t>(cfg.routing));
-  w.i32(cfg.buffer_depth);
-  w.i32(cfg.fairness_threshold);
-  w.i32(cfg.stall_escape_delay);
-  w.i32(cfg.num_vcs);
-  w.i32(cfg.source_queue_depth);
-  w.i32(cfg.retransmit_buffer);
-  w.u8(static_cast<std::uint8_t>(cfg.pattern));
-  w.f64(cfg.offered_load);
-  w.f64(cfg.warmup_load);
-  w.i32(cfg.packet_length);
-  w.i32(cfg.flit_bits);
-  w.u64(cfg.warmup_cycles);
-  w.u64(cfg.measure_cycles);
-  w.u64(cfg.drain_cycles);
-  w.f64(cfg.fault_fraction);
-  w.u64(cfg.fault_detect_delay);
-  w.u64(cfg.fault_onset_spread);
-  w.f64(cfg.link_fault_fraction);
-  w.u64(cfg.seed);
-  w.u64(cfg.measure_seed);  // added in snapshot version 3
-  // Closed-loop workload knobs, added in snapshot version 4.
-  w.u8(static_cast<std::uint8_t>(cfg.workload));
-  w.i32(cfg.mlp);
-  w.u64(cfg.service_delay);
-  w.i32(cfg.request_length);
-  w.f64(cfg.hotspot_fraction);
-  // Technology node for the parametric energy model, added in snapshot
-  // version 5.
-  w.i32(cfg.tech_node);
-  // Coherence-mix read fraction, added in snapshot version 6.  Being
-  // part of the config bytes also feeds warmup_signature(), so two
-  // configs differing only in read_fraction never share a warm
-  // snapshot.
-  w.f64(cfg.read_fraction);
+  for (const ConfigField& f : config_fields()) {
+    if (!f.has(kExecutionOnly)) f.visit(cfg, [&](auto v) { put(w, v); });
+  }
 }
 
 SimConfig load_config(SnapshotReader& r) {
   SimConfig cfg;
-  cfg.mesh_width = r.i32();
-  cfg.mesh_height = r.i32();
-  cfg.torus = r.boolean();
-  cfg.design = static_cast<RouterDesign>(r.u8());
-  cfg.routing = static_cast<RoutingAlgo>(r.u8());
-  cfg.buffer_depth = r.i32();
-  cfg.fairness_threshold = r.i32();
-  cfg.stall_escape_delay = r.i32();
-  cfg.num_vcs = r.i32();
-  cfg.source_queue_depth = r.i32();
-  cfg.retransmit_buffer = r.i32();
-  cfg.pattern = static_cast<TrafficPattern>(r.u8());
-  cfg.offered_load = r.f64();
-  cfg.warmup_load = r.f64();
-  cfg.packet_length = r.i32();
-  cfg.flit_bits = r.i32();
-  cfg.warmup_cycles = r.u64();
-  cfg.measure_cycles = r.u64();
-  cfg.drain_cycles = r.u64();
-  cfg.fault_fraction = r.f64();
-  cfg.fault_detect_delay = r.u64();
-  cfg.fault_onset_spread = r.u64();
-  cfg.link_fault_fraction = r.f64();
-  cfg.seed = r.u64();
-  // Version 2 streams (pre-measure_seed) end here; the field defaults
-  // to 0, which is the exact pre-v3 behaviour.
-  if (r.version() >= 3) cfg.measure_seed = r.u64();
-  // Pre-v4 streams default to the synthetic workload, which is exactly
-  // the pre-v4 behaviour.
-  if (r.version() >= 4) {
-    cfg.workload = static_cast<WorkloadKind>(r.u8());
-    cfg.mlp = r.i32();
-    cfg.service_delay = r.u64();
-    cfg.request_length = r.i32();
-    cfg.hotspot_fraction = r.f64();
+  for (const ConfigField& f : config_fields()) {
+    if (!f.has(kExecutionOnly)) f.visit(cfg, [&](auto& v) { get(r, v); });
   }
-  // Pre-v5 streams were all recorded at the paper's 65 nm point, which
-  // is the field's default.
-  if (r.version() >= 5) cfg.tech_node = r.i32();
-  // Pre-v6 streams were all pure-read, the field's default.
-  if (r.version() >= 6) cfg.read_fraction = r.f64();
   return cfg;
 }
 
 std::uint64_t structural_fingerprint(const SimConfig& cfg) {
   SnapshotWriter w;
-  w.i32(cfg.mesh_width);
-  w.i32(cfg.mesh_height);
-  w.boolean(cfg.torus);
-  w.u8(static_cast<std::uint8_t>(cfg.design));
-  w.u8(static_cast<std::uint8_t>(cfg.routing));
-  w.i32(cfg.buffer_depth);
-  w.i32(cfg.fairness_threshold);
-  w.i32(cfg.stall_escape_delay);
-  w.i32(cfg.num_vcs);
-  w.i32(cfg.retransmit_buffer);
-  w.i32(cfg.packet_length);
-  w.i32(cfg.flit_bits);
-  // The tech node never changes cycle-level behaviour, but it scales
-  // every derived energy/area figure, so two runs at different nodes
-  // are different experiments — a snapshot must not restore across
-  // them.
-  w.i32(cfg.tech_node);
-  w.u64(cfg.warmup_cycles);
-  w.u64(cfg.measure_cycles);
-  w.f64(cfg.fault_fraction);
-  w.u64(cfg.fault_detect_delay);
-  w.u64(cfg.fault_onset_spread);
-  w.f64(cfg.link_fault_fraction);
-  w.u64(cfg.seed);
-  // The workload kind gates the VC router's class partition (switching
-  // behaviour), so it is structural; the remaining closed-loop knobs
-  // (mlp, service_delay, ...) live entirely in the workload model.
-  w.u8(static_cast<std::uint8_t>(cfg.workload));
+  for (const ConfigField& f : config_fields()) {
+    if (f.has(kStructural)) f.visit(cfg, [&](auto v) { put(w, v); });
+  }
   return fnv1a(w.data().data(), w.data().size());
 }
 

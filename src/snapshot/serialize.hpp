@@ -27,7 +27,7 @@ inline void save_flit(SnapshotWriter& w, const Flit& f) {
   w.u64(f.injected_at);
   w.u64(f.born_at);
   w.u8(f.vc);
-  w.u8(f.cls);  // added in snapshot version 4
+  w.u8(f.cls);
   w.u8(f.deflections);
   w.u8(f.retransmits);
   w.u16(f.hops);
@@ -43,7 +43,7 @@ inline Flit load_flit(SnapshotReader& r) {
   f.injected_at = r.u64();
   f.born_at = r.u64();
   f.vc = r.u8();
-  if (r.version() >= 4) f.cls = r.u8();
+  f.cls = r.u8();
   f.deflections = r.u8();
   f.retransmits = r.u8();
   f.hops = r.u16();
@@ -68,7 +68,7 @@ inline void save_packet_record(SnapshotWriter& w, const PacketRecord& p) {
   w.u32(p.src);
   w.u32(p.dst);
   w.u16(p.length);
-  w.u8(p.cls);  // added in snapshot version 4
+  w.u8(p.cls);
   w.u64(p.created);
   w.u64(p.injected);
   w.u64(p.completed);
@@ -83,7 +83,7 @@ inline PacketRecord load_packet_record(SnapshotReader& r) {
   p.src = r.u32();
   p.dst = r.u32();
   p.length = r.u16();
-  if (r.version() >= 4) p.cls = r.u8();
+  p.cls = r.u8();
   p.created = r.u64();
   p.injected = r.u64();
   p.completed = r.u64();
@@ -98,15 +98,16 @@ inline PacketRecord load_packet_record(SnapshotReader& r) {
 void save_run_stats(SnapshotWriter& w, const RunStats& s);
 RunStats load_run_stats(SnapshotReader& r);
 
+/// Every serialized config field, in config_fields() order.
 void save_config(SnapshotWriter& w, const SimConfig& cfg);
 SimConfig load_config(SnapshotReader& r);
 
-/// Hash of the configuration fields that determine a network's structure
-/// and switching behaviour (mesh, design, buffer sizing, fault plans,
-/// seed, stats window).  Network::load refuses a snapshot whose
-/// fingerprint differs from the target's — the remaining fields
-/// (offered_load, warmup_load, pattern, drain cap) belong to the
-/// workload and may legitimately differ across a warm-start fork.
+/// Hash of the kStructural config fields: those that determine a
+/// network's structure and switching behaviour (mesh, design, buffer
+/// sizing, fault plans, seed, stats window).  Network::load refuses a
+/// snapshot whose fingerprint differs from the target's — the remaining
+/// fields (offered load, pattern, drain cap, ...) belong to the workload
+/// and may legitimately differ across a warm-start fork.
 std::uint64_t structural_fingerprint(const SimConfig& cfg);
 
 // ---- container helpers ----------------------------------------------

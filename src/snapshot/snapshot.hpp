@@ -10,9 +10,9 @@
 //   sections ... each: tag u32 (fourcc) + payload length u64 + payload
 //
 // Sections let a reader validate that it is decoding what the writer
-// produced and give forward-compatible framing: a future version can
-// append sections without breaking older payload layouts (the version
-// field still gates semantic changes).
+// produced.  Any payload layout change bumps kSnapshotVersion, and a
+// reader accepts only its own version: checkpoints are re-recorded, not
+// migrated.
 //
 // Components implement the Snapshotable protocol — a pair of methods
 //
@@ -41,27 +41,7 @@
 namespace dxbar {
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x4E535844;  // "DXSN"
-inline constexpr std::uint16_t kSnapshotVersion = 6;  // 2: EnergyMeter
-                                                      // stores event counts
-                                                      // 3: SimConfig grows
-                                                      // measure_seed
-                                                      // 4: Flit/PacketRecord
-                                                      // grow cls; SimConfig
-                                                      // grows the closed-loop
-                                                      // workload knobs;
-                                                      // RunStats grows the
-                                                      // request-latency block
-                                                      // 5: SimConfig grows
-                                                      // tech_node; RunStats
-                                                      // grows the request
-                                                      // latency histogram
-                                                      // 6: SimConfig grows
-                                                      // read_fraction;
-                                                      // RunStats grows
-                                                      // energy_leakage_nj;
-                                                      // closed-loop workload
-                                                      // grows the coherence
-                                                      // mix block
+inline constexpr std::uint16_t kSnapshotVersion = 7;
 inline constexpr std::uint16_t kSnapshotEndianMark = 0xFEFF;
 
 /// Builds a four-character section tag, e.g. section_tag("CHAN").
@@ -198,7 +178,6 @@ class SnapshotReader {
   [[nodiscard]] std::size_t remaining() const noexcept {
     return size_ - pos_;
   }
-  [[nodiscard]] std::uint16_t version() const noexcept { return version_; }
 
  private:
   static std::string tag_name(std::uint32_t tag) {
@@ -227,9 +206,11 @@ class SnapshotReader {
 
   void read_header() {
     if (u32() != kSnapshotMagic) throw SnapshotError("bad magic");
-    version_ = u16();
-    if (version_ == 0 || version_ > kSnapshotVersion) {
-      throw SnapshotError("unsupported version " + std::to_string(version_));
+    // A layout change bumps the version; older streams are not read.
+    if (const std::uint16_t version = u16(); version != kSnapshotVersion) {
+      throw SnapshotError("unsupported version " + std::to_string(version) +
+                          " (expected " + std::to_string(kSnapshotVersion) +
+                          ")");
     }
     if (u16() != kSnapshotEndianMark) {
       throw SnapshotError("endianness mismatch");
@@ -239,7 +220,6 @@ class SnapshotReader {
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
-  std::uint16_t version_ = 1;
 };
 
 /// FNV-1a over a byte range; the campaign runner frames records with it

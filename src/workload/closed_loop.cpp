@@ -166,10 +166,10 @@ void ClosedLoopWorkload::save_state(SnapshotWriter& w) const {
     w.u32(p.server);
     w.u32(p.client);
     w.u64(p.issued);
-    w.i32(p.length);  // added in snapshot version 6 (coherence mix)
+    w.i32(p.length);
   }
   hist_.save(w);
-  w.u64(writebacks_issued_);  // added in snapshot version 6
+  w.u64(writebacks_issued_);
 }
 
 void ClosedLoopWorkload::load_state(SnapshotReader& r) {
@@ -208,12 +208,11 @@ void ClosedLoopWorkload::load_state(SnapshotReader& r) {
     p.server = r.u32();
     p.client = r.u32();
     p.issued = r.u64();
-    // Pre-v6 streams are pure-read: every reply carries the data line.
-    p.length = r.version() >= 6 ? r.i32() : reply_length_;
+    p.length = r.i32();
     pending_.push_back(p);
   }
   hist_.load(r);
-  if (r.version() >= 6) writebacks_issued_ = r.u64();
+  writebacks_issued_ = r.u64();
 }
 
 }  // namespace dxbar

@@ -251,6 +251,14 @@ TEST(Config, RejectsBadInput) {
   EXPECT_NE(apply_override(cfg, "design=unknown"), "");
   EXPECT_NE(apply_override(cfg, "load=abc"), "");
   EXPECT_NE(apply_override(cfg, "noequals"), "");
+  // Integers must fill the token and fit the member: no wrap-around, no
+  // sign on an unsigned member, no truncated fraction.
+  for (const char* bad : {"width=4294967298", "buffer_depth=4294967300",
+                          "mlp=8589934593", "warmup=-1", "seed=-1",
+                          "width=8.5"}) {
+    SimConfig c;
+    EXPECT_NE(apply_override(c, bad), "") << bad;
+  }
 }
 
 TEST(Config, ValidateCatchesBadRanges) {

@@ -227,6 +227,22 @@ TEST(ReportReader, RejectsUnknownEnumValues) {
   EXPECT_NE(err.find("unknown design 'Warp'"), std::string::npos) << err;
 }
 
+TEST(ReportReader, RejectsIntegersThatDoNotFitTheirField) {
+  const std::string text = minimal_doc_text();
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{"\"width\": 8,", "\"width\": 8.5,"},
+        {"\"width\": 8,", "\"width\": 4294967298,"},
+        {"\"seed\": 1\n", "\"seed\": -1\n"}}) {
+    std::string bad = text;
+    const auto pos = bad.find(from);
+    ASSERT_NE(pos, std::string::npos) << from;
+    bad.replace(pos, from.size(), to);
+    ResultDoc out;
+    const std::string err = from_json(bad, out);
+    EXPECT_NE(err.find("bad value"), std::string::npos) << to << ": " << err;
+  }
+}
+
 TEST(ReportReader, RejectsSeriesLengthMismatch) {
   ResultDoc doc;
   doc.experiment = "mini";

@@ -17,6 +17,7 @@
 #include "fault/link_faults.hpp"
 #include "routing/route_cache.hpp"
 #include "routing/route_table.hpp"
+#include "sim/replica_batch.hpp"
 
 namespace dxbar {
 namespace {
@@ -259,6 +260,23 @@ TEST(SnapshotErrors, UnsupportedVersionIsRejected) {
   bytes[5] = 0x00;
   Network other(small_cfg(RouterDesign::DXbar));
   EXPECT_THROW(other.restore(bytes), SnapshotError);
+
+  // The previous version is rejected too, naming both versions.
+  const std::uint16_t old_version = kSnapshotVersion - 1;
+  bytes[4] = static_cast<std::uint8_t>(old_version);
+  bytes[5] = static_cast<std::uint8_t>(old_version >> 8);
+  try {
+    other.restore(bytes);
+    ADD_FAILURE() << "version " << old_version << " was accepted";
+  } catch (const SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version " + std::to_string(old_version)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("expected " + std::to_string(kSnapshotVersion)),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(SnapshotErrors, TruncatedStreamIsRejected) {
@@ -387,6 +405,98 @@ TEST(SnapshotValues, TechNodeRoundTripAndFingerprint) {
   SimConfig other = cfg;
   other.tech_node = 16;
   EXPECT_NE(structural_fingerprint(other), structural_fingerprint(cfg));
+}
+
+// Pins the role of every SimConfig member: which of the three config
+// identities a valid non-default value moves.  structural_fingerprint
+// gates snapshot restore, warmup_signature groups warm forks and
+// dynamics_signature groups pricing classes.
+TEST(SnapshotValues, EveryFieldHasPinnedIdentityRoles) {
+  struct Case {
+    const char* member;
+    void (*set)(SimConfig&);
+    bool structural, warmup, dynamics;
+  };
+  const Case cases[] = {
+      {"mesh_width", [](SimConfig& c) { c.mesh_width = 4; }, true, true, true},
+      {"mesh_height", [](SimConfig& c) { c.mesh_height = 4; }, true, true,
+       true},
+      {"torus", [](SimConfig& c) { c.torus = true; }, true, true, true},
+      {"design", [](SimConfig& c) { c.design = RouterDesign::Scarab; }, true,
+       true, true},
+      {"routing", [](SimConfig& c) { c.routing = RoutingAlgo::WestFirst; },
+       true, true, true},
+      {"buffer_depth", [](SimConfig& c) { c.buffer_depth = 8; }, true, true,
+       true},
+      {"fairness_threshold", [](SimConfig& c) { c.fairness_threshold = 2; },
+       true, true, true},
+      {"stall_escape_delay", [](SimConfig& c) { c.stall_escape_delay = 32; },
+       true, true, true},
+      {"num_vcs", [](SimConfig& c) { c.num_vcs = 4; }, true, true, true},
+      {"source_queue_depth", [](SimConfig& c) { c.source_queue_depth = 32; },
+       false, true, true},
+      {"retransmit_buffer", [](SimConfig& c) { c.retransmit_buffer = 8; },
+       true, true, true},
+      {"pattern",
+       [](SimConfig& c) { c.pattern = TrafficPattern::BitReversal; }, false,
+       true, true},
+      {"offered_load", [](SimConfig& c) { c.offered_load = 0.2; }, false,
+       true, true},
+      {"warmup_load", [](SimConfig& c) { c.warmup_load = 0.2; }, false, true,
+       true},
+      {"packet_length", [](SimConfig& c) { c.packet_length = 3; }, true,
+       true, true},
+      {"flit_bits", [](SimConfig& c) { c.flit_bits = 64; }, true, true,
+       false},
+      {"tech_node", [](SimConfig& c) { c.tech_node = 32; }, true, true,
+       false},
+      {"workload",
+       [](SimConfig& c) { c.workload = WorkloadKind::ClosedLoop; }, true,
+       true, true},
+      {"mlp", [](SimConfig& c) { c.mlp = 2; }, false, true, true},
+      {"service_delay", [](SimConfig& c) { c.service_delay = 4; }, false,
+       true, true},
+      {"request_length", [](SimConfig& c) { c.request_length = 2; }, false,
+       true, true},
+      {"hotspot_fraction", [](SimConfig& c) { c.hotspot_fraction = 0.5; },
+       false, true, true},
+      {"read_fraction", [](SimConfig& c) { c.read_fraction = 0.5; }, false,
+       true, true},
+      {"warmup_cycles", [](SimConfig& c) { c.warmup_cycles = 500; }, true,
+       true, true},
+      {"measure_cycles", [](SimConfig& c) { c.measure_cycles = 4000; }, true,
+       true, true},
+      {"drain_cycles", [](SimConfig& c) { c.drain_cycles = 100; }, false,
+       false, true},
+      {"fault_fraction", [](SimConfig& c) { c.fault_fraction = 0.5; }, true,
+       true, true},
+      {"fault_detect_delay", [](SimConfig& c) { c.fault_detect_delay = 3; },
+       true, true, true},
+      {"fault_onset_spread", [](SimConfig& c) { c.fault_onset_spread = 10; },
+       true, true, true},
+      {"link_fault_fraction",
+       [](SimConfig& c) { c.link_fault_fraction = 0.1; }, true, true, true},
+      {"shards", [](SimConfig& c) { c.shards = 2; }, false, false, false},
+      {"seed", [](SimConfig& c) { c.seed = 7; }, true, true, true},
+      {"measure_seed", [](SimConfig& c) { c.measure_seed = 3; }, false,
+       false, true},
+  };
+  // One case per SimConfig member (33 today).
+  EXPECT_EQ(std::size(cases), 33u);
+  const SimConfig base;
+  for (const Case& k : cases) {
+    SimConfig cfg = base;
+    k.set(cfg);
+    ASSERT_EQ(cfg.validate(), "") << k.member;
+    EXPECT_EQ(structural_fingerprint(cfg) != structural_fingerprint(base),
+              k.structural)
+        << k.member;
+    EXPECT_EQ(warmup_signature(cfg) != warmup_signature(base), k.warmup)
+        << k.member;
+    EXPECT_EQ(dynamics_signature(cfg) != dynamics_signature(base),
+              k.dynamics)
+        << k.member;
+  }
 }
 
 // --- warm-start sweeps ---------------------------------------------------
