@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <iterator>
 #include <limits>
 #include <string>
 #include <type_traits>
+
+#include "common/flit.hpp"
+#include "common/text.hpp"
 
 namespace dxbar {
 namespace {
@@ -124,7 +126,8 @@ constexpr ConfigField kFields[] = {
     number("retransmit_buffer", &C::retransmit_buffer, 1, kInf, kStructural),
     number("load", &C::offered_load, 0, 1),
     number("warmup_load", &C::warmup_load, -kInf, kInf),
-    number("packet_length", &C::packet_length, 1, kInf, kStructural),
+    number("packet_length", &C::packet_length, 1, kMaxPacketLength,
+           kStructural),
     number("flit_bits", &C::flit_bits, 1, kInf, kStructural | kPricingOnly),
     {.key = "tech", .member = &C::tech_node, .choices = kTechNodes,
      .write_if = off_65nm, .roles = kStructural | kPricingOnly},
@@ -141,7 +144,8 @@ constexpr ConfigField kFields[] = {
     named("workload", &C::workload, kWorkloadNames, kStructural, closed_loop),
     number("mlp", &C::mlp, 1, kInf, 0, closed_loop),
     number("service_delay", &C::service_delay, 0, kInf, 0, closed_loop),
-    number("request_length", &C::request_length, 1, kInf, 0, closed_loop),
+    number("request_length", &C::request_length, 1, kMaxPacketLength, 0,
+           closed_loop),
     number("hotspot_fraction", &C::hotspot_fraction, 0, 1, 0, closed_loop),
     number("read_fraction", &C::read_fraction, 0, 1, 0, mixed_reads),
     number("shards", &C::shards, 1, kInf, kExecutionOnly),
@@ -154,22 +158,6 @@ static_assert(sizeof(void*) != 8 ||
 
 template <class T>
 constexpr bool kIsNumber = std::is_arithmetic_v<T> && !std::is_same_v<T, bool>;
-
-/// The one number conversion for overrides and result JSON: the whole
-/// token, in range for T (so no sign on an unsigned T), and finite.
-/// Locale-independent, and a double reads back to the exact bits
-/// `%.17g` or to_chars wrote.
-template <class T>
-bool parse_number(std::string_view s, T& out) {
-  T v{};
-  const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || p != s.data() + s.size()) return false;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(v)) return false;
-  }
-  out = v;
-  return true;
-}
 
 /// The canonical entry for `value`: the first one naming it.
 const FieldName* canonical(std::span<const FieldName> names,

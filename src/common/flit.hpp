@@ -16,6 +16,9 @@ namespace dxbar {
 /// source); the injection queue stamps the real cycle on first pop.
 inline constexpr Cycle kNotInjected = ~Cycle{0};
 
+/// Longest packet a Flit can describe: `seq` and `packet_len` are 16-bit.
+inline constexpr int kMaxPacketLength = 0xFFFF;
+
 /// A single 128-bit flow-control unit.  The payload itself is not
 /// simulated; the struct carries the metadata the routers switch on.
 struct Flit {

@@ -135,23 +135,24 @@ class ObjReader {
     out = m->as_double();
   }
 
-  void integer(std::string_view key, int& out) {
+  /// Integer through the checked conversion the config fields use: a
+  /// fraction, a sign on an unsigned field or a value out of the
+  /// field's range is an error, never a truncation.
+  template <class T>
+  void integer(std::string_view key, T& out) {
     if (const JsonValue* m = get(key, JsonValue::Type::Number, "number")) {
-      out = static_cast<int>(m->as_int64());
+      if (!parse_number(m->scalar, out)) {
+        err_ = path_ + "." + std::string(key) + ": bad value " + m->scalar;
+      }
     }
   }
 
-  void uint64(std::string_view key, std::uint64_t& out) {
-    if (const JsonValue* m = get(key, JsonValue::Type::Number, "number")) {
-      out = m->as_uint64();
-    }
-  }
-
-  /// Like uint64(), but a missing key leaves `out` untouched — for
+  /// Like integer(), but a missing key leaves `out` untouched — for
   /// fields the writer omits at their default value.
-  void opt_uint64(std::string_view key, std::uint64_t& out) {
+  template <class T>
+  void opt_integer(std::string_view key, T& out) {
     if (!err_.empty() || v_.find(key) == nullptr) return;
-    uint64(key, out);
+    integer(key, out);
   }
 
   void opt_number(std::string_view key, double& out) {
@@ -239,10 +240,10 @@ void read_stats(const JsonValue& v, const std::string& path, RunStats& s,
   r.number("avg_hops", s.avg_hops);
   r.number("deflections_per_flit", s.deflections_per_flit);
   r.number("retransmits_per_flit", s.retransmits_per_flit);
-  r.uint64("packets_completed", s.packets_completed);
-  r.uint64("flits_ejected", s.flits_ejected);
-  r.uint64("flits_injected", s.flits_injected);
-  r.uint64("cycles", s.cycles);
+  r.integer("packets_completed", s.packets_completed);
+  r.integer("flits_ejected", s.flits_ejected);
+  r.integer("flits_injected", s.flits_injected);
+  r.integer("cycles", s.cycles);
   r.integer("packet_length", s.packet_length);
   r.boolean("drained", s.drained);
   r.number("energy_buffer_nj", s.energy_buffer_nj);
@@ -257,7 +258,7 @@ void read_stats(const JsonValue& v, const std::string& path, RunStats& s,
   double derived = 0.0;
   r.number("energy_per_packet_nj", derived);
   // Request-level block (closed-loop runs only; absent otherwise).
-  r.opt_uint64("requests_completed", s.requests_completed);
+  r.opt_integer("requests_completed", s.requests_completed);
   r.opt_number("avg_req_latency", s.avg_req_latency);
   r.opt_number("req_latency_p50", s.req_latency_p50);
   r.opt_number("req_latency_p95", s.req_latency_p95);
@@ -349,7 +350,7 @@ std::string from_json(std::string_view text, ResultDoc& out,
   r.string("git_describe", out.git_describe);
   r.boolean("quick", out.quick);
   r.string("executor", out.executor);
-  r.uint64("warm_groups", out.warm_groups);
+  r.integer("warm_groups", out.warm_groups);
   if (const JsonValue* overrides = r.array("overrides")) {
     for (std::size_t i = 0; i < overrides->items.size(); ++i) {
       const JsonValue& o = overrides->items[i];

@@ -62,6 +62,8 @@ class InjectionQueue {
     return f;
   }
 
+  /// Queues a packet's flits `head.seq` .. `head.seq + n - 1` in one slot.
+  void push_run(const Flit& head, std::uint16_t n) { q_.push_run(head, n); }
   void push_back(const Flit& f) { q_.push_back(f); }
   /// Retransmissions re-enter at the front so age order is preserved.
   void push_front(const Flit& f) { q_.push_front(f); }

@@ -180,22 +180,21 @@ PacketId Network::inject_packet(NodeId src, NodeId dst, int length,
 PacketId Network::inject_packet(NodeId src, NodeId dst, int length, Cycle now,
                                 MsgClass cls) {
   assert(src != dst && "self-addressed packets are not routed");
+  assert(length >= 1 && length <= kMaxPacketLength);
   const PacketId id = next_packet_++;
-  for (int s = 0; s < length; ++s) {
-    Flit f;
-    f.packet = id;
-    f.seq = static_cast<std::uint16_t>(s);
-    f.packet_len = static_cast<std::uint16_t>(length);
-    f.src = src;
-    f.dst = dst;
-    f.cls = static_cast<std::uint8_t>(cls);
-    f.born_at = now;
-    f.injected_at = kNotInjected;
-    if (cfg_.design == RouterDesign::Scarab) {
-      scarab_staging_[src].push_back(f);
-    } else {
-      sources_[src].push_back(f);
-    }
+  // Its flits differ only in seq, so the packet queues as one run.
+  Flit f;
+  f.packet = id;
+  f.packet_len = static_cast<std::uint16_t>(length);
+  f.src = src;
+  f.dst = dst;
+  f.cls = static_cast<std::uint8_t>(cls);
+  f.born_at = now;
+  f.injected_at = kNotInjected;
+  if (cfg_.design == RouterDesign::Scarab) {
+    scarab_staging_[src].push_run(f, f.packet_len);
+  } else {
+    sources_[src].push_run(f, f.packet_len);
   }
   ++packets_created_;
   flits_created_ += static_cast<std::uint64_t>(length);

@@ -103,8 +103,9 @@ class Network final : public Injector {
   [[nodiscard]] const LinkFaultPlan& link_faults() const noexcept {
     return link_faults_;
   }
-  /// Flits currently alive across the per-shard arenas backing source
-  /// queues and SCARAB staging; a drained network must report 0.
+  /// Slots currently live across the per-shard arenas backing source
+  /// queues and SCARAB staging (one per queued run of flits); a drained
+  /// network must report 0.
   [[nodiscard]] std::size_t flit_pool_live() const noexcept {
     std::size_t live = 0;
     for (const auto& s : shards_) live += s->flit_pool.live();

@@ -151,10 +151,14 @@ void Network::load(SnapshotReader& r) {
   for (auto& s : sources_) s.load(r);
 
   (void)r.expect_section(kSecAssembly);
-  assembly_.clear();
+  // A fresh table, not clear(): slot order, and so the bytes of the next
+  // save, follows the table's capacity, which must come from the stream
+  // rather than from what this network held before.
+  assembly_ = PacketMap<Assembly>();
   const std::uint64_t mshrs = r.count(8 + 4);
   for (std::uint64_t i = 0; i < mshrs; ++i) {
     const PacketId key = r.u64();
+    if (key == 0) throw SnapshotError("reassembly entry for packet id 0");
     Assembly& a = assembly_[key];
     a.received = r.i32();
     a.rec = load_packet_record(r);

@@ -7,6 +7,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/flit.hpp"
+
 namespace dxbar {
 
 namespace {
@@ -18,6 +20,16 @@ constexpr std::uint64_t kCountSentinel =
 constexpr std::size_t kHeaderBytes = 16;
 constexpr std::size_t kRecordBytes = 20;
 constexpr std::streamoff kCountOffset = 8;  // magic + version + endian
+
+/// Lengths a packet's flits can carry (Flit::packet_len is 16-bit).
+bool length_ok(int length) {
+  return length >= 1 && length <= kMaxPacketLength;
+}
+
+std::string bad_length(int length) {
+  return ": length " + std::to_string(length) + " outside [1, " +
+         std::to_string(kMaxPacketLength) + "]";
+}
 
 void put_le(std::vector<std::uint8_t>& buf, std::uint64_t v, int bytes) {
   for (int i = 0; i < bytes; ++i) {
@@ -46,7 +58,7 @@ std::vector<TraceEntry> read_trace(std::istream& is) {
     std::istringstream ls(line);
     TraceEntry e;
     if (!(ls >> e.cycle)) continue;  // blank or comment-only line
-    if (!(ls >> e.src >> e.dst >> e.length) || e.length < 1) {
+    if (!(ls >> e.src >> e.dst >> e.length) || !length_ok(e.length)) {
       throw TraceError(TraceError::Kind::Malformed,
                        "malformed trace line " + std::to_string(lineno));
     }
@@ -95,10 +107,10 @@ void StreamingTraceWriter::append(const TraceEntry& e) {
     throw TraceError(TraceError::Kind::Malformed,
                      "append() after finish()");
   }
-  if (e.length < 1) {
+  if (!length_ok(e.length)) {
     throw TraceError(TraceError::Kind::Malformed,
                      "trace entry " + std::to_string(count_) +
-                         ": length " + std::to_string(e.length) + " < 1");
+                         bad_length(e.length));
   }
   if (count_ != 0 && e.cycle < last_cycle_) {
     throw TraceError(TraceError::Kind::Malformed,
@@ -194,10 +206,10 @@ void StreamingTraceReader::refill() {
     e.dst = static_cast<NodeId>(get_le(p + 12, 4));
     e.length = static_cast<int>(get_le(p + 16, 4));
     const std::uint64_t index = consumed_ + i;
-    if (e.length < 1) {
+    if (!length_ok(e.length)) {
       throw TraceError(TraceError::Kind::Malformed,
                        "trace record " + std::to_string(index) +
-                           ": length " + std::to_string(e.length) + " < 1");
+                           bad_length(e.length));
     }
     if (index != 0 && e.cycle < last_cycle_) {
       throw TraceError(TraceError::Kind::Malformed,

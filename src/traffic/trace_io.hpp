@@ -44,7 +44,8 @@ class TraceError : public std::runtime_error {
     Truncated,        ///< file ends mid-record, or an unfinished writer
     CorruptHeader,    ///< bad magic or endian marker
     VersionMismatch,  ///< header version this reader does not understand
-    Malformed,        ///< bad field values (length < 1, cycle regression)
+    Malformed,        ///< bad field values (length outside [1, 65535],
+                      ///< cycle regression)
   };
 
   TraceError(Kind kind, const std::string& what)
@@ -77,8 +78,8 @@ void write_trace(std::ostream& os, std::span<const TraceEntry> entries);
 inline constexpr std::uint16_t kTraceFormatVersion = 1;
 
 /// Incremental writer for the binary "DXTR" format.  Records must be
-/// appended in non-decreasing cycle order with length >= 1 (TraceError
-/// Kind::Malformed otherwise).  The header is written with a count
+/// appended in non-decreasing cycle order with length in [1, 65535]
+/// (TraceError Kind::Malformed otherwise).  The header is written with a count
 /// sentinel that finish() backpatches, so the stream must be seekable;
 /// a writer destroyed without finish() leaves the sentinel in place and
 /// readers reject the trace as truncated.

@@ -1,13 +1,17 @@
-// Unit tests for common/: types, rng, fixed queue, small vector, config,
-// stats.
+// Unit tests for common/: types, rng, fixed queue, small vector, flit
+// pool, config, stats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/fixed_queue.hpp"
 #include "common/flit.hpp"
+#include "common/flit_pool.hpp"
 #include "common/rng.hpp"
 #include "common/small_vec.hpp"
 #include "common/stats.hpp"
@@ -224,6 +228,177 @@ TEST(SmallVec, InsertionSortAndContainsAtEverySize) {
   }
 }
 
+// --- PooledFlitDeque ------------------------------------------------------
+
+Flit queued_flit(PacketId packet, std::uint16_t len) {
+  Flit f;
+  f.packet = packet;
+  f.packet_len = len;
+  f.src = 3;
+  f.dst = 9;
+  f.born_at = 100 + packet;
+  f.injected_at = kNotInjected;
+  return f;
+}
+
+std::vector<std::pair<PacketId, std::uint16_t>> contents(
+    const PooledFlitDeque& q) {
+  std::vector<std::pair<PacketId, std::uint16_t>> out;
+  q.for_each([&](const Flit& f) { out.emplace_back(f.packet, f.seq); });
+  return out;
+}
+
+std::vector<std::uint8_t> saved(const PooledFlitDeque& q) {
+  SnapshotWriter w;
+  q.save(w);
+  return w.take();
+}
+
+/// The queue stream for `flits` written one flit at a time.
+std::vector<std::uint8_t> per_flit_stream(const std::vector<Flit>& flits) {
+  SnapshotWriter w;
+  w.u64(flits.size());
+  for (const Flit& f : flits) save_flit(w, f);
+  return w.take();
+}
+
+TEST(PooledFlitDeque, RunPopsOneFlitAtATimeInSeqOrder) {
+  FlitPool pool;
+  PooledFlitDeque q;
+  q.attach_pool(&pool);
+  q.push_run(queued_flit(7, 5), 5);
+  EXPECT_EQ(q.size(), 5u);
+  EXPECT_EQ(pool.live(), 1u);
+  const Flit* front = &q.front();
+  for (std::uint16_t s = 0; s < 5; ++s) {
+    ASSERT_FALSE(q.empty());
+    EXPECT_EQ(&q.front(), front);  // the head slot advances in place
+    EXPECT_EQ(q.front().seq, s);
+    const Flit f = q.pop_front();
+    EXPECT_EQ(f.packet, 7u);
+    EXPECT_EQ(f.seq, s);
+    EXPECT_EQ(f.packet_len, 5);
+    EXPECT_EQ(f.born_at, 107u);
+    EXPECT_EQ(q.size(), 4u - s);
+    EXPECT_EQ(pool.live(), s < 4 ? 1u : 0u);  // the last flit frees it
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(PooledFlitDeque, PushFrontRetransmitGoesAheadOfARun) {
+  FlitPool pool;
+  PooledFlitDeque q;
+  q.attach_pool(&pool);
+  q.push_run(queued_flit(7, 3), 3);
+  (void)q.pop_front();
+  Flit retransmit = queued_flit(4, 2);
+  retransmit.seq = 1;
+  retransmit.retransmits = 1;
+  retransmit.injected_at = 50;
+  q.push_front(retransmit);
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(pool.live(), 2u);
+  EXPECT_EQ(q.front().packet, 4u);
+  const Flit f = q.pop_front();
+  EXPECT_EQ(f.packet, 4u);
+  EXPECT_EQ(f.seq, 1);
+  EXPECT_EQ(f.retransmits, 1);
+  EXPECT_EQ(f.injected_at, 50u);
+  EXPECT_EQ(contents(q),
+            (std::vector<std::pair<PacketId, std::uint16_t>>{{7, 1}, {7, 2}}));
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(pool.live(), 0u);
+}
+
+TEST(PooledFlitDeque, ForEachExpandsRuns) {
+  FlitPool pool;
+  PooledFlitDeque q;
+  q.attach_pool(&pool);
+  q.push_run(queued_flit(7, 3), 3);
+  q.push_run(queued_flit(8, 2), 2);
+  // A flit continuing the tail's run joins its slot.
+  Flit more = queued_flit(8, 2);
+  more.seq = 2;
+  q.push_back(more);
+  EXPECT_EQ(contents(q), (std::vector<std::pair<PacketId, std::uint16_t>>{
+                             {7, 0}, {7, 1}, {7, 2}, {8, 0}, {8, 1}, {8, 2}}));
+  EXPECT_EQ(q.size(), 6u);
+  EXPECT_EQ(pool.live(), 2u);
+}
+
+TEST(PooledFlitDeque, SavedRunIsByteIdenticalToSavedFlits) {
+  FlitPool pool;
+  PooledFlitDeque q;
+  q.attach_pool(&pool);
+  q.push_run(queued_flit(7, 5), 5);
+  q.push_run(queued_flit(8, 2), 2);
+  (void)q.pop_front();
+
+  std::vector<Flit> flits;
+  for (std::uint16_t s = 1; s < 5; ++s) {
+    flits.push_back(queued_flit(7, 5));
+    flits.back().seq = s;
+  }
+  for (std::uint16_t s = 0; s < 2; ++s) {
+    flits.push_back(queued_flit(8, 2));
+    flits.back().seq = s;
+  }
+  EXPECT_EQ(saved(q), per_flit_stream(flits));
+}
+
+TEST(PooledFlitDeque, LoadReformsRunsOnlyAcrossSeq) {
+  // Three flits of one packet re-form one run; a variant of the next
+  // seq that differs in any other field starts a slot of its own.
+  const std::vector<std::function<void(Flit&)>> variants = {
+      [](Flit& f) { f.packet += 1; },
+      [](Flit& f) { f.packet_len += 1; },
+      [](Flit& f) { f.src += 1; },
+      [](Flit& f) { f.dst += 1; },
+      [](Flit& f) { f.injected_at = 12; },
+      [](Flit& f) { f.born_at += 1; },
+      [](Flit& f) { f.vc = 1; },
+      [](Flit& f) { f.cls = 1; },
+      [](Flit& f) { f.deflections = 1; },
+      [](Flit& f) { f.retransmits = 1; },
+      [](Flit& f) { f.hops = 1; },
+      [](Flit& f) { f.seq += 1; },  // a gap in seq
+      [](Flit& f) { f.seq -= 1; },  // a repeated seq
+  };
+  for (std::size_t v = 0; v <= variants.size(); ++v) {
+    SCOPED_TRACE("variant " + std::to_string(v));
+    std::vector<Flit> flits;
+    for (std::uint16_t s = 0; s < 4; ++s) {
+      flits.push_back(queued_flit(7, 8));
+      flits.back().seq = s;
+    }
+    const bool intact = v == variants.size();
+    if (!intact) variants[v](flits.back());
+    const auto bytes = per_flit_stream(flits);
+
+    FlitPool pool;
+    PooledFlitDeque q;
+    q.attach_pool(&pool);
+    SnapshotReader r(bytes);
+    q.load(r);
+    EXPECT_EQ(q.size(), 4u);
+    EXPECT_EQ(pool.live(), intact ? 1u : 2u);
+    EXPECT_EQ(saved(q), bytes);
+  }
+
+  // A seq of 65535 is never continued by a wrapped-around seq of 0.
+  std::vector<Flit> wrap(2, queued_flit(7, 8));
+  wrap[0].seq = 0xFFFF;
+  const auto bytes = per_flit_stream(wrap);
+  FlitPool pool;
+  PooledFlitDeque q;
+  q.attach_pool(&pool);
+  SnapshotReader r(bytes);
+  q.load(r);
+  EXPECT_EQ(pool.live(), 2u);
+  EXPECT_EQ(saved(q), bytes);
+}
+
 TEST(Config, DefaultsValid) {
   SimConfig cfg;
   EXPECT_EQ(cfg.validate(), "");
@@ -273,6 +448,13 @@ TEST(Config, ValidateCatchesBadRanges) {
   EXPECT_NE(cfg.validate(), "");
   cfg = SimConfig{};
   cfg.buffer_depth = 0;
+  EXPECT_NE(cfg.validate(), "");
+  // A Flit's seq and packet_len are 16-bit.
+  cfg = SimConfig{};
+  cfg.packet_length = kMaxPacketLength + 1;
+  EXPECT_NE(cfg.validate(), "");
+  cfg = SimConfig{};
+  cfg.request_length = kMaxPacketLength + 1;
   EXPECT_NE(cfg.validate(), "");
 }
 

@@ -228,11 +228,28 @@ TEST(ReportReader, RejectsUnknownEnumValues) {
 }
 
 TEST(ReportReader, RejectsIntegersThatDoNotFitTheirField) {
-  const std::string text = minimal_doc_text();
+  // A document with one point, so RunStats integers are read too.
+  ResultDoc doc;
+  doc.experiment = "mini";
+  doc.executor = "custom";
+  PointDoc p;
+  p.stats.packets_completed = 7;
+  p.stats.cycles = 500;
+  p.stats.packet_length = 6;  // the config's is 5
+  doc.points.push_back(p);
+  const std::string text = to_json(doc);
+  ResultDoc intact;
+  ASSERT_EQ(from_json(text, intact), "");
   for (const auto& [from, to] :
        {std::pair<std::string, std::string>{"\"width\": 8,", "\"width\": 8.5,"},
         {"\"width\": 8,", "\"width\": 4294967298,"},
-        {"\"seed\": 1\n", "\"seed\": -1\n"}}) {
+        {"\"seed\": 1\n", "\"seed\": -1\n"},
+        {"\"cycles\": 500,", "\"cycles\": 1.5,"},
+        {"\"packets_completed\": 7,", "\"packets_completed\": -1,"},
+        {"\"flits_ejected\": 0,", "\"flits_ejected\": 18446744073709551616,"},
+        {"\"packet_length\": 6,", "\"packet_length\": 4294967302,"},
+        {"\"schema_version\": 1,", "\"schema_version\": 1.5,"},
+        {"\"warm_groups\": 0,", "\"warm_groups\": -1,"}}) {
     std::string bad = text;
     const auto pos = bad.find(from);
     ASSERT_NE(pos, std::string::npos) << from;

@@ -308,6 +308,120 @@ TEST(SnapshotErrors, StructuralMismatchIsRejected) {
   EXPECT_THROW(other_seed.restore(bytes), SnapshotError);
 }
 
+// --- pinned bytes of saturated networks ----------------------------------
+//
+// An 8x8 mesh far past saturation: deep source queues, and for SCARAB a
+// backed-up staging area plus retransmissions in flight.  Length and
+// FNV-1a of the stream were recorded when every queued flit had its own
+// arena slot, so they pin the per-flit queue layout on the wire however
+// the queues hold their flits in memory.
+
+SimConfig saturated_cfg(RouterDesign design) {
+  SimConfig cfg;
+  cfg.design = design;
+  cfg.pattern = TrafficPattern::UniformRandom;
+  cfg.offered_load = 0.45;
+  cfg.seed = 3;
+  cfg.warmup_cycles = 200;
+  cfg.measure_cycles = 300;
+  return cfg;
+}
+
+std::vector<std::uint8_t> saturated_snapshot(RouterDesign design) {
+  const SimConfig cfg = saturated_cfg(design);
+  Network net(cfg);
+  SyntheticWorkload workload(cfg, net.mesh());
+  net.set_workload(&workload);
+  advance_open_loop(net, 500);
+  return net.snapshot();
+}
+
+TEST(SnapshotPinned, SaturatedNetworkBytesAreUnchanged) {
+  struct Golden {
+    RouterDesign design;
+    std::size_t size;
+    std::uint64_t fnv;
+  };
+  for (const Golden& g :
+       {Golden{RouterDesign::Buffered4, 303085, 709136191760113577ULL},
+        Golden{RouterDesign::Scarab, 265001, 14257845328035512423ULL}}) {
+    SCOPED_TRACE(std::string(to_string(g.design)));
+    const auto bytes = saturated_snapshot(g.design);
+    EXPECT_EQ(bytes.size(), g.size);
+    EXPECT_EQ(fnv1a(bytes.data(), bytes.size()), g.fnv);
+
+    // save -> restore -> save is the identity.
+    Network fresh(saturated_cfg(g.design));
+    fresh.restore(bytes);
+    EXPECT_EQ(fresh.snapshot(), bytes);
+  }
+}
+
+TEST(SnapshotErrors, FuzzedSaturatedSnapshotNeverEscapesTheReader) {
+  // Every mutation must restore or throw SnapshotError; anything else
+  // (a crash, a sanitizer report, another exception) fails the test.
+  // Bytes are flipped densely over the header and the first bytes of
+  // every section (more of the source-queue section, whose load merges
+  // flits into runs), sparsely elsewhere, and the stream is cut at a
+  // spread of lengths.  All attempts go into one network, which must
+  // then restore the intact stream exactly.
+  for (const RouterDesign design :
+       {RouterDesign::Buffered4, RouterDesign::Scarab}) {
+    SCOPED_TRACE(std::string(to_string(design)));
+    const auto golden = saturated_snapshot(design);
+    Network target(saturated_cfg(design));
+    int restored = 0;
+    int rejected = 0;
+    const auto attempt = [&](const std::vector<std::uint8_t>& bytes) {
+      try {
+        target.restore(bytes);
+        ++restored;
+      } catch (const SnapshotError&) {
+        ++rejected;
+      }
+    };
+
+    auto mutated = golden;
+    const auto flip = [&](std::size_t i, std::uint8_t delta) {
+      mutated[i] ^= delta;
+      attempt(mutated);
+      mutated[i] ^= delta;
+    };
+    for (std::size_t i = 0; i < 8; ++i) flip(i, 0x01);
+    // Section frames: u32 tag, u64 payload length, payload.
+    const auto le = [&](std::size_t at, int n) {
+      std::uint64_t v = 0;
+      for (int k = 0; k < n; ++k) {
+        v |= std::uint64_t{golden[at + static_cast<std::size_t>(k)]}
+             << (8 * k);
+      }
+      return v;
+    };
+    for (std::size_t at = 8; at + 12 <= golden.size();) {
+      const bool sources = le(at, 4) == section_tag("SRCQ");
+      const std::size_t dense = 12 + (sources ? 512 : 64);
+      for (std::size_t k = 0; k < dense && at + k < golden.size(); ++k) {
+        // Both deltas over the frame and the leading counts.
+        if (k < 32 || k % 2 == 0) flip(at + k, 0x01);
+        if (k < 32 || k % 2 == 1) flip(at + k, 0x80);
+      }
+      at += 12 + static_cast<std::size_t>(le(at + 4, 8));
+    }
+    for (std::size_t i = 0; i < golden.size(); i += golden.size() / 256) {
+      flip(i, 0xFF);
+    }
+    for (std::size_t len = 0; len < golden.size(); len += 1 + len / 4) {
+      attempt(std::vector<std::uint8_t>(
+          golden.begin(), golden.begin() + static_cast<std::ptrdiff_t>(len)));
+    }
+    EXPECT_GT(restored, 0);  // payload flips stay readable
+    EXPECT_GT(rejected, 0);
+
+    target.restore(golden);
+    EXPECT_EQ(target.snapshot(), golden);
+  }
+}
+
 // --- value-type round trips ---------------------------------------------
 
 TEST(SnapshotValues, RngRoundTripIsBitExact) {

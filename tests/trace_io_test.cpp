@@ -98,6 +98,12 @@ TEST(TraceBinaryIo, WriterRejectsMalformedAppends) {
     EXPECT_EQ(e.kind(), TraceError::Kind::Malformed);
   }
   try {
+    w.append({10, 0, 1, 65536});  // longer than a Flit can describe
+    FAIL() << "length 65536 accepted";
+  } catch (const TraceError& e) {
+    EXPECT_EQ(e.kind(), TraceError::Kind::Malformed);
+  }
+  try {
     w.append({9, 0, 1, 1});  // cycle regression
     FAIL() << "cycle regression accepted";
   } catch (const TraceError& e) {
@@ -153,6 +159,9 @@ TEST(TraceBinaryIo, MalformedRecordsAreMalformed) {
   std::string zero_len = golden_bytes(5);
   for (int i = 0; i < 4; ++i) zero_len[16 + 16 + i] = '\x00';
   EXPECT_EQ(read_kind(zero_len), TraceError::Kind::Malformed);
+  std::string long_len = golden_bytes(5);
+  for (int i = 0; i < 4; ++i) long_len[16 + 16 + i] = "\x00\x00\x01\x00"[i];
+  EXPECT_EQ(read_kind(long_len), TraceError::Kind::Malformed);  // 65536
 
   // Make a later record's cycle regress below its predecessor's.
   std::string regress = golden_bytes(5);
@@ -253,15 +262,18 @@ TEST(TraceBinaryIo, StreamingReplayMatchesInMemoryReplay) {
 // --- text format ---------------------------------------------------------
 
 TEST(TraceTextIo, MalformedLineThrowsTypedError) {
-  // A line whose cycle parses but whose tail is junk; non-numeric lines
-  // are comment-like and skipped by design.
-  std::istringstream is("10 0 1 1\n11 0 junk\n");
-  try {
-    (void)read_trace(is);
-    FAIL() << "malformed line accepted";
-  } catch (const TraceError& e) {
-    EXPECT_EQ(e.kind(), TraceError::Kind::Malformed);
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+  // A line whose cycle parses but whose tail is junk, or whose length no
+  // Flit can describe; non-numeric lines are comment-like and skipped by
+  // design.
+  for (const char* text : {"10 0 1 1\n11 0 junk\n", "10 0 1 1\n11 0 1 65536\n"}) {
+    std::istringstream is(text);
+    try {
+      (void)read_trace(is);
+      ADD_FAILURE() << "malformed line accepted: " << text;
+    } catch (const TraceError& e) {
+      EXPECT_EQ(e.kind(), TraceError::Kind::Malformed);
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+    }
   }
 }
 
