@@ -16,6 +16,7 @@
 
 #include "exp/registry.hpp"
 #include "exp/runner.hpp"
+#include "sim/campaign.hpp"
 #include "sim/replica_batch.hpp"
 
 using namespace dxbar;
@@ -109,7 +110,13 @@ int main(int argc, char** argv) {
   int rc = 0;
   std::vector<std::string> used_csv_names;
   for (const Experiment* e : to_run) {
-    const ExperimentResult result = execute(*e, opt);
+    ExperimentResult result;
+    try {
+      result = execute(*e, opt);
+    } catch (const ResumeFileError& err) {
+      std::fprintf(stderr, "dxbar_bench: %s\n", err.what());
+      return 1;
+    }
     print_result(result);
     if (result.exit_code != 0 && rc == 0) rc = result.exit_code;
     if (!opt.csv_dir.empty() &&

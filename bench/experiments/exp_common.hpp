@@ -9,7 +9,7 @@
 #include "core/dxbar.hpp"
 #include "exp/registry.hpp"
 #include "exp/runner.hpp"
-#include "sim/closed_loop_campaign.hpp"
+#include "sim/campaign.hpp"
 #include "snapshot/serialize.hpp"
 
 namespace dxbar::bench {
@@ -50,7 +50,7 @@ inline std::vector<double> figure_loads(double step = 0.1) {
 }
 
 /// Fingerprint of a closed-loop SPLASH job list (configs + per-app work
-/// + cycle cap): a ClosedLoopCampaign keyed on it ignores results
+/// + cycle cap): a ResultsLog keyed on it ignores results
 /// recorded for a different job list (e.g. --quick vs full).
 inline std::uint64_t
 splash_jobs_fingerprint(
@@ -90,10 +90,10 @@ inline std::vector<ClosedLoopResult> run_closed_loop_jobs(
                  dir.c_str(), ec.message().c_str());
     std::exit(1);
   }
-  ClosedLoopCampaign campaign(n, dir, fingerprint);
+  ResultsLog<ClosedLoopResult> log(n, dir, fingerprint);
   std::vector<std::size_t> missing;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!campaign.results()[i].has_value()) missing.push_back(i);
+    if (!log.results()[i].has_value()) missing.push_back(i);
   }
   std::fprintf(stderr,
                "dxbar_bench: %s: closed-loop campaign of %zu point(s) in "
@@ -103,10 +103,10 @@ inline std::vector<ClosedLoopResult> run_closed_loop_jobs(
       missing.size(),
       [&](std::size_t m) {
         const std::size_t i = missing[m];
-        campaign.record(i, run_job(i));
+        log.record(i, run_job(i));
       },
       ctx.threads);
-  for (std::size_t i = 0; i < n; ++i) results[i] = *campaign.results()[i];
+  for (std::size_t i = 0; i < n; ++i) results[i] = *log.results()[i];
   return results;
 }
 

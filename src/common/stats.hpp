@@ -89,6 +89,16 @@ struct RunStats {
   }
 };
 
+/// Result of a closed-loop (fixed-work) run.
+struct ClosedLoopResult {
+  Cycle completion_cycles = 0;  ///< "execution time" of the workload
+  bool finished = false;        ///< false when the cycle cap was hit
+  std::uint64_t packets = 0;
+  double energy_nj = 0.0;       ///< whole-run network energy
+  double energy_per_packet_nj = 0.0;
+  double avg_packet_latency = 0.0;
+};
+
 /// Window-gated injection counter a single shard can bump without
 /// touching the shared StatsCollector.  One tally lives per shard
 /// (cache-line aligned so neighbouring shards don't false-share); the

@@ -1,158 +1,239 @@
 #include "sim/campaign.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <utility>
 
-#include "sim/network.hpp"
+#include "sim/sim_runner.hpp"
 #include "snapshot/serialize.hpp"
-#include "traffic/traffic_gen.hpp"
 #include "workload/factory.hpp"
 
 namespace dxbar {
 
 namespace {
 
-constexpr std::uint32_t kResultTag = section_tag("CRES");
+constexpr std::uint32_t kCheckpointTag = section_tag("CKPT");
 constexpr std::uint32_t kSecCampaign = section_tag("CAMP");
-constexpr std::uint32_t kSecWorkload = section_tag("WKLD");
 
+/// Per result kind: the frame tag and the payload codec.
+template <class Result>
+struct ResultCodec;
+
+template <>
+struct ResultCodec<RunStats> {
+  static constexpr std::uint32_t kTag = section_tag("RSOL");
+  static constexpr auto save = &save_run_stats;
+  static constexpr auto load = &load_run_stats;
+};
+
+template <>
+struct ResultCodec<ClosedLoopResult> {
+  static constexpr std::uint32_t kTag = section_tag("RSCL");
+  static constexpr auto save = &save_closed_loop_result;
+  static constexpr auto load = &load_closed_loop_result;
+};
+
+[[noreturn]] void fail(const std::string& path, const char* action,
+                       int err = errno) {
+  throw ResumeFileError("resume file " + path + ": cannot " + action +
+                        (err != 0 ? std::string(": ") + std::strerror(err)
+                                  : std::string()));
+}
+
+/// The whole file; empty when it does not exist.
 std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec) && !ec) return {};
+  errno = 0;
   std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
+  std::vector<std::uint8_t> bytes;
+  try {
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  } catch (const std::ios_base::failure&) {
+    in.setstate(std::ios::badbit);
+  }
+  if (!in.is_open() || in.bad()) fail(path, "read");
+  return bytes;
 }
 
-void append_le32(std::vector<std::uint8_t>& buf, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
+/// Writes `bytes` to `path` opened in `mode` (append or truncate) and
+/// closes it, so the bytes have left the process when it returns.
+void write_file(const std::string& path, std::ios::openmode mode,
+                const std::vector<std::uint8_t>& bytes) {
+  errno = 0;
+  std::ofstream out(path, std::ios::binary | mode);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  if (!out) fail(path, "write");
+}
+
+void put_le(std::vector<std::uint8_t>& buf, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
     buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   }
 }
 
-void append_le64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t le32_at(const std::vector<std::uint8_t>& b, std::size_t pos) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(b[pos + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t le64_at(const std::vector<std::uint8_t>& b, std::size_t pos) {
+std::uint64_t get_le(const std::uint8_t* p, int bytes) {
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(b[pos + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
+  for (int i = 0; i < bytes; ++i) v |= std::uint64_t{p[i]} << (8 * i);
   return v;
 }
 
-}  // namespace
-
-Campaign::Campaign(std::vector<SimConfig> points, std::string dir,
-                   Cycle checkpoint_interval)
-    : points_(std::move(points)),
-      dir_(std::move(dir)),
-      checkpoint_interval_(checkpoint_interval == 0 ? 1 : checkpoint_interval),
-      results_(points_.size()) {
-  SnapshotWriter w;
-  for (const SimConfig& p : points_) save_config(w, p);
-  fingerprint_ = fnv1a(w.data().data(), w.data().size());
-  load_results();
+/// tag u32 + payload length u64 + payload + FNV-1a(payload) u64.
+std::vector<std::uint8_t> frame(std::uint32_t tag,
+                                const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> out;
+  out.reserve(payload.size() + 20);
+  put_le(out, tag, 4);
+  put_le(out, payload.size(), 8);
+  out.insert(out.end(), payload.begin(), payload.end());
+  put_le(out, fnv1a(payload.data(), payload.size()), 8);
+  return out;
 }
 
-std::string Campaign::results_path() const { return dir_ + "/results.bin"; }
-std::string Campaign::checkpoint_path() const {
-  return dir_ + "/checkpoint.bin";
-}
-
-void Campaign::load_results() {
-  const std::vector<std::uint8_t> bytes = read_file(results_path());
-  // Frames are appended sequentially, so the first frame that fails any
-  // check — unknown tag, overrun, bad hash, unparsable payload — is a
-  // torn tail from a crash mid-append; it and everything after it are
-  // dropped (that point simply re-runs).
+/// Calls `fn(reader)` on each frame payload in the longest intact prefix
+/// of `bytes` and returns the prefix length.  Frames are appended
+/// sequentially, so the first one that fails any check — foreign tag,
+/// overrun, bad hash, or a payload `fn` cannot parse — is a torn tail
+/// from a crash mid-append (or a file of an older format): it and
+/// everything after it are dropped.
+template <class Fn>
+std::size_t for_each_frame(const std::vector<std::uint8_t>& bytes,
+                           std::uint32_t tag, Fn&& fn) {
   std::size_t pos = 0;
   while (bytes.size() - pos >= 4 + 8) {
-    if (le32_at(bytes, pos) != kResultTag) break;
-    const std::uint64_t len = le64_at(bytes, pos + 4);
+    const std::uint8_t* head = bytes.data() + pos;
+    if (get_le(head, 4) != tag) break;
+    const std::uint64_t len = get_le(head + 4, 8);
     if (len > bytes.size() - pos - 12 || bytes.size() - pos - 12 - len < 8) {
       break;
     }
-    const std::uint8_t* payload = bytes.data() + pos + 12;
-    if (fnv1a(payload, len) != le64_at(bytes, pos + 12 + len)) break;
+    if (fnv1a(head + 12, len) != get_le(head + 12 + len, 8)) break;
     try {
-      SnapshotReader r(payload, len);
-      const std::uint32_t point = r.u32();
-      const RunStats stats = load_run_stats(r);
-      if (point < points_.size()) results_[point] = stats;
+      SnapshotReader r(head + 12, len);
+      fn(r);
     } catch (const SnapshotError&) {
       break;
     }
     pos += 12 + len + 8;
   }
+  return pos;
 }
 
-void Campaign::append_result(std::size_t point, const RunStats& stats) {
-  SnapshotWriter payload;
-  payload.u32(static_cast<std::uint32_t>(point));
-  save_run_stats(payload, stats);
-  const std::vector<std::uint8_t>& p = payload.data();
-
-  std::vector<std::uint8_t> frame;
-  frame.reserve(p.size() + 20);
-  append_le32(frame, kResultTag);
-  append_le64(frame, p.size());
-  frame.insert(frame.end(), p.begin(), p.end());
-  append_le64(frame, fnv1a(p.data(), p.size()));
-
-  std::ofstream out(results_path(),
-                    std::ios::binary | std::ios::app);
-  out.write(reinterpret_cast<const char*>(frame.data()),
-            static_cast<std::streamsize>(frame.size()));
-  out.flush();
+std::uint64_t points_fingerprint(const std::vector<SimConfig>& points) {
+  SnapshotWriter w;
+  for (const SimConfig& p : points) save_config(w, p);
+  return fnv1a(w.data().data(), w.data().size());
 }
 
-void Campaign::write_checkpoint(std::size_t point, std::uint8_t stage,
-                                Cycle drain_t, const Network& net,
-                                const WorkloadModel& workload) const {
+/// Restores `bytes` into a freshly built pair when it is an intact
+/// checkpoint of point `point` of the campaign `fingerprint` names.  On
+/// false the pair may be partially overwritten.
+bool restore_checkpoint(const std::vector<std::uint8_t>& bytes,
+                        std::size_t point, std::uint64_t fingerprint,
+                        Network& net, WorkloadModel& workload) {
+  bool restored = false;
+  for_each_frame(bytes, kCheckpointTag, [&](SnapshotReader& r) {
+    (void)r.expect_section(kSecCampaign);
+    if (r.u32() != point || r.u64() != fingerprint) return;
+    load_open_loop_state(r, net, workload);
+    restored = true;
+  });
+  return restored;
+}
+
+void write_checkpoint(const std::string& path, std::size_t point,
+                      std::uint64_t fingerprint, const Network& net,
+                      const WorkloadModel& workload) {
   SnapshotWriter w;
   w.begin_section(kSecCampaign);
   w.u32(static_cast<std::uint32_t>(point));
-  w.u8(stage);
-  w.u64(drain_t);
-  w.u64(fingerprint_);
+  w.u64(fingerprint);
   w.end_section();
-  net.save(w);
-  w.begin_section(kSecWorkload);
-  workload.save_state(w);
-  w.end_section();
+  save_open_loop_state(w, net, workload);
 
   // Atomic replacement: the old checkpoint stays valid until the new one
   // is fully on disk.
-  const std::string tmp = checkpoint_path() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(w.data().data()),
-              static_cast<std::streamsize>(w.data().size()));
-  }
-  std::rename(tmp.c_str(), checkpoint_path().c_str());
+  const std::string tmp = path + ".tmp";
+  write_file(tmp, std::ios::trunc, frame(kCheckpointTag, w.data()));
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) fail(path, "replace");
 }
+
+}  // namespace
+
+// ---- ResultsLog ------------------------------------------------------
+
+template <class Result>
+ResultsLog<Result>::ResultsLog(std::size_t points, const std::string& dir,
+                               std::uint64_t fingerprint)
+    : path_(dir + "/results.bin"),
+      fingerprint_(fingerprint),
+      results_(points) {
+  const std::vector<std::uint8_t> bytes = read_file(path_);
+  const std::size_t intact = for_each_frame(
+      bytes, ResultCodec<Result>::kTag, [&](SnapshotReader& r) {
+        const std::uint64_t fp = r.u64();
+        const std::uint32_t point = r.u32();
+        Result result = ResultCodec<Result>::load(r);
+        if (fp == fingerprint_ && point < results_.size()) {
+          results_[point] = std::move(result);
+        }
+      });
+  // Cut the unreadable tail off, or every frame appended after it would
+  // be unreadable too.
+  if (intact < bytes.size()) {
+    std::error_code ec;
+    std::filesystem::resize_file(path_, intact, ec);
+    if (ec) fail(path_, "truncate", ec.value());
+  }
+}
+
+template <class Result>
+std::size_t ResultsLog<Result>::completed() const {
+  return static_cast<std::size_t>(
+      std::count_if(results_.begin(), results_.end(),
+                    [](const auto& r) { return r.has_value(); }));
+}
+
+template <class Result>
+void ResultsLog<Result>::record(std::size_t point, const Result& r) {
+  SnapshotWriter payload;
+  payload.u64(fingerprint_);
+  payload.u32(static_cast<std::uint32_t>(point));
+  ResultCodec<Result>::save(payload, r);
+  const std::vector<std::uint8_t> bytes =
+      frame(ResultCodec<Result>::kTag, payload.data());
+
+  const std::lock_guard<std::mutex> lock(mu_);
+  write_file(path_, std::ios::app, bytes);
+  results_[point] = r;
+}
+
+template class ResultsLog<RunStats>;
+template class ResultsLog<ClosedLoopResult>;
+
+// ---- Campaign --------------------------------------------------------
+
+Campaign::Campaign(std::vector<SimConfig> points, const std::string& dir,
+                   Cycle checkpoint_interval)
+    : points_(std::move(points)),
+      checkpoint_path_(dir + "/checkpoint.bin"),
+      checkpoint_interval_(checkpoint_interval == 0 ? 1 : checkpoint_interval),
+      fingerprint_(points_fingerprint(points_)),
+      log_(points_.size(), dir, fingerprint_) {}
 
 CampaignStatus Campaign::status() const {
   CampaignStatus st;
   st.total = points_.size();
-  for (const auto& r : results_) {
-    if (r.has_value()) ++st.completed;
-  }
+  st.completed = log_.completed();
   st.finished = st.completed == st.total;
   return st;
 }
@@ -161,100 +242,49 @@ CampaignStatus Campaign::run(std::uint64_t cycle_budget) {
   std::uint64_t stepped = 0;
   // The checkpoint (if any) belongs to at most one point; consume it on
   // the first pending point and ignore it if it does not match.
-  std::vector<std::uint8_t> checkpoint = read_file(checkpoint_path());
+  std::vector<std::uint8_t> checkpoint = read_file(checkpoint_path_);
 
   for (std::size_t i = 0; i < points_.size(); ++i) {
-    if (results_[i].has_value()) continue;
+    if (log_.results()[i].has_value()) continue;
     const SimConfig& cfg = points_[i];
 
-    auto net = std::make_unique<Network>(cfg);
-    auto workload = make_workload(cfg, net->mesh());
-    net->set_workload(workload.get());
-
-    std::uint8_t stage = 0;
-    Cycle drain_t = 0;
-    if (!checkpoint.empty()) {
-      const std::vector<std::uint8_t> bytes = std::move(checkpoint);
-      checkpoint.clear();
-      try {
-        SnapshotReader r(bytes);
-        (void)r.expect_section(kSecCampaign);
-        const std::uint32_t point = r.u32();
-        const std::uint8_t st = r.u8();
-        const Cycle dt = r.u64();
-        const std::uint64_t fp = r.u64();
-        if (fp == fingerprint_ && point == i) {
-          net->load(r);
-          (void)r.expect_section(kSecWorkload);
-          workload->load_state(r);
-          stage = st;
-          drain_t = dt;
-        }
-      } catch (const SnapshotError&) {
-        // Corrupt or foreign checkpoint: restart the point cold.  load()
-        // may have partially mutated the network, so rebuild it.
-        net = std::make_unique<Network>(cfg);
-        workload = make_workload(cfg, net->mesh());
-        net->set_workload(workload.get());
-        stage = 0;
-        drain_t = 0;
-      }
+    std::unique_ptr<Network> net;
+    std::unique_ptr<WorkloadModel> workload;
+    const auto build = [&] {
+      net = std::make_unique<Network>(cfg);
+      workload = make_workload(cfg, net->mesh());
+      net->set_workload(workload.get());
+    };
+    build();
+    if (!checkpoint.empty() &&
+        !restore_checkpoint(std::exchange(checkpoint, {}), i, fingerprint_,
+                            *net, *workload)) {
+      build();  // restart the point cold
     }
 
-    const Cycle warmup = cfg.warmup_cycles;
-    const Cycle measure_end = warmup + cfg.measure_cycles;
-    Cycle since_checkpoint = 0;
-
-    if (stage == 0) {
-      net->energy().set_enabled(net->now() >= warmup &&
-                                net->now() < measure_end);
-      while (net->now() < measure_end) {
-        if (cycle_budget != 0 && stepped >= cycle_budget) return status();
-        if (net->now() == warmup) net->energy().set_enabled(true);
-        net->step();
-        ++stepped;
-        if (++since_checkpoint >= checkpoint_interval_) {
-          write_checkpoint(i, 0, 0, *net, *workload);
-          since_checkpoint = 0;
-        }
-      }
-    }
-
-    net->energy().set_enabled(false);
-    workload->set_injection_enabled(false);
-
-    bool drained = false;
-    while (drain_t < cfg.drain_cycles) {
-      if (net->idle() && workload->quiescent()) {
-        drained = true;
-        break;
+    // The run's phase follows from net->now() alone, so slices of any
+    // length step exactly what one finish_open_loop call would.
+    Cycle next_checkpoint = net->now() + checkpoint_interval_;
+    for (;;) {
+      const Cycle from = net->now();
+      Cycle slice = next_checkpoint - from;
+      if (cycle_budget != 0) slice = std::min(slice, cycle_budget - stepped);
+      advance_open_loop(*net, from + slice);
+      const bool done = drain_open_loop(*net, *workload, from + slice);
+      stepped += net->now() - from;
+      if (done) break;
+      if (net->now() == next_checkpoint) {
+        write_checkpoint(checkpoint_path_, i, fingerprint_, *net, *workload);
+        next_checkpoint += checkpoint_interval_;
       }
       if (cycle_budget != 0 && stepped >= cycle_budget) return status();
-      net->step();
-      ++drain_t;
-      ++stepped;
-      if (++since_checkpoint >= checkpoint_interval_) {
-        write_checkpoint(i, 1, drain_t, *net, *workload);
-        since_checkpoint = 0;
-      }
     }
-    drained = drained || (net->idle() && workload->quiescent());
-
-    RunStats out = net->stats().summarize(cfg.offered_load, drained);
-    out.packet_length = cfg.packet_length;
-    out.energy_buffer_nj = net->energy().buffer_nj();
-    out.energy_crossbar_nj = net->energy().crossbar_nj();
-    out.energy_link_nj = net->energy().link_nj();
-    out.energy_control_nj = net->energy().control_nj();
-    out.energy_leakage_nj = network_leakage_nj(cfg, out.cycles);
-    workload->fill_run_stats(out);
 
     // Persist the result BEFORE dropping the checkpoint: a crash between
     // the two leaves a stale checkpoint for a completed point, which the
     // next run detects (point != first pending) and discards.
-    append_result(i, out);
-    results_[i] = out;
-    std::remove(checkpoint_path().c_str());
+    log_.record(i, summarize_open_loop(*net, *workload));
+    std::remove(checkpoint_path_.c_str());
   }
   return status();
 }

@@ -4,6 +4,10 @@
 
 namespace dxbar {
 
+namespace {
+constexpr std::uint32_t kSecWorkload = section_tag("WKLD");
+}  // namespace
+
 void advance_open_loop(Network& net, Cycle until) {
   const SimConfig& cfg = net.config();
   const Cycle warmup = cfg.warmup_cycles;
@@ -30,29 +34,55 @@ void fill_energy_stats(RunStats& out, const EnergyMeter& events,
   out.energy_leakage_nj = network_leakage_nj(cfg, out.cycles);
 }
 
-RunStats finish_open_loop(Network& net, WorkloadModel& workload,
-                          std::vector<PacketRecord>* packets_out) {
+bool drain_open_loop(Network& net, WorkloadModel& workload, Cycle until) {
   const SimConfig& cfg = net.config();
-  advance_open_loop(net, cfg.warmup_cycles + cfg.measure_cycles);
+  const Cycle measure_end = cfg.warmup_cycles + cfg.measure_cycles;
+  if (net.now() < measure_end) return false;
   net.energy().set_enabled(false);
   workload.set_injection_enabled(false);
 
-  bool drained = false;
-  for (Cycle t = 0; t < cfg.drain_cycles; ++t) {
-    if (net.idle() && workload.quiescent()) {
-      drained = true;
-      break;
-    }
+  const Cycle drain_end = measure_end + cfg.drain_cycles;
+  while (!(net.idle() && workload.quiescent())) {
+    if (net.now() >= drain_end) return true;
+    if (net.now() >= until) return false;
     net.step();
   }
-  drained = drained || (net.idle() && workload.quiescent());
+  return true;
+}
 
-  RunStats out = net.stats().summarize(cfg.offered_load, drained);
+RunStats summarize_open_loop(Network& net, const WorkloadModel& workload,
+                             std::vector<PacketRecord>* packets_out) {
+  const SimConfig& cfg = net.config();
+  RunStats out = net.stats().summarize(cfg.offered_load,
+                                       net.idle() && workload.quiescent());
   out.packet_length = cfg.packet_length;
   fill_energy_stats(out, net.energy(), cfg);
   workload.fill_run_stats(out);
   if (packets_out != nullptr) *packets_out = net.stats().window_packets();
   return out;
+}
+
+RunStats finish_open_loop(Network& net, WorkloadModel& workload,
+                          std::vector<PacketRecord>* packets_out) {
+  const SimConfig& cfg = net.config();
+  advance_open_loop(net, cfg.warmup_cycles + cfg.measure_cycles);
+  drain_open_loop(net, workload);
+  return summarize_open_loop(net, workload, packets_out);
+}
+
+void save_open_loop_state(SnapshotWriter& w, const Network& net,
+                          const WorkloadModel& workload) {
+  net.save(w);
+  w.begin_section(kSecWorkload);
+  workload.save_state(w);
+  w.end_section();
+}
+
+void load_open_loop_state(SnapshotReader& r, Network& net,
+                          WorkloadModel& workload) {
+  net.load(r);
+  (void)r.expect_section(kSecWorkload);
+  workload.load_state(r);
 }
 
 namespace {

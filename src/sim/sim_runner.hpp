@@ -3,6 +3,7 @@
 // substitute.
 #pragma once
 
+#include <limits>
 #include <memory>
 
 #include "common/config.hpp"
@@ -32,19 +33,46 @@ RunStats run_open_loop(const SimConfig& cfg, WorkloadModel& workload);
 /// sweeps and resumable campaigns.
 void advance_open_loop(Network& net, Cycle until);
 
+/// The drain phase: once `net` is past the measurement window, turns
+/// energy and injection off and steps until the network and workload
+/// are empty, cfg.drain_cycles have run since the window closed, or the
+/// clock reaches `until`.  Returns true when the drain is over (false
+/// before the window closes).  Like advance_open_loop it derives its
+/// state from the clock, so a drain sliced across snapshot restores is
+/// bit-identical to one call.
+bool drain_open_loop(Network& net, WorkloadModel& workload,
+                     Cycle until = std::numeric_limits<Cycle>::max());
+
+/// Summarizes a drained open-loop run: window stats, energy priced at
+/// the network's own config, and the workload's request-latency fields.
+RunStats summarize_open_loop(Network& net, const WorkloadModel& workload,
+                             std::vector<PacketRecord>* packets_out = nullptr);
+
 /// Completes an open-loop run from the network's current cycle:
-/// advances to the end of the measurement window, disables energy and
-/// injection, drains (up to cfg.drain_cycles), and summarizes.
-/// `workload` must be the workload attached to `net`.  Equivalent to
-/// the tail of run_open_loop, so a warmup snapshot + finish_open_loop
-/// is bit-identical to a cold run.
+/// advance_open_loop to the end of the measurement window, then
+/// drain_open_loop and summarize_open_loop.  `workload` must be the
+/// workload attached to `net`.  Equivalent to the tail of
+/// run_open_loop, so a warmup snapshot + finish_open_loop is
+/// bit-identical to a cold run.
 RunStats finish_open_loop(Network& net, WorkloadModel& workload,
                           std::vector<PacketRecord>* packets_out = nullptr);
+
+/// The state of an open-loop run in progress: the network's sections
+/// plus a WKLD section holding the workload's state.  Warm-start forks
+/// and campaign checkpoints both persist it.
+void save_open_loop_state(SnapshotWriter& w, const Network& net,
+                          const WorkloadModel& workload);
+
+/// Restores save_open_loop_state's output into a freshly built network
+/// and its attached workload.  Throws SnapshotError on a foreign or
+/// damaged stream (the pair may then be partially overwritten).
+void load_open_loop_state(SnapshotReader& r, Network& net,
+                          WorkloadModel& workload);
 
 /// Fills the five energy fields of `out` (buffer, crossbar, link,
 /// control, and leakage over out.cycles) by pricing the meter's event
 /// counts at `cfg`'s operating point.  The one pricing step of an
-/// open-loop run: finish_open_loop calls it with its own config, and
+/// open-loop run: summarize_open_loop calls it with its own config, and
 /// run_sweep calls it with a sibling config that differs only in
 /// pricing-only fields, so a repriced result equals the cold run.
 void fill_energy_stats(RunStats& out, const EnergyMeter& events,
@@ -58,16 +86,6 @@ struct DetailedRun {
   std::vector<PacketRecord> packets;  ///< window packets, completion order
 };
 DetailedRun run_open_loop_detailed(const SimConfig& cfg);
-
-/// Result of a closed-loop (fixed-work) run.
-struct ClosedLoopResult {
-  Cycle completion_cycles = 0;  ///< "execution time" of the workload
-  bool finished = false;        ///< false when the cycle cap was hit
-  std::uint64_t packets = 0;
-  double energy_nj = 0.0;       ///< whole-run network energy
-  double energy_per_packet_nj = 0.0;
-  double avg_packet_latency = 0.0;
-};
 
 /// Runs a SPLASH-2 substitute application to completion (or `max_cycles`)
 /// in closed-loop mode (the network's latency feeds back into issue).

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include "sim/replica_batch.hpp"
@@ -14,20 +16,14 @@
 namespace dxbar {
 namespace {
 
-constexpr std::uint32_t kSecWorkload = section_tag("WKLD");
-
-/// Runs `cfg` to the warmup boundary and returns the warm state: the
-/// network sections plus the WKLD workload section.
+/// Runs `cfg` to the warmup boundary and returns the warm state.
 std::vector<std::uint8_t> warm_up(const SimConfig& cfg) {
   Network net(cfg);
   const auto workload = make_workload(cfg, net.mesh());
   net.set_workload(workload.get());
   advance_open_loop(net, cfg.warmup_cycles);
   SnapshotWriter w;
-  net.save(w);
-  w.begin_section(kSecWorkload);
-  workload->save_state(w);
-  w.end_section();
+  save_open_loop_state(w, net, *workload);
   return w.take();
 }
 
@@ -47,9 +43,7 @@ void run_class(const std::vector<SimConfig>& configs, std::size_t rep,
   net.set_workload(workload.get());
   if (warm_state != nullptr) {
     SnapshotReader r(*warm_state);
-    net.load(r);
-    (void)r.expect_section(kSecWorkload);
-    workload->load_state(r);
+    load_open_loop_state(r, net, *workload);
   }
   results[rep] = finish_open_loop(net, *workload);
   for (const std::size_t j : priced) {
@@ -80,13 +74,21 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
   std::atomic<std::size_t> next{0};
   const std::size_t chunk = std::max<std::size_t>(
       1, n / (static_cast<std::size_t>(workers) * 8));
+  std::mutex error_mu;
+  std::exception_ptr error;
   const auto work = [&] {
-    for (;;) {
-      const std::size_t begin =
-          next.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= n) return;
-      const std::size_t end = std::min(begin + chunk, n);
-      for (std::size_t i = begin; i < end; ++i) fn(i);
+    try {
+      for (;;) {
+        const std::size_t begin =
+            next.fetch_add(chunk, std::memory_order_relaxed);
+        if (begin >= n) return;
+        const std::size_t end = std::min(begin + chunk, n);
+        for (std::size_t i = begin; i < end; ++i) fn(i);
+      }
+    } catch (...) {
+      next.store(n, std::memory_order_relaxed);
+      const std::lock_guard<std::mutex> lock(error_mu);
+      if (!error) error = std::current_exception();
     }
   };
 
@@ -95,6 +97,7 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
   for (unsigned w = 1; w < workers; ++w) pool.emplace_back(work);
   work();  // the calling thread participates instead of blocking
   for (auto& t : pool) t.join();
+  if (error) std::rethrow_exception(error);
 }
 
 std::vector<RunStats> run_sweep(const std::vector<SimConfig>& configs,

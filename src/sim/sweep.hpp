@@ -73,7 +73,9 @@ std::vector<RunStats> run_sweep(const std::vector<SimConfig>& configs,
 /// thread-safe and is invoked exactly once per index.  Work is claimed
 /// in small chunks off a shared atomic counter (work stealing), so
 /// imbalanced ranges keep every worker busy; the result is independent
-/// of the thread count.
+/// of the thread count.  If `fn` throws, unclaimed indices are skipped
+/// and the first exception is rethrown on the calling thread once every
+/// worker has stopped.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   unsigned threads = 0);
 

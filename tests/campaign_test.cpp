@@ -4,13 +4,16 @@
 // (budget pauses model SIGKILL — no extra checkpoint is written) and
 // resumed by fresh Campaign instances produces results bit-identical to
 // an uninterrupted run, and damaged persistence (torn result tail,
-// corrupt or stale checkpoint) degrades to recomputation, never to
-// wrong numbers.
+// corrupt or stale checkpoint, results of another point list, fuzzed
+// bytes) degrades to recomputation, never to wrong numbers.  Files that
+// cannot be read or written raise ResumeFileError.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -161,6 +164,11 @@ TEST(Campaign, TornResultTailIsDroppedAndRecomputed) {
   Campaign reference(points, scratch_dir("torn_ref"), 100);
   ASSERT_TRUE(reference.run().finished);
   expect_same_results(damaged, reference);
+
+  // The recomputed point was appended where the torn tail was, so the
+  // next resume finds every point.
+  Campaign reopened(points, dir, 100);
+  EXPECT_TRUE(reopened.status().finished);
 }
 
 TEST(Campaign, CorruptCheckpointFallsBackToColdStart) {
@@ -204,6 +212,169 @@ TEST(Campaign, CheckpointFromDifferentCampaignIsIgnored) {
   Campaign reference(other_points, scratch_dir("foreign_ref"), 100);
   ASSERT_TRUE(reference.run().finished);
   expect_same_results(other, reference);
+}
+
+TEST(Campaign, ResultsFromADifferentPointListAreIgnored) {
+  const std::string dir = scratch_dir("stale_results");
+  {
+    Campaign campaign(tiny_points(), dir, 100);
+    ASSERT_TRUE(campaign.run().finished);
+  }
+  // Same directory, same number of points, one field changed: every
+  // recorded result belongs to the old list and must re-run.
+  auto other_points = tiny_points();
+  for (auto& p : other_points) p.packet_length = 3;
+  Campaign other(other_points, dir, 100);
+  EXPECT_EQ(other.status().completed, 0u);
+  ASSERT_TRUE(other.run().finished);
+  for (std::size_t i = 0; i < other_points.size(); ++i) {
+    EXPECT_EQ(stats_bytes(*other.results()[i]),
+              stats_bytes(run_open_loop(other_points[i])))
+        << "point " << i;
+  }
+}
+
+TEST(Campaign, UnreadableResumeFilesAreATypedError) {
+  const auto points = tiny_points();
+  const std::string dir = scratch_dir("unreadable_results");
+  fs::create_directories(fs::path(dir) / "results.bin");
+  try {
+    Campaign campaign(points, dir, 100);
+    FAIL() << "an unreadable results.bin must throw";
+  } catch (const ResumeFileError& e) {
+    EXPECT_NE(std::string(e.what()).find("results.bin"), std::string::npos)
+        << e.what();
+  }
+
+  const std::string ckpt_dir = scratch_dir("unreadable_checkpoint");
+  fs::create_directories(fs::path(ckpt_dir) / "checkpoint.bin");
+  Campaign campaign(points, ckpt_dir, 100);
+  EXPECT_THROW(campaign.run(), ResumeFileError);
+}
+
+TEST(Campaign, UnwritableResumeFilesAreATypedError) {
+  // Directories in the way of the files a campaign writes: a write fails
+  // with them whatever the process's permissions.
+  const auto points = tiny_points();
+  const std::string ckpt_dir = scratch_dir("unwritable_checkpoint");
+  fs::create_directories(fs::path(ckpt_dir) / "checkpoint.bin.tmp");
+  Campaign paused(points, ckpt_dir, 100);
+  EXPECT_THROW(paused.run(300), ResumeFileError);
+
+  const std::string dir = scratch_dir("unwritable_results");
+  Campaign campaign(points, dir, 100'000);
+  fs::create_directories(fs::path(dir) / "results.bin");
+  try {
+    campaign.run();
+    FAIL() << "a failed append must throw";
+  } catch (const ResumeFileError& e) {
+    EXPECT_NE(std::string(e.what()).find("results.bin"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(campaign.status().completed, 0u);
+}
+
+// --- byte fuzz of the resume files ------------------------------------
+
+std::vector<std::uint8_t> read_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const fs::path& path, const std::vector<std::uint8_t>& b) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(b.data()),
+            static_cast<std::streamsize>(b.size()));
+}
+
+/// Every damaged copy of `bytes` the fuzz tries: one flipped byte at
+/// each sampled offset, and a truncation there.  About `limit` offsets,
+/// evenly spread with an odd stride, so every frame is hit in several
+/// fields.
+std::vector<std::vector<std::uint8_t>> damaged_copies(
+    const std::vector<std::uint8_t>& bytes, std::size_t limit) {
+  std::vector<std::vector<std::uint8_t>> out;
+  const std::size_t step = std::max<std::size_t>(1, bytes.size() / limit) | 1;
+  for (std::size_t pos = 0; pos < bytes.size(); pos += step) {
+    out.push_back(bytes);
+    out.back()[pos] ^= static_cast<std::uint8_t>(0x5A ^ pos);
+    out.emplace_back(bytes.begin(),
+                     bytes.begin() + static_cast<std::ptrdiff_t>(pos));
+  }
+  return out;
+}
+
+TEST(Campaign, ByteFuzzedResultsNeverLoadAWrongValue) {
+  const auto points = tiny_points();
+  const std::string dir = scratch_dir("fuzz_results");
+  Campaign reference(points, dir, 100);
+  ASSERT_TRUE(reference.run().finished);
+  const auto bytes = read_bytes(fs::path(dir) / "results.bin");
+
+  for (const auto& damaged : damaged_copies(bytes, 400)) {
+    write_bytes(fs::path(dir) / "results.bin", damaged);
+    std::unique_ptr<Campaign> reopened;
+    ASSERT_NO_THROW(reopened = std::make_unique<Campaign>(points, dir, 100));
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      if (reopened->results()[i].has_value()) {
+        EXPECT_EQ(stats_bytes(*reopened->results()[i]),
+                  stats_bytes(*reference.results()[i]))
+            << "point " << i;
+      }
+    }
+  }
+
+  // The closed-loop result kind shares the frame reader.
+  const std::string cl_dir = scratch_dir("fuzz_closed_loop");
+  std::vector<ClosedLoopResult> recorded(6);
+  {
+    ResultsLog<ClosedLoopResult> log(recorded.size(), cl_dir, 99);
+    for (std::size_t i = 0; i < recorded.size(); ++i) {
+      recorded[i].completion_cycles = 1000 + i;
+      recorded[i].finished = i % 2 == 0;
+      recorded[i].packets = 7 * i;
+      recorded[i].energy_nj = 0.5 * static_cast<double>(i);
+      log.record(i, recorded[i]);
+    }
+  }
+  const auto cl_bytes = read_bytes(fs::path(cl_dir) / "results.bin");
+  for (const auto& damaged : damaged_copies(cl_bytes, 200)) {
+    write_bytes(fs::path(cl_dir) / "results.bin", damaged);
+    std::unique_ptr<ResultsLog<ClosedLoopResult>> log;
+    ASSERT_NO_THROW(log = std::make_unique<ResultsLog<ClosedLoopResult>>(
+                        recorded.size(), cl_dir, 99));
+    for (std::size_t i = 0; i < recorded.size(); ++i) {
+      if (!log->results()[i].has_value()) continue;
+      const ClosedLoopResult& got = *log->results()[i];
+      EXPECT_EQ(got.completion_cycles, recorded[i].completion_cycles);
+      EXPECT_EQ(got.finished, recorded[i].finished);
+      EXPECT_EQ(got.packets, recorded[i].packets);
+      EXPECT_EQ(got.energy_nj, recorded[i].energy_nj);
+    }
+  }
+}
+
+TEST(Campaign, ByteFuzzedCheckpointResumesBitExact) {
+  const std::vector<SimConfig> point = {tiny_points()[1]};
+  const std::string src = scratch_dir("fuzz_ckpt_src");
+  {
+    Campaign campaign(point, src, 100);
+    ASSERT_FALSE(campaign.run(250).finished);  // checkpoint at cycle 200
+  }
+  const auto bytes = read_bytes(fs::path(src) / "checkpoint.bin");
+  ASSERT_FALSE(bytes.empty());
+  const auto cold = stats_bytes(run_open_loop(point[0]));
+
+  auto copies = damaged_copies(bytes, 150);
+  copies.push_back(bytes);  // the intact checkpoint resumes too
+  for (const auto& damaged : copies) {
+    const std::string dir = scratch_dir("fuzz_ckpt");
+    write_bytes(fs::path(dir) / "checkpoint.bin", damaged);
+    Campaign campaign(point, dir, 100);
+    ASSERT_NO_THROW(ASSERT_TRUE(campaign.run().finished));
+    EXPECT_EQ(stats_bytes(*campaign.results()[0]), cold);
+  }
 }
 
 }  // namespace

@@ -22,8 +22,6 @@
 namespace dxbar {
 namespace {
 
-constexpr std::uint32_t kSecWorkload = section_tag("WKLD");
-
 std::vector<std::uint8_t> stats_bytes(const RunStats& s) {
   SnapshotWriter w;
   save_run_stats(w, s);
@@ -44,17 +42,14 @@ SimConfig small_cfg(RouterDesign design) {
 }
 
 /// The warm state run_sweep forks from: `cfg` advanced to its warmup
-/// boundary, network sections plus the WKLD workload section.
+/// boundary, saved by save_open_loop_state.
 std::vector<std::uint8_t> warm_snapshot(const SimConfig& cfg) {
   Network net(cfg);
   SyntheticWorkload wl(cfg, net.mesh());
   net.set_workload(&wl);
   advance_open_loop(net, cfg.warmup_cycles);
   SnapshotWriter w;
-  net.save(w);
-  w.begin_section(kSecWorkload);
-  wl.save_state(w);
-  w.end_section();
+  save_open_loop_state(w, net, wl);
   return w.take();
 }
 

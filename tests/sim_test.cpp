@@ -2,6 +2,9 @@
 // NACK network and the core facade.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <stdexcept>
+
 #include "core/dxbar.hpp"
 #include "sim/nack_network.hpp"
 
@@ -89,6 +92,21 @@ TEST(ParallelFor, VisitsEveryIndexOnce) {
   parallel_for(257, [&](std::size_t i) { ++hits[i]; }, 8);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   parallel_for(0, [&](std::size_t) { FAIL(); }, 4);
+}
+
+TEST(ParallelFor, RethrowsAWorkerExceptionOnTheCaller) {
+  for (const unsigned threads : {1u, 4u}) {
+    std::atomic<int> calls{0};
+    EXPECT_THROW(parallel_for(
+                     64,
+                     [&](std::size_t i) {
+                       ++calls;
+                       if (i == 5) throw std::runtime_error("job 5");
+                     },
+                     threads),
+                 std::runtime_error);
+    EXPECT_GE(calls.load(), 1);
+  }
 }
 
 TEST(Facade, LoadSweepAlignsWithInput) {

@@ -22,8 +22,6 @@
 namespace dxbar {
 namespace {
 
-constexpr std::uint32_t kSecWorkload = section_tag("WKLD");
-
 std::vector<std::uint8_t> stats_bytes(const RunStats& s) {
   SnapshotWriter w;
   save_run_stats(w, s);
@@ -33,19 +31,14 @@ std::vector<std::uint8_t> stats_bytes(const RunStats& s) {
 std::vector<std::uint8_t> snapshot_with_workload(
     const Network& net, const SyntheticWorkload& workload) {
   SnapshotWriter w;
-  net.save(w);
-  w.begin_section(kSecWorkload);
-  workload.save_state(w);
-  w.end_section();
+  save_open_loop_state(w, net, workload);
   return w.take();
 }
 
 void restore_with_workload(Network& net, SyntheticWorkload& workload,
                            const std::vector<std::uint8_t>& bytes) {
   SnapshotReader r(bytes);
-  net.load(r);
-  (void)r.expect_section(kSecWorkload);
-  workload.load_state(r);
+  load_open_loop_state(r, net, workload);
 }
 
 SimConfig small_cfg(RouterDesign design) {

@@ -2,8 +2,8 @@
 // fixed-bucket latency histogram, the protocol-deadlock-freedom
 // invariant (forward progress at saturation for every design), the
 // MLP bound, determinism across execution strategies (shards, sweep
-// threads, replica batches), snapshot/restore, and the point-level
-// ClosedLoopCampaign resume format.
+// threads, replica batches), snapshot/restore, and point-level resume
+// through the closed-loop results log.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,7 +11,7 @@
 #include <fstream>
 #include <vector>
 
-#include "sim/closed_loop_campaign.hpp"
+#include "sim/campaign.hpp"
 #include "sim/sim_runner.hpp"
 #include "sim/sweep.hpp"
 #include "workload/closed_loop.hpp"
@@ -364,7 +364,7 @@ TEST(ClosedLoopSnapshot, MidRunSaveRestoreResumesBitExactly) {
   expect_identical(straight, finish_open_loop(resumed, *wl2));
 }
 
-// --- ClosedLoopCampaign: point-level resume ------------------------------
+// --- ResultsLog<ClosedLoopResult>: point-level resume ---------------------
 
 ClosedLoopResult sample_result(std::uint64_t i) {
   ClosedLoopResult r;
@@ -393,14 +393,14 @@ TEST(ClosedLoopCampaignTest, ResumeSkipsCompletedPoints) {
   constexpr std::uint64_t kFp = 0xfeedface;
 
   {
-    ClosedLoopCampaign c(4, dir, kFp);
+    ResultsLog<ClosedLoopResult> c(4, dir, kFp);
     EXPECT_EQ(c.completed(), 0u);
     c.record(0, sample_result(0));
     c.record(2, sample_result(2));
     EXPECT_EQ(c.completed(), 2u);
   }
   {
-    ClosedLoopCampaign c(4, dir, kFp);
+    ResultsLog<ClosedLoopResult> c(4, dir, kFp);
     EXPECT_EQ(c.completed(), 2u);
     ASSERT_TRUE(c.results()[0].has_value());
     EXPECT_FALSE(c.results()[1].has_value());
@@ -410,7 +410,7 @@ TEST(ClosedLoopCampaignTest, ResumeSkipsCompletedPoints) {
     c.record(1, sample_result(1));
     c.record(3, sample_result(3));
   }
-  ClosedLoopCampaign c(4, dir, kFp);
+  ResultsLog<ClosedLoopResult> c(4, dir, kFp);
   EXPECT_EQ(c.completed(), 4u);
   for (std::uint64_t i = 0; i < 4; ++i) {
     expect_result(*c.results()[i], sample_result(i));
@@ -423,21 +423,21 @@ TEST(ClosedLoopCampaignTest, ForeignFingerprintFramesAreIgnored) {
   std::filesystem::create_directories(dir);
 
   {
-    ClosedLoopCampaign quick(3, dir, /*fingerprint=*/111);
+    ResultsLog<ClosedLoopResult> quick(3, dir, /*fingerprint=*/111);
     quick.record(0, sample_result(0));
     quick.record(1, sample_result(1));
   }
   // A full run sharing the directory: the quick run's frames must not
   // leak in as completed points.
   {
-    ClosedLoopCampaign full(3, dir, /*fingerprint=*/222);
+    ResultsLog<ClosedLoopResult> full(3, dir, /*fingerprint=*/222);
     EXPECT_EQ(full.completed(), 0u);
     full.record(2, sample_result(7));
   }
   // And back: each fingerprint still sees exactly its own frames.
-  ClosedLoopCampaign quick(3, dir, 111);
+  ResultsLog<ClosedLoopResult> quick(3, dir, 111);
   EXPECT_EQ(quick.completed(), 2u);
-  ClosedLoopCampaign full(3, dir, 222);
+  ResultsLog<ClosedLoopResult> full(3, dir, 222);
   ASSERT_EQ(full.completed(), 1u);
   expect_result(*full.results()[2], sample_result(7));
 }
@@ -449,7 +449,7 @@ TEST(ClosedLoopCampaignTest, TornTailIsDroppedNotFatal) {
   constexpr std::uint64_t kFp = 42;
 
   {
-    ClosedLoopCampaign c(2, dir, kFp);
+    ResultsLog<ClosedLoopResult> c(2, dir, kFp);
     c.record(0, sample_result(0));
   }
   {
@@ -458,9 +458,29 @@ TEST(ClosedLoopCampaignTest, TornTailIsDroppedNotFatal) {
                       std::ios::binary | std::ios::app);
     out.write("\x13\x37\x13", 3);
   }
-  ClosedLoopCampaign c(2, dir, kFp);
-  EXPECT_EQ(c.completed(), 1u);
-  expect_result(*c.results()[0], sample_result(0));
+  {
+    ResultsLog<ClosedLoopResult> c(2, dir, kFp);
+    EXPECT_EQ(c.completed(), 1u);
+    expect_result(*c.results()[0], sample_result(0));
+    c.record(1, sample_result(1));
+  }
+  // The garbage is gone, so the frame appended after it loads.
+  ResultsLog<ClosedLoopResult> c(2, dir, kFp);
+  EXPECT_EQ(c.completed(), 2u);
+  expect_result(*c.results()[1], sample_result(1));
+}
+
+TEST(ClosedLoopCampaignTest, UnreadableResultsFileIsATypedError) {
+  const std::string dir = ::testing::TempDir() + "/clc_unreadable";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/results.bin");
+  try {
+    ResultsLog<ClosedLoopResult> c(2, dir, 1);
+    FAIL() << "an unreadable results.bin must throw";
+  } catch (const ResumeFileError& e) {
+    EXPECT_NE(std::string(e.what()).find("results.bin"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
