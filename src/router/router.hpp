@@ -1,10 +1,11 @@
 // Router interface and shared plumbing.
 //
 // The network drives every router with the same per-cycle protocol:
-//   1. channel arrivals are copied into `in[]`
-//   2. step(now) runs switch allocation + traversal, pushing departures
-//      straight into the outgoing channels and ejections into `ejected`
-//   3. the network drains `ejected` and clears `in[]`
+//   1. the channel sweep delivers arrivals straight into `in[]`
+//   2. step(now) runs switch allocation + traversal, consuming `in[]`,
+//      pushing departures straight into the outgoing channels and
+//      ejections onto its shard's ejection list
+//   3. the network drains the shard ejection lists in node order
 //
 // Routers never talk to each other directly — all coupling goes through
 // the Channel objects (flits downstream, credits upstream), which is what
@@ -12,7 +13,9 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <optional>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/flit.hpp"
@@ -102,6 +105,9 @@ struct RouterEnv {
   /// nullptr at mesh edges AND for dead links (link faults).
   std::array<Channel*, kNumLinkDirs> out_links{};
   std::array<Channel*, kNumLinkDirs> in_links{};
+  /// The owning shard's ejection list: flits delivered to the local PE
+  /// this cycle, appended in node order and drained by the network.
+  std::vector<Flit>* ejections = nullptr;
 };
 
 class Router {
@@ -114,10 +120,6 @@ class Router {
 
   /// Arrivals for the current cycle, filled by the network before step().
   std::array<std::optional<Flit>, kNumLinkDirs> in{};
-
-  /// Flits delivered to the local PE this cycle (at most one — the Local
-  /// output port has unit bandwidth; sized generously for safety checks).
-  SmallVec<Flit, 4> ejected;
 
   /// Injection source for this node, wired by the network.
   InjectionQueue* source = nullptr;
@@ -136,8 +138,8 @@ class Router {
   /// (buffers, arbiter pointers, wait counters, design counters).  The
   /// defaults cover the stateless bufferless designs (Bless, SCARAB),
   /// which hold nothing between cycles — snapshots are taken at step
-  /// boundaries, where in[] and ejected are empty by the network's
-  /// cycle protocol.
+  /// boundaries, where in[] and the ejection lists are empty by the
+  /// network's cycle protocol.
   virtual void save_state(SnapshotWriter& w) const { (void)w; }
   virtual void load_state(SnapshotReader& r) { (void)r; }
 
@@ -181,7 +183,10 @@ class Router {
     ch.bump_staged_hops();
   }
 
-  void eject(Flit f) { ejected.push_back(f); }
+  void eject(const Flit& f) {
+    assert(f.dst == id_ && "flit ejected at wrong node");
+    env_.ejections->push_back(f);
+  }
 
   /// Return a buffer credit to the upstream router on the link the flit
   /// arrived over.

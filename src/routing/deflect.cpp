@@ -1,6 +1,6 @@
 #include "routing/deflect.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace dxbar {
 
@@ -20,13 +20,13 @@ std::array<Direction, kNumLinkDirs> deflection_ranking(const Mesh& mesh,
 
   // Score each direction: progress made (+2 per productive hop with the
   // larger remaining offset slightly preferred), link existence required.
-  struct Ranked {
-    Direction dir;
-    int score;
-  };
-  std::array<Ranked, kNumLinkDirs> ranked{};
-  int i = 0;
+  // Each key packs (score, 3 - port) so that all four keys are distinct
+  // and ordering them descending reproduces a stable sort by score: ties
+  // keep kLinkDirs order, as the insertion sort std::sort runs on four
+  // entries did.  The port rides in the low two bits.
+  std::array<int, kNumLinkDirs> key{};
   for (Direction dir : kLinkDirs) {
+    const int p = port_index(dir);
     int score = 0;
     if (!mesh.has_link(here, dir)) {
       score = -1000;  // never pick a missing edge link
@@ -47,15 +47,24 @@ std::array<Direction, kNumLinkDirs> deflection_ranking(const Mesh& mesh,
         score = -10;  // anti-productive: last resort
       }
       // Deterministic tie-break so deflections spread over directions.
-      score = score * 4 + static_cast<int>((salt >> (port_index(dir) * 2)) & 3);
+      score = score * 4 + static_cast<int>((salt >> (p * 2)) & 3);
     }
-    ranked[i++] = {dir, score};
+    key[static_cast<std::size_t>(p)] = score * 16 + (3 - p) * 4 + p;
   }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const Ranked& a, const Ranked& b) { return a.score > b.score; });
+  // Optimal 4-input sorting network (5 compare-exchanges), descending.
+  const auto cx = [&key](std::size_t a, std::size_t b) {
+    if (key[a] < key[b]) std::swap(key[a], key[b]);
+  };
+  cx(0, 1);
+  cx(2, 3);
+  cx(0, 2);
+  cx(1, 3);
+  cx(1, 2);
 
   std::array<Direction, kNumLinkDirs> out{};
-  for (int k = 0; k < kNumLinkDirs; ++k) out[k] = ranked[k].dir;
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    out[k] = kLinkDirs[static_cast<std::size_t>(key[k] & 3)];
+  }
   return out;
 }
 

@@ -100,6 +100,11 @@ void Network::build() {
         static_cast<std::size_t>(part_.node_end(s) - part_.node_begin(s)) *
         16);
     shards_.back()->active_channels.reserve(channels_.size());
+    // One ejection per router per cycle is the common bound (the Local
+    // output has unit bandwidth); reserved here, on the constructing
+    // thread, so the router phase appends without allocating.
+    shards_.back()->ejections.reserve(static_cast<std::size_t>(
+        part_.node_end(s) - part_.node_begin(s)));
   }
   if (num_shards > 1) pool_ = std::make_unique<ShardPool>(num_shards);
 
@@ -141,6 +146,7 @@ void Network::build() {
     env.faults = &faults_;
     env.route_table = route_table_.get();
     env.route_cache = route_cache_.get();
+    env.ejections = &owner.ejections;
     for (Direction d : kLinkDirs) {
       const int di = port_index(d);
       // Outgoing: our own link in direction d.
@@ -157,6 +163,13 @@ void Network::build() {
     router->source = &sources_[id];
     router->nack_sink = &owner;
     routers_.push_back(std::move(router));
+  }
+  // Each channel delivers straight into its destination's input
+  // register; the routers' addresses are stable from here on.
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    const ChannelMeta& m = channel_meta_[i];
+    channels_[i].deliver_into(
+        &routers_[m.dst_node]->in[static_cast<std::size_t>(m.dst_port)]);
   }
 
   if (cfg_.design == RouterDesign::Scarab) {
@@ -225,10 +238,8 @@ void Network::scarab_deliver_nacks() {
 }
 
 void Network::handle_ejections() {
-  for (auto& router : routers_) {
-    if (router->ejected.empty()) continue;
-    for (const Flit& f : router->ejected) {
-      assert(f.dst == router->id() && "flit ejected at wrong node");
+  for (auto& sp : shards_) {
+    for (const Flit& f : sp->ejections) {
       ++flits_delivered_;
       stats_.on_flit_ejected(f, now_);
       if (tracer_ != nullptr) tracer_->on_flit_ejected(f, now_);
@@ -263,7 +274,7 @@ void Network::handle_ejections() {
         }
       }
     }
-    router->ejected.clear();
+    sp->ejections.clear();
   }
 }
 
@@ -321,29 +332,24 @@ void Network::step_routers_shard(int shard) {
 
 void Network::sweep_channels(int shard) {
   // Links move: flits advance one stage, pending credits post, and this
-  // cycle's arrival (if any) lands in the downstream input register —
-  // always a router of this shard, since the shard owns the channel by
-  // its destination.  Only channels with pending work are visited
-  // (advance() is the identity on a quiescent channel); channels are
-  // mutually independent, so advancing and delivering in the same sweep
-  // is equivalent to a full two-pass formulation, and per-shard sweep
-  // order is immaterial.  A channel that went quiescent is delisted in
-  // place and re-registers itself on its next mutation; pinned
-  // (boundary) channels stay listed forever.
+  // cycle's arrival (if any) lands in place in the downstream input
+  // register the channel was wired to at build — always a router of
+  // this shard, since the shard owns the channel by its destination.
+  // Only channels with pending work are visited (advance() is the
+  // identity on a quiescent channel); channels are mutually independent,
+  // so per-shard sweep order is immaterial.  A channel that went
+  // quiescent is delisted in place and re-registers itself on its next
+  // mutation; pinned (boundary) channels stay listed forever.
   auto& list = shards_[static_cast<std::size_t>(shard)]->active_channels;
   std::size_t keep = 0;
   for (std::size_t k = 0; k < list.size(); ++k) {
     const std::uint32_t i = list[k];
     Channel& ch = channels_[i];
-    ch.advance();
-    if (ch.has_arrival()) {
-      const Flit f = *ch.take_arrival();
-      const ChannelMeta m = channel_meta_[i];
-      auto& slot =
-          routers_[m.dst_node]->in[static_cast<std::size_t>(m.dst_port)];
-      assert(!slot.has_value() && "input register collision");
-      if (tracer_ != nullptr) tracer_->on_flit_hop(f, m.dst_node, now_);
-      slot = f;
+    if (ch.advance() && tracer_ != nullptr) {
+      const ChannelMeta& m = channel_meta_[i];
+      tracer_->on_flit_hop(
+          *routers_[m.dst_node]->in[static_cast<std::size_t>(m.dst_port)],
+          m.dst_node, now_);
     }
     if (!ch.pinned() && ch.quiescent()) {
       ch.mark_delisted();

@@ -166,10 +166,9 @@ class Network final : public Injector {
   [[nodiscard]] std::vector<LinkUsage> link_usage() const;
 
  private:
-  /// Delivery endpoint of channels_[i]: which router input register the
-  /// arrival lands in.  Kept in a parallel array so the per-cycle
-  /// channel sweep walks two dense arrays and nothing else.  The source
-  /// node rides along so build() can classify boundary channels.
+  /// Endpoints of channels_[i].  build() classifies boundary channels
+  /// and wires each channel's delivery register from it; the sweep reads
+  /// it only to name the hop for a tracer.
   struct ChannelMeta {
     NodeId src_node = kInvalidNode;
     NodeId dst_node = kInvalidNode;
@@ -208,6 +207,9 @@ class Network final : public Injector {
     EnergyMeter energy;
     InjectionTally tally;
     std::vector<StagedDrop> drops;
+    /// Flits this shard's routers ejected this cycle, in node order
+    /// (routers step in ascending node order and append as they eject).
+    std::vector<Flit> ejections;
 
     // NackSink for this shard's routers: stage, commit later.
     void on_drop(const Flit& flit, NodeId at, Cycle now) override {
@@ -232,7 +234,9 @@ class Network final : public Injector {
   /// Runs fn(s) for every shard — on the pool when one exists and no
   /// tracer is attached, inline (sequentially, same per-shard work)
   /// otherwise.  Tracers get the inline path so their callbacks fire on
-  /// one thread; shard-count invariance makes that run identical.
+  /// one thread; shard-count invariance makes that run identical.  Only
+  /// the order of one cycle's hop callbacks follows the partition (it is
+  /// the active-channel list order); ejections keep node order.
   template <typename F>
   void run_sharded(F&& fn);
   void sweep_channels(int shard);
@@ -240,6 +244,8 @@ class Network final : public Injector {
   /// Serially folds per-shard effects (staged drops, energy counts,
   /// injection tallies) into the shared aggregates, in shard order.
   void commit_shard_effects();
+  /// Delivery and reassembly of the shards' ejection lists, in shard
+  /// order — which is node order, since shards are ascending node ranges.
   void handle_ejections();
   void scarab_release_staging();
   void scarab_deliver_nacks();

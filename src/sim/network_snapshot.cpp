@@ -64,12 +64,16 @@ void Network::save(SnapshotWriter& w) const {
 
   w.begin_section(kSecRouters);
   w.u64(routers_.size());
+#ifndef NDEBUG
+  for (const auto& s : shards_) {
+    assert(s->ejections.empty() && "snapshot mid-cycle: ejections pending");
+  }
+#endif
   for (const auto& r : routers_) {
 #ifndef NDEBUG
     for (const auto& slot : r->in) {
       assert(!slot.has_value() && "snapshot mid-cycle: input register full");
     }
-    assert(r->ejected.empty() && "snapshot mid-cycle: ejections pending");
 #endif
     r->save_state(w);
   }
@@ -138,9 +142,9 @@ void Network::load(SnapshotReader& r) {
   if (r.count() != routers_.size()) {
     throw SnapshotError("router count mismatch");
   }
+  for (auto& s : shards_) s->ejections.clear();
   for (auto& rt : routers_) {
     for (auto& slot : rt->in) slot.reset();
-    rt->ejected.clear();
     rt->load_state(r);
   }
 

@@ -7,16 +7,21 @@
 // run() per phase, which is exactly the per-phase synchronization the
 // sharded cycle semantics require.
 //
-// Synchronization is a plain mutex + two condvars (generation counter to
-// publish work, remaining counter to detect completion); everything the
-// workers touch is handed over under the mutex, so the pool itself is
-// ThreadSanitizer-clean and all ordering questions reduce to what fn
-// does.  Workers park between calls — an idle pool burns no CPU.
+// Synchronization is two atomics: run() publishes the job by bumping
+// `generation_` (release), each worker counts itself out of
+// `remaining_` (acq_rel), and the caller returns once it reads 0
+// (acquire).  Waiting on either counter backs off in three stages — a
+// few pause instructions, then std::this_thread::yield(), then a
+// futex-backed atomic wait — so back-to-back phases hand over without
+// a system call while an idle pool still parks and burns no CPU,
+// and an oversubscribed host gets its cores back through the yields
+// (DESIGN.md §10).  The pool is ThreadSanitizer-clean: every ordering
+// question reduces to what fn does.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
+#include <cstdint>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -42,15 +47,18 @@ class ShardPool {
   void worker_loop(int shard);
 
   int shards_;
-  std::vector<std::thread> workers_;
 
-  std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
+  /// Written by the owner before the generation bump that publishes it.
   const std::function<void(int)>* job_ = nullptr;
-  std::uint64_t generation_ = 0;  ///< bumped per run(); wakes workers
-  int remaining_ = 0;             ///< workers still running this job
-  bool stop_ = false;
+  bool stop_ = false;  ///< published like job_, by the final bump
+  /// Bumped per run() (and once at shutdown); 32-bit so atomic wait maps
+  /// straight onto a futex.  Workers compare for inequality, so wrap-
+  /// around is harmless.
+  alignas(64) std::atomic<std::uint32_t> generation_{0};
+  /// Workers still running the current job.
+  alignas(64) std::atomic<std::uint32_t> remaining_{0};
+  /// Last, so the state the workers use is built before them.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace dxbar

@@ -105,18 +105,17 @@ class Channel {
 
   // ---- downstream (receiver) side -------------------------------------
 
-  /// The flit delivered this cycle, if any.  The network moves it into
-  /// the downstream router's input register and clears it.
+  /// Wires the register arrivals land in: the downstream router's input
+  /// register for this link's port, cached by the network at build so
+  /// advance() delivers in place.  An unwired (standalone) channel
+  /// delivers into its own arrival register, read by take_arrival().
+  void deliver_into(std::optional<Flit>* reg) noexcept { sink_ = reg; }
+
+  /// The flit an unwired channel delivered this cycle, if any; clears it.
   [[nodiscard]] std::optional<Flit> take_arrival() noexcept {
     auto out = arrived_;
     arrived_.reset();
     return out;
-  }
-
-  /// Cheap emptiness probe so the network's per-cycle loop can skip the
-  /// optional copy in take_arrival() for the (common) idle channels.
-  [[nodiscard]] bool has_arrival() const noexcept {
-    return arrived_.has_value();
   }
 
   /// Downstream frees a buffer slot (or forwarded the flit without ever
@@ -155,26 +154,35 @@ class Channel {
 
   // ---- per-cycle advance, called once by the network --------------------
 
-  /// Moves the pipeline one cycle: in-flight -> arrived, staged -> in-flight,
-  /// pending credit returns -> usable credits.
-  void advance() noexcept {
-    assert(!arrived_.has_value() && "previous arrival was not consumed");
-    // Empty-pipeline fast path: shifting three empty optionals is a
-    // no-op, so only do the copies when a flit is actually in transit.
+  /// Moves the pipeline one cycle: in-flight -> the delivery register,
+  /// staged -> in-flight, pending credit returns -> usable credits.
+  /// Returns true when a flit was delivered.
+  bool advance() noexcept {
+    bool delivered = false;
+    // Empty-pipeline fast path: shifting empty optionals is a no-op, so
+    // only do the copies when a flit is actually in transit.
     if (in_flight_.has_value() || staged_.has_value()) {
-      arrived_ = in_flight_;
+      if (in_flight_.has_value()) {
+        std::optional<Flit>& reg = sink_ != nullptr ? *sink_ : arrived_;
+        assert(!reg.has_value() && "input register collision");
+        reg = in_flight_;
+        delivered = true;
+      }
       in_flight_ = staged_;
       staged_.reset();
     }
     if (pending_credits_ != 0) {
       credits_ += pending_credits_;
       pending_credits_ = 0;
-    }
-    for (std::size_t v = 0; v < vc_credits_.size(); ++v) {
-      vc_credits_[v] += vc_pending_[v];
-      vc_pending_[v] = 0;
+      // Every per-VC return also counted in pending_credits_, so only a
+      // VC channel with returns in flight reaches this fold.
+      for (std::size_t v = 0; v < vc_pending_.size(); ++v) {
+        vc_credits_[v] += vc_pending_[v];
+        vc_pending_[v] = 0;
+      }
     }
     stop_ = stop_pending_;
+    return delivered;
   }
 
   /// Flits currently inside the channel (staged or on the wire).
@@ -289,7 +297,10 @@ class Channel {
   bool stop_pending_ = false;
   std::optional<Flit> staged_;     ///< sent this cycle (ST just finished)
   std::optional<Flit> in_flight_;  ///< on the wire (LT stage)
-  std::optional<Flit> arrived_;    ///< at the downstream input register
+  /// Delivery register of an unwired channel.  A wired channel never
+  /// writes it, so in a network it is always empty (still snapshotted).
+  std::optional<Flit> arrived_;
+  std::optional<Flit>* sink_ = nullptr;  ///< wired delivery register
 };
 
 }  // namespace dxbar

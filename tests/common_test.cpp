@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -506,6 +507,27 @@ TEST(Stats, AccumulatorTracksMinMeanMax) {
   EXPECT_DOUBLE_EQ(a.min(), 1.0);
   EXPECT_DOUBLE_EQ(a.max(), 6.0);
   EXPECT_EQ(a.count(), 3u);
+}
+
+TEST(Stats, MeanCi95UsesStudentTForNMinusOneDegreesOfFreedom) {
+  // Replicas alternating 0, 2: mean 1, sample stddev s known in closed
+  // form, so the halfwidth pins the quantile t = ci95 * sqrt(n) / s.
+  const auto t_of = [](std::size_t n) {
+    std::vector<double> v(n);
+    for (std::size_t i = 0; i < n; ++i) v[i] = (i % 2 == 0) ? 0.0 : 2.0;
+    const MeanCi mc = mean_ci95(v);
+    EXPECT_DOUBLE_EQ(mc.mean, 1.0);
+    const double s = std::sqrt(static_cast<double>(n) /
+                               static_cast<double>(n - 1));
+    return mc.ci95 * std::sqrt(static_cast<double>(n)) / s;
+  };
+  EXPECT_NEAR(t_of(2), 12.706, 1e-9);
+  EXPECT_NEAR(t_of(4), 3.182, 1e-9);
+  EXPECT_NEAR(t_of(30), 2.045, 1e-9);
+  // Past the table the quantile keeps falling toward the normal limit.
+  EXPECT_LT(student_t95(31), student_t95(30));
+  EXPECT_NEAR(student_t95(1000000), 1.96, 1e-5);
+  EXPECT_EQ(mean_ci95({5.0}).ci95, 0.0);
 }
 
 }  // namespace

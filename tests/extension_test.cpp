@@ -28,7 +28,7 @@ TEST(VcChannel, IndependentCreditPools) {
 
   ch.return_credit_vc(0);
   EXPECT_FALSE(ch.can_send_vc(0));  // one-cycle return latency
-  (void)ch.take_arrival();          // consume, as the network does each cycle
+  (void)ch.take_arrival();          // consume, as a router consumes in[]
   ch.advance();
   EXPECT_TRUE(ch.can_send_vc(0));
 }

@@ -2,6 +2,8 @@
 // deflection ranking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "routing/deflect.hpp"
 #include "routing/dor.hpp"
 #include "routing/routing_algorithm.hpp"
@@ -151,6 +153,71 @@ TEST(Deflect, RankingIsAPermutation) {
     std::array<bool, kNumLinkDirs> seen{};
     for (Direction d : r) seen[port_index(d)] = true;
     for (bool b : seen) EXPECT_TRUE(b);
+  }
+}
+
+/// The std::sort formulation deflection_ranking replaced, kept verbatim
+/// as the reference its compare-exchange network must reproduce,
+/// including the order of tied scores.
+std::array<Direction, kNumLinkDirs> reference_ranking(const Mesh& mesh,
+                                                      NodeId cur, NodeId dst,
+                                                      std::uint64_t salt) {
+  const int dx = mesh.offset_x(cur, dst);
+  const int dy = mesh.offset_y(cur, dst);
+  const Coord here = mesh.coord(cur);
+  struct Ranked {
+    Direction dir;
+    int score;
+  };
+  std::array<Ranked, kNumLinkDirs> ranked{};
+  int i = 0;
+  for (Direction dir : kLinkDirs) {
+    int score = 0;
+    if (!mesh.has_link(here, dir)) {
+      score = -1000;
+    } else {
+      int progress = 0;
+      switch (dir) {
+        case Direction::East: progress = dx; break;
+        case Direction::West: progress = -dx; break;
+        case Direction::North: progress = dy; break;
+        case Direction::South: progress = -dy; break;
+        case Direction::Local: break;
+      }
+      if (progress > 0) {
+        score = 100 + progress;
+      } else if (progress < 0) {
+        score = -10;
+      }
+      score = score * 4 + static_cast<int>((salt >> (port_index(dir) * 2)) & 3);
+    }
+    ranked[i++] = {dir, score};
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const Ranked& a, const Ranked& b) { return a.score > b.score; });
+  std::array<Direction, kNumLinkDirs> out{};
+  for (int k = 0; k < kNumLinkDirs; ++k) out[k] = ranked[k].dir;
+  return out;
+}
+
+/// Every (cur, dst, salt) of an 8x8 mesh and torus: the salt is read
+/// 2 bits per link direction, so 0..255 covers every tie-break.
+TEST(DeflectEquivalence, SortingNetworkMatchesStdSortExhaustively) {
+  for (bool torus : {false, true}) {
+    const Mesh m(8, 8, torus);
+    const auto n = static_cast<NodeId>(m.num_nodes());
+    int mismatches = 0;
+    for (NodeId cur = 0; cur < n; ++cur) {
+      for (NodeId dst = 0; dst < n; ++dst) {
+        for (std::uint64_t salt = 0; salt < 256; ++salt) {
+          if (deflection_ranking(m, cur, dst, salt) !=
+              reference_ranking(m, cur, dst, salt)) {
+            ++mismatches;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << (torus ? "torus" : "mesh");
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 
 #include "routing/deflect.hpp"
 #include "topology/channel.hpp"
@@ -185,6 +186,21 @@ TEST(Channel, TwoCycleDeliveryLatency) {
   const auto got = ch.take_arrival();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->packet, 7u);
+}
+
+TEST(Channel, WiredChannelDeliversInPlace) {
+  Channel ch(kUnlimitedCredits);
+  std::optional<Flit> reg;
+  ch.deliver_into(&reg);
+  ch.send(Flit{.packet = 7});
+  EXPECT_FALSE(ch.advance());  // in flight
+  EXPECT_FALSE(reg.has_value());
+  EXPECT_TRUE(ch.advance());   // delivered straight into the register
+  ASSERT_TRUE(reg.has_value());
+  EXPECT_EQ(reg->packet, 7u);
+  EXPECT_FALSE(ch.take_arrival().has_value());  // own register unused
+  EXPECT_EQ(ch.occupancy(), 0);
+  EXPECT_TRUE(ch.quiescent());
 }
 
 TEST(Channel, BackToBackFullThroughput) {
