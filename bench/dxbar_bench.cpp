@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Multi-experiment sessions get a point-count / ETA preflight so the
+  // Multi-experiment sessions get a point-count preflight so the
   // cost of an `--all` run is visible before the first sweep starts.
   if (to_run.size() > 1) print_preflight(to_run, opt);
 

@@ -2,18 +2,15 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 
-#include <iterator>
 #include <set>
 #include <thread>
 
-#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/text.hpp"
 #include "report/analysis.hpp"
@@ -23,9 +20,6 @@
 
 #ifndef DXBAR_GIT_DESCRIBE
 #define DXBAR_GIT_DESCRIBE "unknown"
-#endif
-#ifndef DXBAR_SOURCE_DIR
-#define DXBAR_SOURCE_DIR "."
 #endif
 
 namespace dxbar::exp {
@@ -244,111 +238,8 @@ std::string select_experiments(const BenchArgs& args,
   return {};
 }
 
-namespace {
-
-/// Per-design simulation rates from the committed perf-kernel baseline.
-struct KernelBaseline {
-  std::vector<std::pair<std::string, double>> rates;  ///< name -> cycles/sec
-  double slowest = 0.0;
-  std::string source;  ///< empty = no baseline found
-  // The baseline's recorded measurement config (0 / negative when the
-  // file predates the config block).  Per-cycle cost scales with the
-  // node count, so each point's ETA is scaled from `nodes`; a differing
-  // load is called out rather than silently producing off-scale ETAs.
-  int nodes = 0;
-  double offered_load = -1.0;
-};
-
-KernelBaseline load_kernel_baseline() {
-  KernelBaseline kb;
-  for (const char* path :
-       {"BENCH_kernel.json", DXBAR_SOURCE_DIR "/BENCH_kernel.json"}) {
-    std::ifstream in(path);
-    if (!in) continue;
-    const std::string text((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    JsonValue root;
-    if (!json_parse(text, root).empty() ||
-        root.type != JsonValue::Type::Object) {
-      continue;
-    }
-    const JsonValue* results = root.find("results");
-    if (results == nullptr || results->type != JsonValue::Type::Array) {
-      continue;
-    }
-    for (const JsonValue& item : results->items) {
-      if (item.type != JsonValue::Type::Object) continue;
-      const JsonValue* name = item.find("name");
-      const JsonValue* rate = item.find("cycles_per_sec");
-      if (name == nullptr || rate == nullptr ||
-          name->type != JsonValue::Type::String) {
-        continue;
-      }
-      const double r = rate->as_double();
-      if (r > 0.0) kb.rates.emplace_back(name->scalar, r);
-    }
-    if (!kb.rates.empty()) {
-      kb.source = path;
-      kb.slowest = kb.rates.front().second;
-      for (const auto& [n, r] : kb.rates) kb.slowest = std::min(kb.slowest, r);
-      if (const JsonValue* config = root.find("config");
-          config != nullptr && config->type == JsonValue::Type::Object) {
-        int w = 0, h = 0;
-        if (const JsonValue* mesh = config->find("mesh");
-            mesh != nullptr && mesh->type == JsonValue::Type::String &&
-            std::sscanf(mesh->scalar.c_str(), "%dx%d", &w, &h) == 2 &&
-            w > 0 && h > 0) {
-          kb.nodes = w * h;
-        }
-        if (const JsonValue* load = config->find("offered_load");
-            load != nullptr) {
-          kb.offered_load = load->as_double();
-        }
-      }
-      break;
-    }
-  }
-  return kb;
-}
-
-/// Baseline rate for a design, or nullptr when the baseline never
-/// measured it.  The kernel file abbreviates some names ("Unified" for
-/// "Unified Xbar"), so a whole-word prefix also matches.
-const double* find_rate(const KernelBaseline& kb, RouterDesign d) {
-  const std::string label(to_string(d));
-  for (const auto& [name, rate] : kb.rates) {
-    if (name == label) return &rate;
-    if (label.size() > name.size() &&
-        label.compare(0, name.size(), name) == 0 &&
-        label[name.size()] == ' ') {
-      return &rate;
-    }
-  }
-  return nullptr;
-}
-
-/// find_rate with the slowest measured design as the conservative ETA
-/// fallback for unmeasured ones.
-double rate_for(const KernelBaseline& kb, RouterDesign d) {
-  const double* r = find_rate(kb, d);
-  return r != nullptr ? *r : kb.slowest;
-}
-
-std::string fmt_eta(double seconds) {
-  char buf[32];
-  if (seconds >= 90.0) {
-    std::snprintf(buf, sizeof(buf), "%.1f min", seconds / 60.0);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.1f s", seconds);
-  }
-  return buf;
-}
-
-}  // namespace
-
 void print_preflight(const std::vector<const Experiment*>& to_run,
                      const RunOptions& opt) {
-  const KernelBaseline kb = load_kernel_baseline();
   RunContext ctx;
   ctx.base = opt.base;
   ctx.quick = opt.quick;
@@ -359,36 +250,11 @@ void print_preflight(const std::vector<const Experiment*>& to_run,
   if (workers == 0) workers = 1;
 
   std::fprintf(stderr, "dxbar_bench: preflight: %zu experiment(s), %u "
-                       "worker(s)%s\n",
-               to_run.size(), workers,
-               kb.source.empty()
-                   ? "; no BENCH_kernel.json baseline, point counts only"
-                   : ("; ETA from " + kb.source).c_str());
-  if (kb.source.empty()) {
-    std::fprintf(stderr,
-                 "dxbar_bench: warning: BENCH_kernel.json not found in . or "
-                 "%s — run bench/perf_kernel to record per-design rates and "
-                 "get ETAs\n",
-                 DXBAR_SOURCE_DIR);
-  } else {
-    // A baseline recorded at a different load still yields an ETA, but
-    // an off-scale one; say so up front instead of letting a stale file
-    // mislead silently.
-    if (kb.offered_load >= 0.0 &&
-        std::fabs(kb.offered_load - opt.base.offered_load) > 1e-9) {
-      std::fprintf(stderr,
-                   "dxbar_bench: warning: %s rates were measured at offered "
-                   "load %.3g but this session's base config injects %.3g — "
-                   "ETAs may be off\n",
-                   kb.source.c_str(), kb.offered_load,
-                   opt.base.offered_load);
-    }
-  }
+                       "worker(s)\n",
+               to_run.size(), workers);
   const unsigned long long seeds =
       static_cast<unsigned long long>(std::max(1, opt.seeds));
-  double total_sec = 0.0;
   unsigned long long total_points = 0, total_simulated = 0, total_cycles = 0;
-  std::vector<std::string> unmeasured;
   for (const Experiment* e : to_run) {
     if (!e->grid) {
       std::fprintf(stderr, "dxbar_bench:   %-24s custom run (no estimate)\n",
@@ -400,73 +266,27 @@ void print_preflight(const std::vector<const Experiment*>& to_run,
     // rest, so only the first member of each class costs cycles.
     std::set<std::vector<std::uint8_t>> classes;
     unsigned long long cycles = 0;
-    double sec = 0.0;
     for (const SimConfig& c : cfgs) {
       if (!classes.insert(dynamics_signature(c)).second) continue;
       // Replicas share one warmup (run_sweep forks them from its
       // snapshot), so --seeds N costs one warmup plus N measurement
       // windows per point.
-      const unsigned long long pt =
-          c.warmup_cycles + seeds * c.measure_cycles;
-      cycles += pt;
-      if (!kb.source.empty()) {
-        const double scale =
-            kb.nodes > 0 ? static_cast<double>(c.num_nodes()) / kb.nodes
-                         : 1.0;
-        sec += static_cast<double>(pt) * scale / rate_for(kb, c.design);
-        if (find_rate(kb, c.design) == nullptr) {
-          const std::string label(to_string(c.design));
-          if (std::find(unmeasured.begin(), unmeasured.end(), label) ==
-              unmeasured.end()) {
-            unmeasured.push_back(label);
-          }
-        }
-      }
+      cycles += c.warmup_cycles + seeds * c.measure_cycles;
     }
-    sec /= workers;
     const std::size_t points = cfgs.size() * seeds;
     const std::size_t simulated = classes.size() * seeds;
     total_points += points;
     total_simulated += simulated;
     total_cycles += cycles;
-    total_sec += sec;
-    if (kb.source.empty()) {
-      std::fprintf(stderr,
-                   "dxbar_bench:   %-24s %4zu points (%zu simulated), %8llu "
-                   "cycles\n",
-                   e->name.c_str(), points, simulated, cycles);
-    } else {
-      std::fprintf(stderr,
-                   "dxbar_bench:   %-24s %4zu points (%zu simulated), %8llu "
-                   "cycles, ETA %s\n",
-                   e->name.c_str(), points, simulated, cycles,
-                   fmt_eta(sec).c_str());
-    }
-  }
-  if (!unmeasured.empty()) {
-    std::string names;
-    for (const std::string& n : unmeasured) {
-      if (!names.empty()) names += ", ";
-      names += n;
-    }
     std::fprintf(stderr,
-                 "dxbar_bench: warning: %s has no rate for: %s — their ETAs "
-                 "use the slowest measured design\n",
-                 kb.source.c_str(), names.c_str());
+                 "dxbar_bench:   %-24s %4zu points (%zu simulated), %8llu "
+                 "cycles\n",
+                 e->name.c_str(), points, simulated, cycles);
   }
-  if (kb.source.empty()) {
-    std::fprintf(stderr,
-                 "dxbar_bench: preflight total: %llu points (%llu "
-                 "simulated), %llu cycles\n",
-                 total_points, total_simulated, total_cycles);
-  } else {
-    std::fprintf(stderr,
-                 "dxbar_bench: preflight total: %llu points (%llu "
-                 "simulated), %llu cycles, ETA %s (estimate from per-design "
-                 "kernel rates scaled by node count; drain not counted)\n",
-                 total_points, total_simulated, total_cycles,
-                 fmt_eta(total_sec).c_str());
-  }
+  std::fprintf(stderr,
+               "dxbar_bench: preflight total: %llu points (%llu simulated), "
+               "%llu cycles\n",
+               total_points, total_simulated, total_cycles);
 }
 
 namespace {

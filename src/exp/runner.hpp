@@ -104,13 +104,10 @@ ExperimentResult combine_replica_results(const std::string& exp_name,
 std::string select_experiments(const BenchArgs& args,
                                std::vector<const Experiment*>& out);
 
-/// Prints a per-experiment point-count / simulated-cycles / ETA table
-/// to stderr before a multi-experiment session starts.  The ETA uses
-/// the per-design cycles/sec baselines committed in BENCH_kernel.json
-/// (searched in the current directory, then the source tree) divided
-/// by the worker count; designs missing from the baseline fall back to
-/// the slowest measured design.  Estimates are upper bounds: warm-start
-/// sharing and drain-cap slack only make real runs faster.
+/// Prints a per-experiment point-count / simulated-cycles table to
+/// stderr before a multi-experiment session starts: how many grid points
+/// each experiment has, how many of them run_sweep simulates (one per
+/// dynamics class and seed), and the cycles those simulations cost.
 void print_preflight(const std::vector<const Experiment*>& to_run,
                      const RunOptions& opt);
 

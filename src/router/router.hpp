@@ -27,7 +27,6 @@
 #include "routing/deflect.hpp"
 #include "routing/route_cache.hpp"
 #include "routing/route_table.hpp"
-#include "routing/routing_algorithm.hpp"
 #include "topology/channel.hpp"
 #include "topology/mesh.hpp"
 
@@ -99,9 +98,12 @@ struct RouterEnv {
   /// Fault-aware routing table; non-null when link faults degrade the
   /// topology (see routing/route_table.hpp).
   const RouteTable* route_table = nullptr;
-  /// Precomputed route sets for the healthy topology; non-null when the
-  /// network built one (mutually exclusive with route_table).
+  /// Quadrant route tables for the healthy topology; exactly one of
+  /// route_cache and route_table is set.
   const RouteCache* route_cache = nullptr;
+  /// Every router's coordinates, indexed by node id, so routing and
+  /// deflection locate a destination without a division.
+  const Coord* coords = nullptr;
   /// nullptr at mesh edges AND for dead links (link faults).
   std::array<Channel*, kNumLinkDirs> out_links{};
   std::array<Channel*, kNumLinkDirs> in_links{};
@@ -195,13 +197,18 @@ class Router {
     if (ch != nullptr) ch->return_credit();
   }
 
+  /// Coordinates of router `n`, read from the network's table.
+  [[nodiscard]] Coord coord_of(NodeId n) const { return env_.coords[n]; }
+
   /// Productive output ports for `dst`: the configured algorithm on a
   /// healthy topology, or the fault-aware table when links are dead.
-  /// The healthy path is one precomputed-table read (see RouteCache).
+  /// The healthy path reads the destination's quadrant and a nine-entry
+  /// table (see RouteCache).
   [[nodiscard]] RouteSet routes(NodeId dst) const {
-    if (env_.route_cache != nullptr) return env_.route_cache->routes(id_, dst);
-    if (env_.route_table != nullptr) return env_.route_table->routes(id_, dst);
-    return compute_routes(env_.cfg->routing, *env_.mesh, id_, dst);
+    if (env_.route_cache != nullptr) {
+      return env_.route_cache->routes(route_key_, dst);
+    }
+    return env_.route_table->routes(id_, dst);
   }
 
   /// Every port that makes forward progress toward `dst` (minimal
@@ -209,9 +216,10 @@ class Router {
   /// routers, which adapt over all productive ports regardless of the
   /// configured deterministic algorithm.
   [[nodiscard]] RouteSet progressive_dirs(NodeId dst) const {
-    if (env_.route_cache != nullptr) return env_.route_cache->minimal(id_, dst);
-    if (env_.route_table != nullptr) return env_.route_table->routes(id_, dst);
-    return minimal_routes(*env_.mesh, id_, dst);
+    if (env_.route_cache != nullptr) {
+      return env_.route_cache->minimal(route_key_, dst);
+    }
+    return env_.route_table->routes(id_, dst);
   }
 
   /// The output link exists and is operational.
@@ -225,7 +233,8 @@ class Router {
   /// geometric ranking for the rest.
   [[nodiscard]] std::array<Direction, kNumLinkDirs> deflection_order(
       const Flit& f, std::uint64_t salt) const {
-    const auto geometric = deflection_ranking(*env_.mesh, id_, f.dst, salt);
+    const auto geometric =
+        deflection_ranking(*env_.mesh, coord_of(id_), coord_of(f.dst), salt);
     if (env_.route_table == nullptr) return geometric;
     const RouteSet prog = progressive_dirs(f.dst);
     std::array<Direction, kNumLinkDirs> out{};
@@ -240,6 +249,8 @@ class Router {
   }
 
   NodeId id_;
+  /// This router's RouteCache position key (0 without a cache).
+  std::int32_t route_key_;
   RouterEnv env_;
 };
 

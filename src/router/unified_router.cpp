@@ -108,10 +108,11 @@ void UnifiedRouter::step(Cycle now) {
     }
     const auto ranking = deflection_order(
         *arrival, arrival->packet * 0x9E3779B97F4A7C15ULL);
+    const Coord here = coord_of(id_);
     int escape = -1;
     for (Direction dir : ranking) {
       const int o = port_index(dir);
-      if (!env_.mesh->has_link(id_, dir)) continue;
+      if (!env_.mesh->has_link(here, dir)) continue;
       if (!out_used[static_cast<std::size_t>(o)] &&
           can_send_ignoring_stop(dir)) {
         escape = o;
@@ -124,14 +125,14 @@ void UnifiedRouter::step(Cycle now) {
         UnifiedPortGrant& victim = grants.port[static_cast<std::size_t>(p)];
         if (victim.buffered_out >= 0 &&
             victim.buffered_out != port_index(Direction::Local) &&
-            env_.mesh->has_link(id_, port_from_index(victim.buffered_out))) {
+            env_.mesh->has_link(here, port_from_index(victim.buffered_out))) {
           escape = victim.buffered_out;
           victim.buffered_out = -1;
         }
       }
     }
     assert(escape >= 0 && "overflow escape must recover an output port");
-    if (!is_productive(*env_.mesh, id_, arrival->dst,
+    if (!is_productive(*env_.mesh, here, coord_of(arrival->dst),
                        port_from_index(escape))) {
       ++arrival->deflections;
     }

@@ -13,16 +13,18 @@
 
 namespace dxbar {
 
-/// All four link directions ranked for a flit at `cur` heading to `dst`:
+/// All four link directions ranked for a flit at `here` heading to `dst`:
 /// productive dimensions first (larger remaining offset preferred), then
 /// non-productive ones (the reverse of a productive port last).  `salt`
 /// deterministically breaks ties between equally attractive ports so
-/// deflections do not always pick the same victim direction.
+/// deflections do not always pick the same victim direction.  Both ends
+/// come as coordinates, so the ranking takes no division.
 std::array<Direction, kNumLinkDirs> deflection_ranking(const Mesh& mesh,
-                                                       NodeId cur, NodeId dst,
+                                                       Coord here, Coord dst,
                                                        std::uint64_t salt);
 
-/// True when `dir` strictly reduces the distance to `dst` from `cur`.
-bool is_productive(const Mesh& mesh, NodeId cur, NodeId dst, Direction dir);
+/// True when `dir` strictly reduces the distance from `here` to `dst`.
+/// On a torus both directions of an axis do so at an exact half ring.
+bool is_productive(const Mesh& mesh, Coord here, Coord dst, Direction dir);
 
 }  // namespace dxbar

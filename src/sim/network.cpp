@@ -50,7 +50,7 @@ Network::Network(const SimConfig& cfg, FaultPlan plan,
         mesh_, [this](NodeId n, Direction d) {
           return link_faults_.alive(n, d);
         });
-  } else if (RouteCache::worthwhile(mesh_)) {
+  } else {
     route_cache_ = std::make_unique<RouteCache>(cfg_.routing, mesh_);
   }
   build();
@@ -135,6 +135,11 @@ void Network::build() {
     sources_[id].attach(&now_, &owner.tally, &owner.flit_pool);
   }
 
+  coords_.reserve(static_cast<std::size_t>(n));
+  for (int y = 0; y < mesh_.height(); ++y) {
+    for (int x = 0; x < mesh_.width(); ++x) coords_.push_back({x, y});
+  }
+
   routers_.reserve(static_cast<std::size_t>(n));
   for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
     ShardState& owner =
@@ -146,6 +151,7 @@ void Network::build() {
     env.faults = &faults_;
     env.route_table = route_table_.get();
     env.route_cache = route_cache_.get();
+    env.coords = coords_.data();
     env.ejections = &owner.ejections;
     for (Direction d : kLinkDirs) {
       const int di = port_index(d);

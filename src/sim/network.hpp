@@ -111,8 +111,8 @@ class Network final : public Injector {
     for (const auto& s : shards_) live += s->flit_pool.live();
     return live;
   }
-  /// Which routing acceleration structure this network built (mutually
-  /// exclusive; both false on small meshes with no link faults).
+  /// Which routing structure this network built: the quadrant tables
+  /// on a healthy topology of any size, the BFS table under link faults.
   [[nodiscard]] bool using_route_cache() const noexcept {
     return route_cache_ != nullptr;
   }
@@ -261,6 +261,7 @@ class Network final : public Injector {
   LinkFaultPlan link_faults_;
   std::unique_ptr<RouteTable> route_table_;  ///< set iff link faults exist
   std::unique_ptr<RouteCache> route_cache_;  ///< set iff topology healthy
+  std::vector<Coord> coords_;  ///< node id -> coordinates, for the routers
   StatsCollector stats_;
   WorkloadModel* workload_ = nullptr;
   EventTracer* tracer_ = nullptr;

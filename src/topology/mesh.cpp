@@ -4,8 +4,21 @@
 
 namespace dxbar {
 
+namespace {
+
+AxisRing axis_ring(int k, bool wrap) {
+  const int len = wrap ? k : 2 * k;
+  return {len, len / 2};
+}
+
+}  // namespace
+
 Mesh::Mesh(int width, int height, bool wrap)
-    : width_(width), height_(height), wrap_(wrap) {
+    : width_(width),
+      height_(height),
+      wrap_(wrap),
+      ring_x_(axis_ring(width, wrap)),
+      ring_y_(axis_ring(height, wrap)) {
   assert(width >= 2 && height >= 2);
 }
 

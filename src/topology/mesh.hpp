@@ -18,6 +18,28 @@ struct LinkId {
   friend constexpr bool operator==(const LinkId&, const LinkId&) = default;
 };
 
+/// One mesh axis seen as a ring of `len` positions, for offsets taken
+/// without a division.  A torus axis of k routers is a ring of k; a mesh
+/// axis is a ring of 2k, whose shorter way never wraps, so a plain delta
+/// keeps its sign and size.
+struct AxisRing {
+  int len = 0;
+  int half = 0;  ///< len / 2
+
+  /// Where `to` sits on the ring seen from `from`, in [0, len), for a
+  /// delta = to - from of two coordinates on this axis (|delta| < k).
+  [[nodiscard]] int position(int delta) const noexcept {
+    return delta + (len & (delta >> 31));  // add len iff delta < 0
+  }
+
+  /// Shortest signed offset; an exact half ring (torus only) goes
+  /// positive.
+  [[nodiscard]] int offset(int delta) const noexcept {
+    const int d = position(delta);
+    return d > half ? d - len : d;
+  }
+};
+
 class Mesh {
  public:
   /// `wrap` turns the mesh into a torus: edge links wrap around and
@@ -32,13 +54,25 @@ class Mesh {
   /// Signed x-offset of the shortest route from `from` to `to`
   /// (positive = east); on a torus ties break eastward.
   [[nodiscard]] int offset_x(NodeId from, NodeId to) const noexcept {
-    return axis_offset(coord(to).x - coord(from).x, width_);
+    return offset_x(coord(from), coord(to));
   }
 
   /// Signed y-offset of the shortest route (positive = north).
   [[nodiscard]] int offset_y(NodeId from, NodeId to) const noexcept {
-    return axis_offset(coord(to).y - coord(from).y, height_);
+    return offset_y(coord(from), coord(to));
   }
+
+  /// offset_x / offset_y for routers already located: no division.
+  [[nodiscard]] int offset_x(Coord from, Coord to) const noexcept {
+    return ring_x_.offset(to.x - from.x);
+  }
+  [[nodiscard]] int offset_y(Coord from, Coord to) const noexcept {
+    return ring_y_.offset(to.y - from.y);
+  }
+
+  /// The axes as rings (see AxisRing).
+  [[nodiscard]] AxisRing ring_x() const noexcept { return ring_x_; }
+  [[nodiscard]] AxisRing ring_y() const noexcept { return ring_y_; }
 
   [[nodiscard]] Coord coord(NodeId n) const noexcept {
     return {static_cast<int>(n) % width_, static_cast<int>(n) / width_};
@@ -92,18 +126,11 @@ class Mesh {
   [[nodiscard]] double average_distance() const;
 
  private:
-  /// Shortest signed offset along one axis of length `k` (torus-aware).
-  [[nodiscard]] int axis_offset(int delta, int k) const noexcept {
-    if (!wrap_) return delta;
-    // Normalize into (-k/2, k/2]; ties (delta == k/2) go positive.
-    int d = delta % k;
-    if (d < 0) d += k;
-    return d <= k / 2 ? d : d - k;
-  }
-
   int width_;
   int height_;
   bool wrap_;
+  AxisRing ring_x_;
+  AxisRing ring_y_;
 };
 
 }  // namespace dxbar

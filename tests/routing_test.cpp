@@ -1,11 +1,15 @@
 // Unit and property tests for routing/: DOR, West-First turn model,
-// deflection ranking.
+// deflection ranking, quadrant route lookup.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <string>
+#include <utility>
 
 #include "routing/deflect.hpp"
 #include "routing/dor.hpp"
+#include "routing/route_cache.hpp"
 #include "routing/routing_algorithm.hpp"
 #include "routing/west_first.hpp"
 
@@ -121,7 +125,7 @@ TEST(Deflect, ProductivePortsRankFirst) {
   const Mesh m(8, 8);
   const NodeId cur = m.node(2, 2);
   const NodeId dst = m.node(5, 5);
-  const auto ranking = deflection_ranking(m, cur, dst, 0);
+  const auto ranking = deflection_ranking(m, m.coord(cur), m.coord(dst), 0);
   // First two must be the productive East/North in some order.
   EXPECT_TRUE((ranking[0] == Direction::East && ranking[1] == Direction::North) ||
               (ranking[0] == Direction::North && ranking[1] == Direction::East));
@@ -130,7 +134,7 @@ TEST(Deflect, ProductivePortsRankFirst) {
 TEST(Deflect, MissingEdgeLinksRankLast) {
   const Mesh m(4, 4);
   const NodeId corner = m.node(0, 0);
-  const auto ranking = deflection_ranking(m, corner, m.node(3, 3), 0);
+  const auto ranking = deflection_ranking(m, m.coord(corner), {3, 3}, 0);
   // West and South do not exist at the corner and must rank behind the
   // two existing links.
   EXPECT_TRUE(ranking[2] == Direction::West || ranking[2] == Direction::South);
@@ -139,17 +143,17 @@ TEST(Deflect, MissingEdgeLinksRankLast) {
 
 TEST(Deflect, IsProductiveMatchesDistance) {
   const Mesh m(8, 8);
-  const NodeId cur = m.node(4, 4);
-  EXPECT_TRUE(is_productive(m, cur, m.node(6, 4), Direction::East));
-  EXPECT_FALSE(is_productive(m, cur, m.node(6, 4), Direction::West));
-  EXPECT_FALSE(is_productive(m, cur, m.node(6, 4), Direction::North));
-  EXPECT_FALSE(is_productive(m, cur, m.node(4, 4), Direction::East));
+  const Coord cur{4, 4};
+  EXPECT_TRUE(is_productive(m, cur, {6, 4}, Direction::East));
+  EXPECT_FALSE(is_productive(m, cur, {6, 4}, Direction::West));
+  EXPECT_FALSE(is_productive(m, cur, {6, 4}, Direction::North));
+  EXPECT_FALSE(is_productive(m, cur, {4, 4}, Direction::East));
 }
 
 TEST(Deflect, RankingIsAPermutation) {
   const Mesh m(8, 8);
   for (std::uint64_t salt = 0; salt < 16; ++salt) {
-    const auto r = deflection_ranking(m, m.node(3, 3), m.node(1, 6), salt);
+    const auto r = deflection_ranking(m, {3, 3}, {1, 6}, salt);
     std::array<bool, kNumLinkDirs> seen{};
     for (Direction d : r) seen[port_index(d)] = true;
     for (bool b : seen) EXPECT_TRUE(b);
@@ -210,7 +214,7 @@ TEST(DeflectEquivalence, SortingNetworkMatchesStdSortExhaustively) {
     for (NodeId cur = 0; cur < n; ++cur) {
       for (NodeId dst = 0; dst < n; ++dst) {
         for (std::uint64_t salt = 0; salt < 256; ++salt) {
-          if (deflection_ranking(m, cur, dst, salt) !=
+          if (deflection_ranking(m, m.coord(cur), m.coord(dst), salt) !=
               reference_ranking(m, cur, dst, salt)) {
             ++mismatches;
           }
@@ -218,6 +222,163 @@ TEST(DeflectEquivalence, SortingNetworkMatchesStdSortExhaustively) {
       }
     }
     EXPECT_EQ(mismatches, 0) << (torus ? "torus" : "mesh");
+  }
+}
+
+// ---- division-free forms against their node-id originals ----------------
+
+/// Mesh's wrap-aware axis offset as it was computed with a modulo, kept
+/// so the references below share no code with AxisRing.
+int legacy_axis_offset(int delta, int k, bool wrap) {
+  if (!wrap) return delta;
+  int d = delta % k;
+  if (d < 0) d += k;
+  return d <= k / 2 ? d : d - k;
+}
+
+int legacy_offset_x(const Mesh& m, NodeId from, NodeId to) {
+  return legacy_axis_offset(m.coord(to).x - m.coord(from).x, m.width(),
+                            m.wraps());
+}
+
+int legacy_offset_y(const Mesh& m, NodeId from, NodeId to) {
+  return legacy_axis_offset(m.coord(to).y - m.coord(from).y, m.height(),
+                            m.wraps());
+}
+
+int legacy_distance(const Mesh& m, NodeId a, NodeId b) {
+  return std::abs(legacy_offset_x(m, a, b)) +
+         std::abs(legacy_offset_y(m, a, b));
+}
+
+/// is_productive as it was: step to the neighbour, compare distances.
+bool legacy_is_productive(const Mesh& m, NodeId cur, NodeId dst,
+                          Direction dir) {
+  const auto next = m.neighbor(cur, dir);
+  if (!next) return false;
+  return legacy_distance(m, *next, dst) < legacy_distance(m, cur, dst);
+}
+
+/// Every (cur, dst) pair, or a strided sample of them, on one topology.
+struct PairSample {
+  Mesh mesh;
+  NodeId cur_stride = 1;
+  NodeId dst_stride = 1;
+
+  template <typename F>
+  void for_each(F&& f) const {
+    const auto n = static_cast<NodeId>(mesh.num_nodes());
+    for (NodeId cur = 0; cur < n; cur += cur_stride) {
+      for (NodeId dst = 0; dst < n; dst += dst_stride) f(cur, dst);
+    }
+  }
+};
+
+std::string describe(const Mesh& m) {
+  return std::to_string(m.width()) + "x" + std::to_string(m.height()) +
+         (m.wraps() ? " torus" : " mesh");
+}
+
+/// The coordinate forms against their node-id originals for every
+/// (cur, dst, salt 0..255): a non-square mesh, tori with even, odd and
+/// two-router sides, and strided samples above 1024 nodes.  Offsets
+/// are checked against the modulo formula, so reference_ranking, which
+/// reads them from Mesh, is an independent reference.
+TEST(DeflectEquivalence, CoordinateFormsMatchTheNodeIdOriginals) {
+  const PairSample samples[] = {
+      {Mesh(5, 8)},
+      {Mesh(6, 4, true)},
+      {Mesh(5, 7, true)},
+      {Mesh(2, 3, true)},
+      {Mesh(40, 30), 31, 37},
+      {Mesh(40, 30, true), 31, 37},
+      {Mesh(64, 64, true), 61, 67},
+  };
+  for (const PairSample& s : samples) {
+    const Mesh& m = s.mesh;
+    int offset_mismatches = 0;
+    int rank_mismatches = 0;
+    int productive_mismatches = 0;
+    s.for_each([&](NodeId cur, NodeId dst) {
+      const Coord here = m.coord(cur);
+      const Coord there = m.coord(dst);
+      if (m.offset_x(here, there) != legacy_offset_x(m, cur, dst) ||
+          m.offset_y(here, there) != legacy_offset_y(m, cur, dst)) {
+        ++offset_mismatches;
+      }
+      for (std::uint64_t salt = 0; salt < 256; ++salt) {
+        if (deflection_ranking(m, here, there, salt) !=
+            reference_ranking(m, cur, dst, salt)) {
+          ++rank_mismatches;
+        }
+      }
+      for (Direction dir : {Direction::East, Direction::West,
+                            Direction::North, Direction::South,
+                            Direction::Local}) {
+        if (is_productive(m, here, there, dir) !=
+            legacy_is_productive(m, cur, dst, dir)) {
+          ++productive_mismatches;
+        }
+      }
+    });
+    EXPECT_EQ(offset_mismatches, 0) << describe(m);
+    EXPECT_EQ(rank_mismatches, 0) << describe(m);
+    EXPECT_EQ(productive_mismatches, 0) << describe(m);
+  }
+}
+
+// ---- quadrant route lookup ----------------------------------------------
+
+constexpr std::array<RoutingAlgo, 4> kAllAlgos = {
+    RoutingAlgo::DOR, RoutingAlgo::WestFirst, RoutingAlgo::NegativeFirst,
+    RoutingAlgo::NorthLast};
+
+/// Compares the RouteCache lookup, as a router makes it (from its cached
+/// key), with compute_routes / minimal_routes element for element under
+/// every algorithm; reports the first mismatch.
+void expect_lookup_matches(const PairSample& s) {
+  const Mesh& m = s.mesh;
+  for (RoutingAlgo algo : kAllAlgos) {
+    const RouteCache cache(algo, m);
+    int mismatches = 0;
+    s.for_each([&](NodeId cur, NodeId dst) {
+      const RouteSet& got = cache.routes(cache.key(cur), dst);
+      const RouteSet& got_min = cache.minimal(cache.key(cur), dst);
+      const RouteSet want = compute_routes(algo, m, cur, dst);
+      const RouteSet want_min = minimal_routes(m, cur, dst);
+      if (!std::equal(got.begin(), got.end(), want.begin(), want.end()) ||
+          !std::equal(got_min.begin(), got_min.end(), want_min.begin(),
+                      want_min.end())) {
+        if (mismatches++ == 0) {
+          ADD_FAILURE() << describe(m) << " " << to_string(algo) << ": cur "
+                        << cur << " dst " << dst << " disagrees";
+        }
+      }
+    });
+    EXPECT_EQ(mismatches, 0) << describe(m) << " " << to_string(algo);
+  }
+}
+
+TEST(RouteLookupEquivalence, QuadrantTablesMatchComputeRoutesExhaustively) {
+  for (bool torus : {false, true}) {
+    for (const auto& [w, h] : {std::pair{2, 2}, std::pair{2, 7},
+                               std::pair{3, 3}, std::pair{5, 8},
+                               std::pair{8, 8}, std::pair{16, 16}}) {
+      expect_lookup_matches({Mesh(w, h, torus)});
+    }
+  }
+  // Even tori, where an exact half-ring offset is a tie that counts as
+  // positive.
+  expect_lookup_matches({Mesh(4, 4, true)});
+  expect_lookup_matches({Mesh(6, 4, true)});
+}
+
+/// Above the 1024 nodes where the old N^2 tables stopped being built,
+/// and on a side (40) that is not a power of two.
+TEST(RouteLookupEquivalence, StridedSampleAboveTheOldTableGate) {
+  for (bool torus : {false, true}) {
+    expect_lookup_matches({Mesh(64, 64, torus), 13, 11});
+    expect_lookup_matches({Mesh(40, 30, torus), 7, 3});
   }
 }
 

@@ -10,6 +10,7 @@
 #include <cctype>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -659,6 +660,19 @@ TEST(RouteCacheInvalidation, LinkFaultsForceTheBfsTable) {
   ASSERT_TRUE(f.link_faults().any());
   EXPECT_TRUE(f.using_route_table());
   EXPECT_FALSE(f.using_route_cache());
+}
+
+TEST(RouteCacheInvalidation, HealthyMeshesOfAnySizeUseTheQuadrantTables) {
+  // Both sizes lie above the 1024 nodes where the old N^2 tables stopped
+  // being built; 40 is not a power of two.
+  for (const auto& [w, h] : {std::pair{64, 64}, std::pair{40, 30}}) {
+    SimConfig cfg = small_cfg(RouterDesign::DXbar);
+    cfg.mesh_width = w;
+    cfg.mesh_height = h;
+    Network net(cfg);
+    EXPECT_TRUE(net.using_route_cache()) << w << "x" << h;
+    EXPECT_FALSE(net.using_route_table()) << w << "x" << h;
+  }
 }
 
 TEST(RouteCacheInvalidation, DegradedTableNeverServesDeadLinks) {

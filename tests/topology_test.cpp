@@ -157,7 +157,7 @@ TEST(MeshEquivalence, DeflectionRankingMatchesReference) {
       for (NodeId dst = 0; dst < nodes; ++dst) {
         for (std::uint64_t salt = 0; salt < 256; ++salt) {
           const std::uint64_t s = salt | (std::uint64_t{cur} << 40);
-          ASSERT_EQ(deflection_ranking(m, cur, dst, s),
+          ASSERT_EQ(deflection_ranking(m, m.coord(cur), m.coord(dst), s),
                     reference_ranking(m, cur, dst, s))
               << m.width() << "x" << m.height() << " cur " << cur << " dst "
               << dst << " salt " << s;
