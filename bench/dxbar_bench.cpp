@@ -46,7 +46,7 @@ void print_usage(std::FILE* to) {
       "  --resume DIR    run grids as crash-resumable campaigns in DIR\n"
       "  key=value       SimConfig override (applied after --quick;\n"
       "                  overrides always win regardless of order)\n",
-      kJsonSchemaVersion);
+      report::kSchemaVersion);
 }
 
 void print_list() {

@@ -122,7 +122,6 @@ constexpr ConfigField kFields[] = {
     number("fairness_threshold", &C::fairness_threshold, 1, kInf, kStructural),
     number("stall_escape", &C::stall_escape_delay, 1, kInf, kStructural),
     number("num_vcs", &C::num_vcs, 1, kInf, kStructural),
-    number("source_queue_depth", &C::source_queue_depth, 1, kInf),
     number("retransmit_buffer", &C::retransmit_buffer, 1, kInf, kStructural),
     number("load", &C::offered_load, 0, 1),
     number("warmup_load", &C::warmup_load, -kInf, kInf),
@@ -154,7 +153,7 @@ constexpr ConfigField kFields[] = {
 // A member added without a table entry changes the (LP64) size and
 // fails here: every member needs its row above.
 static_assert(sizeof(void*) != 8 ||
-              (sizeof(SimConfig) == 192 && std::size(kFields) == 33));
+              (sizeof(SimConfig) == 192 && std::size(kFields) == 32));
 
 template <class T>
 constexpr bool kIsNumber = std::is_arithmetic_v<T> && !std::is_same_v<T, bool>;

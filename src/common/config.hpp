@@ -39,8 +39,6 @@ struct SimConfig {
   /// Virtual channels per input for the BufferedVC extension baseline
   /// (each gets buffer_depth / num_vcs slots).
   int num_vcs = 2;
-  /// Source-side injection queue depth (packets awaiting injection).
-  int source_queue_depth = 64;
   /// SCARAB retransmission buffer entries per node.
   int retransmit_buffer = 16;
 

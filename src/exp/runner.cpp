@@ -572,7 +572,6 @@ report::ResultDoc result_doc(const Experiment& exp,
                              const ExperimentResult& result,
                              const RunOptions& opt) {
   report::ResultDoc doc;
-  doc.schema_version = kJsonSchemaVersion;
   doc.experiment = exp.name;
   doc.title = exp.title;
   doc.git_describe = std::string(git_describe());

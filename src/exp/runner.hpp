@@ -124,7 +124,7 @@ bool write_csv_tables(const Experiment& exp, const ExperimentResult& result,
                       const std::string& csv_dir,
                       std::vector<std::string>& used_names);
 
-/// Builds the schema-v1 result document for one executed experiment —
+/// Builds the schema-v2 result document for one executed experiment —
 /// the exact content `write_json_result` serializes (via
 /// report::to_json, the layout shared with the report subsystem's
 /// reader).
@@ -140,7 +140,5 @@ bool write_json_result(const Experiment& exp, const ExperimentResult& result,
 /// Version stamp recorded in JSON outputs (`git describe` at configure
 /// time, or "unknown").
 std::string_view git_describe();
-
-inline constexpr int kJsonSchemaVersion = 1;
 
 }  // namespace dxbar::exp

@@ -1,4 +1,4 @@
-// Cross-commit result diffing: compares two directories of schema-v1
+// Cross-commit result diffing: compares two directories of schema-v2
 // result documents and classifies each experiment.
 //
 //   identical        — the documents are byte-equivalent (ignoring the

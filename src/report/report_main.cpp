@@ -23,7 +23,7 @@ void print_usage(std::FILE* to) {
       "       dxbar_report diff <base-dir> <new-dir> [-o FILE]\n"
       "                    [--tie-margin X] [--sat-tol X]\n"
       "\n"
-      "render  read every <dir>/*.json result (schema v1, as written by\n"
+      "render  read every <dir>/*.json result (schema v2, as written by\n"
       "        `dxbar_bench --json`) and write a markdown report with an\n"
       "        inline-SVG plot, the table data and derived shape metrics\n"
       "        (saturation points, winners, knees) per experiment.\n"

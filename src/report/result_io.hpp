@@ -1,4 +1,4 @@
-// Schema-v1 experiment-result documents: the typed form of the JSON
+// Schema-v2 experiment-result documents: the typed form of the JSON
 // files `dxbar_bench --json` writes, readable back with a bit-exact
 // round-trip guarantee.
 //
@@ -27,7 +27,7 @@
 namespace dxbar::report {
 
 /// Current (and only) schema version understood by the reader.
-inline constexpr int kSchemaVersion = 1;
+inline constexpr int kSchemaVersion = 2;
 inline constexpr std::string_view kSchemaName = "dxbar-experiment-result";
 
 struct SeriesDoc {
@@ -63,11 +63,11 @@ struct ResultDoc {
   std::vector<PointDoc> points;
 };
 
-/// Serializes `doc` to the schema-v1 JSON text (trailing newline
+/// Serializes `doc` to the schema-v2 JSON text (trailing newline
 /// included, matching what dxbar_bench writes to disk).
 std::string to_json(const ResultDoc& doc);
 
-/// Parses schema-v1 JSON text into `out`.  Returns an empty string on
+/// Parses schema-v2 JSON text into `out`.  Returns an empty string on
 /// success or an actionable error ("tables[0].series[2]: missing key
 /// 'values'").  `where` (typically the file name) prefixes the error.
 std::string from_json(std::string_view text, ResultDoc& out,

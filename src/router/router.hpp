@@ -192,8 +192,8 @@ class Router {
 
   /// Return a buffer credit to the upstream router on the link the flit
   /// arrived over.
-  void return_credit(Direction arrived_over) {
-    Channel* ch = env_.in_links[port_index(arrived_over)];
+  void return_credit(Direction in_dir) {
+    Channel* ch = env_.in_links[port_index(in_dir)];
     if (ch != nullptr) ch->return_credit();
   }
 

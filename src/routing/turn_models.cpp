@@ -20,11 +20,11 @@ RouteSet nf_routes(const Mesh& mesh, NodeId cur, NodeId dst) {
   return out;
 }
 
-bool nf_turn_legal(Direction arrived_over, Direction out) {
+bool nf_turn_legal(Direction in_dir, Direction out) {
   // Forbidden: entering a negative direction after travelling a
   // positive one.
   const bool from_positive =
-      arrived_over == Direction::East || arrived_over == Direction::North;
+      in_dir == Direction::East || in_dir == Direction::North;
   const bool to_negative =
       out == Direction::West || out == Direction::South;
   return !(from_positive && to_negative);
@@ -48,9 +48,9 @@ RouteSet nl_routes(const Mesh& mesh, NodeId cur, NodeId dst) {
   return out;
 }
 
-bool nl_turn_legal(Direction arrived_over, Direction out) {
+bool nl_turn_legal(Direction in_dir, Direction out) {
   // Forbidden: any turn out of North (North must be last).
-  if (arrived_over != Direction::North) return true;
+  if (in_dir != Direction::North) return true;
   return out == Direction::North || out == Direction::Local;
 }
 

@@ -18,14 +18,14 @@ namespace dxbar {
 /// Legal minimal ports under negative-first, preference-ordered.
 RouteSet nf_routes(const Mesh& mesh, NodeId cur, NodeId dst);
 
-/// True when turning from travel direction `arrived_over` into `out` is
+/// True when turning from travel direction `in_dir` into `out` is
 /// legal under negative-first.
-bool nf_turn_legal(Direction arrived_over, Direction out);
+bool nf_turn_legal(Direction in_dir, Direction out);
 
 /// Legal minimal ports under north-last, preference-ordered.
 RouteSet nl_routes(const Mesh& mesh, NodeId cur, NodeId dst);
 
 /// True when the turn is legal under north-last.
-bool nl_turn_legal(Direction arrived_over, Direction out);
+bool nl_turn_legal(Direction in_dir, Direction out);
 
 }  // namespace dxbar

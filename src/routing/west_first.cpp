@@ -25,12 +25,12 @@ RouteSet wf_routes(const Mesh& mesh, NodeId cur, NodeId dst) {
   return out;
 }
 
-bool wf_turn_legal(Direction arrived_over, Direction out) {
-  // `arrived_over` is the direction of travel on the previous hop
+bool wf_turn_legal(Direction in_dir, Direction out) {
+  // `in_dir` is the direction of travel on the previous hop
   // (i.e. the upstream router's output port).  The two forbidden turns
   // of the west-first model are North->West and South->West.
   if (out != Direction::West) return true;
-  return arrived_over != Direction::North && arrived_over != Direction::South;
+  return in_dir != Direction::North && in_dir != Direction::South;
 }
 
 }  // namespace dxbar

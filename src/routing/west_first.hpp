@@ -23,6 +23,6 @@ RouteSet wf_routes(const Mesh& mesh, NodeId cur, NodeId dst);
 /// to output `out` is legal under the west-first turn model.  Used by
 /// property tests; the route computation above never produces an illegal
 /// turn by construction.
-bool wf_turn_legal(Direction arrived_over, Direction out);
+bool wf_turn_legal(Direction in_dir, Direction out);
 
 }  // namespace dxbar

@@ -107,16 +107,9 @@ class Channel {
 
   /// Wires the register arrivals land in: the downstream router's input
   /// register for this link's port, cached by the network at build so
-  /// advance() delivers in place.  An unwired (standalone) channel
-  /// delivers into its own arrival register, read by take_arrival().
+  /// advance() delivers in place.  A channel must be wired before it
+  /// delivers its first flit.
   void deliver_into(std::optional<Flit>* reg) noexcept { sink_ = reg; }
-
-  /// The flit an unwired channel delivered this cycle, if any; clears it.
-  [[nodiscard]] std::optional<Flit> take_arrival() noexcept {
-    auto out = arrived_;
-    arrived_.reset();
-    return out;
-  }
 
   /// Downstream frees a buffer slot (or forwarded the flit without ever
   /// buffering it); the credit becomes usable upstream next cycle.
@@ -163,9 +156,9 @@ class Channel {
     // only do the copies when a flit is actually in transit.
     if (in_flight_.has_value() || staged_.has_value()) {
       if (in_flight_.has_value()) {
-        std::optional<Flit>& reg = sink_ != nullptr ? *sink_ : arrived_;
-        assert(!reg.has_value() && "input register collision");
-        reg = in_flight_;
+        assert(sink_ != nullptr && "channel delivers before deliver_into");
+        assert(!sink_->has_value() && "input register collision");
+        *sink_ = in_flight_;
         delivered = true;
       }
       in_flight_ = staged_;
@@ -187,8 +180,7 @@ class Channel {
 
   /// Flits currently inside the channel (staged or on the wire).
   [[nodiscard]] int occupancy() const noexcept {
-    return (staged_.has_value() ? 1 : 0) + (in_flight_.has_value() ? 1 : 0) +
-           (arrived_.has_value() ? 1 : 0);
+    return (staged_.has_value() ? 1 : 0) + (in_flight_.has_value() ? 1 : 0);
   }
 
   // ---- active-channel tracking ----------------------------------------
@@ -211,8 +203,7 @@ class Channel {
   /// advance() would change no state.
   [[nodiscard]] bool quiescent() const noexcept {
     return !staged_.has_value() && !in_flight_.has_value() &&
-           !arrived_.has_value() && pending_credits_ == 0 &&
-           stop_ == stop_pending_;
+           pending_credits_ == 0 && stop_ == stop_pending_;
   }
 
   /// The network delists a quiescent channel during its sweep.
@@ -245,7 +236,6 @@ class Channel {
     w.boolean(stop_pending_);
     save_optional_flit(w, staged_);
     save_optional_flit(w, in_flight_);
-    save_optional_flit(w, arrived_);
   }
 
   /// Restores the channel's mutable state.  The caller must have cleared
@@ -267,7 +257,6 @@ class Channel {
     stop_pending_ = r.boolean();
     staged_ = load_optional_flit(r);
     in_flight_ = load_optional_flit(r);
-    arrived_ = load_optional_flit(r);
     listed_ = false;
     if (pinned_ || !quiescent()) touch();
   }
@@ -297,9 +286,6 @@ class Channel {
   bool stop_pending_ = false;
   std::optional<Flit> staged_;     ///< sent this cycle (ST just finished)
   std::optional<Flit> in_flight_;  ///< on the wire (LT stage)
-  /// Delivery register of an unwired channel.  A wired channel never
-  /// writes it, so in a network it is always empty (still snapshotted).
-  std::optional<Flit> arrived_;
   std::optional<Flit>* sink_ = nullptr;  ///< wired delivery register
 };
 

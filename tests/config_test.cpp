@@ -32,7 +32,6 @@ const std::map<std::string, std::string, std::less<>> kSamples = {
     {"fairness_threshold", "2"},
     {"stall_escape", "32"},
     {"num_vcs", "4"},
-    {"source_queue_depth", "32"},
     {"retransmit_buffer", "8"},
     {"load", "0.45"},
     {"warmup_load", "0.2"},
@@ -125,7 +124,7 @@ TEST(ConfigTable, FuzzedGoldenConfigNeverEscapesTheReader) {
   // Every single-byte mutation of the golden base_config object must be
   // rejected with an error or read as a config that round-trips.
   std::ifstream in(std::string(DXBAR_TEST_DATA_DIR) +
-                   "/golden_result_v1.json");
+                   "/golden_result_v2.json");
   std::stringstream buf;
   buf << in.rdbuf();
   const std::string golden = buf.str();

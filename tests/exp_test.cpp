@@ -401,7 +401,7 @@ TEST(ExpJson, OutputIsWellFormedAndSchemaStamped) {
       << "malformed JSON at offset " << c.i;
 
   for (const char* needle :
-       {"\"schema\": \"dxbar-experiment-result\"", "\"schema_version\": 1",
+       {"\"schema\": \"dxbar-experiment-result\"", "\"schema_version\": 2",
         "\"experiment\": \"fig5\"", "\"git_describe\"",
         "\"overrides\"", "\"seed=7\"", "\"base_config\"", "\"tables\"",
         "\"x_label\"", "\"series\"", "\"points\"", "\"executor\"",

@@ -105,11 +105,13 @@ TEST(Backpressure, StopTakesEffectNextCycle) {
 
 TEST(Backpressure, StopDoesNotBlockInFlightDelivery) {
   Channel ch(kUnlimitedCredits);
+  std::optional<Flit> reg;
+  ch.deliver_into(&reg);
   ch.send(Flit{.packet = 1});
   ch.set_stop(true);
   ch.advance();
   ch.advance();
-  EXPECT_TRUE(ch.take_arrival().has_value());
+  EXPECT_TRUE(reg.has_value());
 }
 
 // ---- DXbar degraded modes ---------------------------------------------------

@@ -208,13 +208,17 @@ TEST(ReportReader, RejectsWrongSchemaAndVersion) {
                 std::string("dxbar-experiment-result").size(), "other");
   EXPECT_NE(from_json(wrong, out).find("$.schema"), std::string::npos);
 
-  wrong = text;
-  wrong.replace(wrong.find("\"schema_version\": 1"),
-                std::string("\"schema_version\": 1").size(),
-                "\"schema_version\": 99");
-  const std::string err = from_json(wrong, out);
-  EXPECT_NE(err.find("version"), std::string::npos) << err;
-  EXPECT_NE(err.find("99"), std::string::npos) << err;
+  // A future version and the previous one are both rejected, naming
+  // the file's version.
+  for (const char* version : {"99", "1"}) {
+    wrong = text;
+    wrong.replace(wrong.find("\"schema_version\": 2"),
+                  std::string("\"schema_version\": 2").size(),
+                  std::string("\"schema_version\": ") + version);
+    const std::string err = from_json(wrong, out);
+    EXPECT_NE(err.find("file has " + std::string(version)), std::string::npos)
+        << err;
+  }
 }
 
 TEST(ReportReader, RejectsUnknownEnumValues) {
@@ -248,7 +252,7 @@ TEST(ReportReader, RejectsIntegersThatDoNotFitTheirField) {
         {"\"packets_completed\": 7,", "\"packets_completed\": -1,"},
         {"\"flits_ejected\": 0,", "\"flits_ejected\": 18446744073709551616,"},
         {"\"packet_length\": 6,", "\"packet_length\": 4294967302,"},
-        {"\"schema_version\": 1,", "\"schema_version\": 1.5,"},
+        {"\"schema_version\": 2,", "\"schema_version\": 1.5,"},
         {"\"warm_groups\": 0,", "\"warm_groups\": -1,"}}) {
     std::string bad = text;
     const auto pos = bad.find(from);
@@ -293,14 +297,14 @@ TEST(ReportReader, DirLoadKeepsGoodFilesAndReportsBadOnes) {
 }
 
 // ---------------------------------------------------------------------
-// Golden v1 fixture: the on-disk schema is pinned by a checked-in file.
+// Golden v2 fixture: the on-disk schema is pinned by a checked-in file.
 // Regenerate deliberately with: DXBAR_REGEN_GOLDEN=1 ./dxbar_tests
 
 ResultDoc golden_doc() {
   ResultDoc doc;
   doc.experiment = "golden";
   doc.title = "golden fixture";
-  doc.git_describe = "v1-fixture";
+  doc.git_describe = "v2-fixture";
   doc.quick = true;
   doc.executor = "warm_sweep";
   doc.warm_groups = 1;
@@ -322,9 +326,9 @@ ResultDoc golden_doc() {
   return doc;
 }
 
-TEST(ReportGolden, CheckedInV1FixtureStaysReadableAndByteExact) {
+TEST(ReportGolden, CheckedInV2FixtureStaysReadableAndByteExact) {
   const std::string path =
-      std::string(DXBAR_TEST_DATA_DIR) + "/golden_result_v1.json";
+      std::string(DXBAR_TEST_DATA_DIR) + "/golden_result_v2.json";
   const std::string want = to_json(golden_doc());
   if (std::getenv("DXBAR_REGEN_GOLDEN") != nullptr) {
     std::ofstream(path) << want;
