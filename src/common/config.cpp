@@ -150,10 +150,8 @@ constexpr ConfigField kFields[] = {
     number("shards", &C::shards, 1, kInf, kExecutionOnly),
 };
 
-// A member added without a table entry changes the (LP64) size and
-// fails here: every member needs its row above.
-static_assert(sizeof(void*) != 8 ||
-              (sizeof(SimConfig) == 192 && std::size(kFields) == 32));
+// Every member needs its row above.
+static_assert(aggregate_member_count<SimConfig>() == std::size(kFields));
 
 template <class T>
 constexpr bool kIsNumber = std::is_arithmetic_v<T> && !std::is_same_v<T, bool>;

@@ -3,6 +3,7 @@
 // examples and benches share one configuration surface.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -146,6 +147,23 @@ struct SimConfig {
 // Each SimConfig member is one config_fields() entry.  Overrides,
 // validate(), describe(), result JSON, the snapshot codec, the
 // structural fingerprint and the sweep signatures all loop over it.
+
+/// Number of members of the aggregate `T`: the longest brace list of
+/// AnyMember values (each converts to any type) that initializes it.
+/// Each field table compares it with its rows, so a member added
+/// without a row does not compile.
+struct AnyMember {
+  template <class T>
+  operator T() const;
+};
+template <class T, class... Init>
+consteval std::size_t aggregate_member_count() {
+  if constexpr (requires { T{Init{}..., AnyMember{}}; }) {
+    return aggregate_member_count<T, Init..., AnyMember>();
+  } else {
+    return sizeof...(Init);
+  }
+}
 
 /// Role flags of a field (ConfigField::roles).
 enum FieldRole : unsigned {

@@ -414,44 +414,14 @@ void json_config(JsonWriter& w, const SimConfig& cfg) {
 
 void json_run_stats(JsonWriter& w, const RunStats& s) {
   w.begin_object();
-  w.key("offered_load").value(s.offered_load);
-  w.key("accepted_load").value(s.accepted_load);
-  w.key("accepted_load_stddev").value(s.accepted_load_stddev);
-  w.key("avg_packet_latency").value(s.avg_packet_latency);
-  w.key("avg_network_latency").value(s.avg_network_latency);
-  w.key("latency_p50").value(s.latency_p50);
-  w.key("latency_p95").value(s.latency_p95);
-  w.key("latency_p99").value(s.latency_p99);
-  w.key("latency_max").value(s.latency_max);
-  w.key("avg_hops").value(s.avg_hops);
-  w.key("deflections_per_flit").value(s.deflections_per_flit);
-  w.key("retransmits_per_flit").value(s.retransmits_per_flit);
-  w.key("packets_completed").value(s.packets_completed);
-  w.key("flits_ejected").value(s.flits_ejected);
-  w.key("flits_injected").value(s.flits_injected);
-  w.key("cycles").value(s.cycles);
-  w.key("packet_length").value(s.packet_length);
-  w.key("drained").value(s.drained);
-  w.key("energy_buffer_nj").value(s.energy_buffer_nj);
-  w.key("energy_crossbar_nj").value(s.energy_crossbar_nj);
-  w.key("energy_link_nj").value(s.energy_link_nj);
-  w.key("energy_control_nj").value(s.energy_control_nj);
-  // Leakage rides its own optional column (dynamic-only totals are what
-  // Table III pins); zero only when the window is empty, in which case
-  // omitting it keeps legacy documents byte-identical.
-  if (s.energy_leakage_nj != 0.0) {
-    w.key("energy_leakage_nj").value(s.energy_leakage_nj);
-  }
-  w.key("energy_per_packet_nj").value(s.energy_per_packet_nj());
-  // Request-level (closed-loop) block: omitted when no requests
-  // completed, which keeps open-loop documents byte-identical.
-  if (s.requests_completed != 0) {
-    w.key("requests_completed").value(s.requests_completed);
-    w.key("avg_req_latency").value(s.avg_req_latency);
-    w.key("req_latency_p50").value(s.req_latency_p50);
-    w.key("req_latency_p95").value(s.req_latency_p95);
-    w.key("req_latency_p99").value(s.req_latency_p99);
-    w.key("req_latency_max").value(s.req_latency_max);
+  for (const StatsField& f : run_stats_fields()) {
+    if (f.write_if != nullptr && !f.write_if(s)) continue;
+    w.key(f.key);
+    if (f.stored()) {
+      f.visit(s, [&](auto v) { w.value(v); });
+    } else {
+      w.value(f.derived(s));
+    }
   }
   w.end_object();
 }

@@ -115,8 +115,8 @@ std::string json_parse(std::string_view text, JsonValue& out);
 /// write_if is emitted only where it holds.
 void json_config(JsonWriter& w, const SimConfig& cfg);
 
-/// Emits a RunStats as one JSON object (raw fields plus the derived
-/// energy-per-packet metric the paper plots).
+/// Emits a RunStats as one JSON object, in run_stats_fields() order (raw
+/// fields plus the derived energy-per-packet metric the paper plots).
 void json_run_stats(JsonWriter& w, const RunStats& s);
 
 }  // namespace dxbar

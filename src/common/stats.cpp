@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
+#include "common/config.hpp"
 #include "snapshot/serialize.hpp"
 
 namespace dxbar {
@@ -16,7 +18,58 @@ double percentile(const std::vector<double>& sorted, double p) {
   return sorted[std::min(rank, sorted.size() - 1)];
 }
 
+// Keys written only where they carry information keep older result
+// corpora (and the golden fixture) byte-identical: leakage is zero only
+// for an empty window, and open-loop runs complete no requests.
+constexpr bool leaks(const RunStats& s) { return s.energy_leakage_nj != 0.0; }
+constexpr bool requests(const RunStats& s) { return s.requests_completed != 0; }
+
+using S = RunStats;
+
+// Table order is the JSON key order and the binary payload order.
+constexpr StatsField kFields[] = {
+    {"offered_load", &S::offered_load},
+    {"accepted_load", &S::accepted_load},
+    {"accepted_load_stddev", &S::accepted_load_stddev},
+    {"avg_packet_latency", &S::avg_packet_latency},
+    {"avg_network_latency", &S::avg_network_latency},
+    {"latency_p50", &S::latency_p50},
+    {"latency_p95", &S::latency_p95},
+    {"latency_p99", &S::latency_p99},
+    {"latency_max", &S::latency_max},
+    {"avg_hops", &S::avg_hops},
+    {"deflections_per_flit", &S::deflections_per_flit},
+    {"retransmits_per_flit", &S::retransmits_per_flit},
+    {"packets_completed", &S::packets_completed},
+    {"flits_ejected", &S::flits_ejected},
+    {"flits_injected", &S::flits_injected},
+    {"cycles", &S::cycles},
+    {"packet_length", &S::packet_length},
+    {"drained", &S::drained},
+    {"energy_buffer_nj", &S::energy_buffer_nj},
+    {"energy_crossbar_nj", &S::energy_crossbar_nj},
+    {"energy_link_nj", &S::energy_link_nj},
+    {"energy_control_nj", &S::energy_control_nj},
+    {"energy_leakage_nj", &S::energy_leakage_nj, leaks},
+    {.key = "energy_per_packet_nj",
+     .derived = [](const S& s) { return s.energy_per_packet_nj(); }},
+    {"requests_completed", &S::requests_completed, requests},
+    {"avg_req_latency", &S::avg_req_latency, requests},
+    {"req_latency_p50", &S::req_latency_p50, requests},
+    {"req_latency_p95", &S::req_latency_p95, requests},
+    {"req_latency_p99", &S::req_latency_p99, requests},
+    {"req_latency_max", &S::req_latency_max, requests},
+};
+
+// Every member but req_hist needs its stored row above.
+constexpr bool is_stored(const StatsField& f) { return f.stored(); }
+static_assert(aggregate_member_count<RunStats>() ==
+              1 + std::count_if(std::begin(kFields), std::end(kFields),
+                                is_stored));
+
 }  // namespace
+
+std::span<const StatsField> run_stats_fields() { return kFields; }
 
 RunStats StatsCollector::summarize(double offered_load, bool drained) const {
   RunStats out;

@@ -10,6 +10,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "common/flit.hpp"
@@ -88,6 +91,38 @@ struct RunStats {
     return energy_per_flit_nj() * packet_length;
   }
 };
+
+// ---- the field table --------------------------------------------------
+//
+// Each scalar RunStats member is one run_stats_fields() row.  The result
+// JSON writer and reader and the binary codec loop over it; req_hist is
+// binary-only and follows the table there.
+
+struct StatsField {
+  using Member = std::variant<double RunStats::*, std::uint64_t RunStats::*,
+                              int RunStats::*, bool RunStats::*>;
+
+  std::string_view key;  ///< result-JSON key
+  Member member = {};    ///< unset on a derived row
+  /// Written only where this holds (and then optional on read); null
+  /// means always written.
+  bool (*write_if)(const RunStats&) = nullptr;
+  /// Write-only value computed from the stored fields: the reader
+  /// requires the key but drops its value; the codec skips the row.
+  double (*derived)(const RunStats&) = nullptr;
+
+  [[nodiscard]] constexpr bool stored() const { return derived == nullptr; }
+
+  /// Calls `fn(s.*member)` with the member's own type (stored rows).
+  template <class Stats, class Fn>
+  void visit(Stats& s, Fn&& fn) const {
+    std::visit([&](auto m) { fn(s.*m); }, member);
+  }
+};
+
+/// Every scalar RunStats member plus the derived energy_per_packet_nj,
+/// in result-JSON key order (also the binary payload order).
+std::span<const StatsField> run_stats_fields();
 
 /// Result of a closed-loop (fixed-work) run.
 struct ClosedLoopResult {

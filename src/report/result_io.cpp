@@ -147,18 +147,11 @@ class ObjReader {
     }
   }
 
-  /// Like integer(), but a missing key leaves `out` untouched — for
-  /// fields the writer omits at their default value.
+  /// The getter for a member's type: number, boolean or integer.
+  void scalar(std::string_view key, double& out) { number(key, out); }
+  void scalar(std::string_view key, bool& out) { boolean(key, out); }
   template <class T>
-  void opt_integer(std::string_view key, T& out) {
-    if (!err_.empty() || v_.find(key) == nullptr) return;
-    integer(key, out);
-  }
-
-  void opt_number(std::string_view key, double& out) {
-    if (!err_.empty() || v_.find(key) == nullptr) return;
-    number(key, out);
-  }
+  void scalar(std::string_view key, T& out) { integer(key, out); }
 
   const JsonValue* array(std::string_view key) {
     return get(key, JsonValue::Type::Array, "array");
@@ -225,45 +218,20 @@ void read_config(const JsonValue& v, const std::string& path, SimConfig& cfg,
   r.finish();
 }
 
+/// Reads the keys json_run_stats() writes.  A row the writer emits only
+/// conditionally is optional; a derived row is required, then dropped.
 void read_stats(const JsonValue& v, const std::string& path, RunStats& s,
                 std::string& err) {
   ObjReader r(v, path, err);
-  r.number("offered_load", s.offered_load);
-  r.number("accepted_load", s.accepted_load);
-  r.number("accepted_load_stddev", s.accepted_load_stddev);
-  r.number("avg_packet_latency", s.avg_packet_latency);
-  r.number("avg_network_latency", s.avg_network_latency);
-  r.number("latency_p50", s.latency_p50);
-  r.number("latency_p95", s.latency_p95);
-  r.number("latency_p99", s.latency_p99);
-  r.number("latency_max", s.latency_max);
-  r.number("avg_hops", s.avg_hops);
-  r.number("deflections_per_flit", s.deflections_per_flit);
-  r.number("retransmits_per_flit", s.retransmits_per_flit);
-  r.integer("packets_completed", s.packets_completed);
-  r.integer("flits_ejected", s.flits_ejected);
-  r.integer("flits_injected", s.flits_injected);
-  r.integer("cycles", s.cycles);
-  r.integer("packet_length", s.packet_length);
-  r.boolean("drained", s.drained);
-  r.number("energy_buffer_nj", s.energy_buffer_nj);
-  r.number("energy_crossbar_nj", s.energy_crossbar_nj);
-  r.number("energy_link_nj", s.energy_link_nj);
-  r.number("energy_control_nj", s.energy_control_nj);
-  // Separate static-power column, absent from pre-leakage corpora and
-  // from empty-window documents.
-  r.opt_number("energy_leakage_nj", s.energy_leakage_nj);
-  // Derived at write time from the fields above; its presence is part
-  // of the schema but the stored value is not load-bearing.
   double derived = 0.0;
-  r.number("energy_per_packet_nj", derived);
-  // Request-level block (closed-loop runs only; absent otherwise).
-  r.opt_integer("requests_completed", s.requests_completed);
-  r.opt_number("avg_req_latency", s.avg_req_latency);
-  r.opt_number("req_latency_p50", s.req_latency_p50);
-  r.opt_number("req_latency_p95", s.req_latency_p95);
-  r.opt_number("req_latency_p99", s.req_latency_p99);
-  r.opt_number("req_latency_max", s.req_latency_max);
+  for (const StatsField& f : run_stats_fields()) {
+    if (f.write_if != nullptr && v.find(f.key) == nullptr) continue;
+    if (f.stored()) {
+      f.visit(s, [&](auto& m) { r.scalar(f.key, m); });
+    } else {
+      r.number(f.key, derived);
+    }
+  }
   r.finish();
 }
 

@@ -25,9 +25,12 @@ constexpr std::uint32_t kSecCampaign = section_tag("CAMP");
 template <class Result>
 struct ResultCodec;
 
+// A RunStats payload follows run_stats_fields(); logs from before that
+// layout used "RSOL", which the frame reader now drops as a foreign
+// tail, so those points re-run once.
 template <>
 struct ResultCodec<RunStats> {
-  static constexpr std::uint32_t kTag = section_tag("RSOL");
+  static constexpr std::uint32_t kTag = section_tag("RSO2");
   static constexpr auto save = &save_run_stats;
   static constexpr auto load = &load_run_stats;
 };

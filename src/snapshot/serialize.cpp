@@ -4,74 +4,6 @@
 
 namespace dxbar {
 
-void save_run_stats(SnapshotWriter& w, const RunStats& s) {
-  w.f64(s.offered_load);
-  w.f64(s.accepted_load);
-  w.f64(s.accepted_load_stddev);
-  w.f64(s.avg_packet_latency);
-  w.f64(s.avg_network_latency);
-  w.f64(s.latency_p50);
-  w.f64(s.latency_p95);
-  w.f64(s.latency_p99);
-  w.f64(s.latency_max);
-  w.f64(s.avg_hops);
-  w.f64(s.deflections_per_flit);
-  w.f64(s.retransmits_per_flit);
-  w.u64(s.packets_completed);
-  w.u64(s.flits_ejected);
-  w.u64(s.flits_injected);
-  w.u64(s.cycles);
-  w.i32(s.packet_length);
-  w.boolean(s.drained);
-  w.f64(s.energy_buffer_nj);
-  w.f64(s.energy_crossbar_nj);
-  w.f64(s.energy_link_nj);
-  w.f64(s.energy_control_nj);
-  w.f64(s.avg_req_latency);
-  w.f64(s.req_latency_p50);
-  w.f64(s.req_latency_p95);
-  w.f64(s.req_latency_p99);
-  w.f64(s.req_latency_max);
-  w.u64(s.requests_completed);
-  s.req_hist.save(w);
-  w.f64(s.energy_leakage_nj);
-}
-
-RunStats load_run_stats(SnapshotReader& r) {
-  RunStats s;
-  s.offered_load = r.f64();
-  s.accepted_load = r.f64();
-  s.accepted_load_stddev = r.f64();
-  s.avg_packet_latency = r.f64();
-  s.avg_network_latency = r.f64();
-  s.latency_p50 = r.f64();
-  s.latency_p95 = r.f64();
-  s.latency_p99 = r.f64();
-  s.latency_max = r.f64();
-  s.avg_hops = r.f64();
-  s.deflections_per_flit = r.f64();
-  s.retransmits_per_flit = r.f64();
-  s.packets_completed = r.u64();
-  s.flits_ejected = r.u64();
-  s.flits_injected = r.u64();
-  s.cycles = r.u64();
-  s.packet_length = r.i32();
-  s.drained = r.boolean();
-  s.energy_buffer_nj = r.f64();
-  s.energy_crossbar_nj = r.f64();
-  s.energy_link_nj = r.f64();
-  s.energy_control_nj = r.f64();
-  s.avg_req_latency = r.f64();
-  s.req_latency_p50 = r.f64();
-  s.req_latency_p95 = r.f64();
-  s.req_latency_p99 = r.f64();
-  s.req_latency_max = r.f64();
-  s.requests_completed = r.u64();
-  s.req_hist.load(r);
-  s.energy_leakage_nj = r.f64();
-  return s;
-}
-
 void save_closed_loop_result(SnapshotWriter& w, const ClosedLoopResult& c) {
   w.u64(c.completion_cycles);
   w.boolean(c.finished);
@@ -111,6 +43,22 @@ template <class E> requires std::is_enum_v<E>
 void get(SnapshotReader& r, E& v) { v = static_cast<E>(r.u8()); }
 
 }  // namespace
+
+void save_run_stats(SnapshotWriter& w, const RunStats& s) {
+  for (const StatsField& f : run_stats_fields()) {
+    if (f.stored()) f.visit(s, [&](auto v) { put(w, v); });
+  }
+  s.req_hist.save(w);
+}
+
+RunStats load_run_stats(SnapshotReader& r) {
+  RunStats s;
+  for (const StatsField& f : run_stats_fields()) {
+    if (f.stored()) f.visit(s, [&](auto& v) { get(r, v); });
+  }
+  s.req_hist.load(r);
+  return s;
+}
 
 void save_config(SnapshotWriter& w, const SimConfig& cfg) {
   for (const ConfigField& f : config_fields()) {

@@ -95,6 +95,7 @@ inline PacketRecord load_packet_record(SnapshotReader& r) {
 
 // ---- RunStats / ClosedLoopResult / SimConfig (campaign persistence) --
 
+/// Every stored run_stats_fields() row, in table order, then req_hist.
 void save_run_stats(SnapshotWriter& w, const RunStats& s);
 RunStats load_run_stats(SnapshotReader& r);
 

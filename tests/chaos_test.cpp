@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "sim/network.hpp"
 #include "sim/sim_runner.hpp"
+#include "stats_compare.hpp"
 #include "topology/partition.hpp"
 
 namespace dxbar {
@@ -125,29 +126,6 @@ RunStats run_with_partition(const SimConfig& cfg, const MeshPartition& part) {
   return s;
 }
 
-void expect_stats_identical(const RunStats& a, const RunStats& b,
-                            const SimConfig& cfg) {
-  EXPECT_EQ(a.accepted_load, b.accepted_load) << cfg.describe();
-  EXPECT_EQ(a.accepted_load_stddev, b.accepted_load_stddev);
-  EXPECT_EQ(a.avg_packet_latency, b.avg_packet_latency) << cfg.describe();
-  EXPECT_EQ(a.avg_network_latency, b.avg_network_latency);
-  EXPECT_EQ(a.latency_p50, b.latency_p50);
-  EXPECT_EQ(a.latency_p95, b.latency_p95);
-  EXPECT_EQ(a.latency_p99, b.latency_p99);
-  EXPECT_EQ(a.latency_max, b.latency_max);
-  EXPECT_EQ(a.avg_hops, b.avg_hops);
-  EXPECT_EQ(a.deflections_per_flit, b.deflections_per_flit);
-  EXPECT_EQ(a.retransmits_per_flit, b.retransmits_per_flit);
-  EXPECT_EQ(a.packets_completed, b.packets_completed) << cfg.describe();
-  EXPECT_EQ(a.flits_ejected, b.flits_ejected);
-  EXPECT_EQ(a.flits_injected, b.flits_injected);
-  EXPECT_EQ(a.drained, b.drained);
-  EXPECT_EQ(a.energy_buffer_nj, b.energy_buffer_nj);
-  EXPECT_EQ(a.energy_crossbar_nj, b.energy_crossbar_nj);
-  EXPECT_EQ(a.energy_link_nj, b.energy_link_nj);
-  EXPECT_EQ(a.energy_control_nj, b.energy_control_nj) << cfg.describe();
-}
-
 class ShardFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ShardFuzzTest, RandomPartitionIsBitExactAndConserving) {
@@ -186,7 +164,7 @@ TEST_P(ShardFuzzTest, RandomPartitionIsBitExactAndConserving) {
   const RunStats serial = run_open_loop(cfg);  // cfg.shards == 1
   const RunStats sharded = run_with_partition(cfg, part);
   SCOPED_TRACE("shards=" + std::to_string(part.shards()));
-  expect_stats_identical(serial, sharded, cfg);
+  EXPECT_TRUE(same_stats(serial, sharded)) << cfg.describe();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardFuzzTest,

@@ -1,10 +1,13 @@
-// The SimConfig field table (common/config.hpp): every entry must
-// round-trip through each consumer built on it, and both config readers
-// (key=value overrides and result JSON) must survive byte mutations.
+// The SimConfig and RunStats field tables (common/config.hpp,
+// common/stats.hpp): every entry must round-trip through each consumer
+// built on it, and the readers (key=value overrides and result JSON)
+// must survive byte mutations.
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +15,7 @@
 #include "common/json.hpp"
 #include "report/result_io.hpp"
 #include "snapshot/serialize.hpp"
+#include "stats_compare.hpp"
 
 #ifndef DXBAR_TEST_DATA_DIR
 #define DXBAR_TEST_DATA_DIR "."
@@ -69,16 +73,6 @@ std::string config_json(const SimConfig& cfg) {
   return w.take();
 }
 
-/// `cfg` written as a result document's base_config and read back.
-std::string json_round_trip(const SimConfig& cfg, SimConfig& back) {
-  report::ResultDoc doc;
-  doc.base_config = cfg;
-  report::ResultDoc out;
-  const std::string err = report::from_json(report::to_json(doc), out);
-  back = out.base_config;
-  return err;
-}
-
 TEST(ConfigTable, EveryFieldRoundTripsThroughOverrideJsonAndSnapshot) {
   ASSERT_EQ(kSamples.size(), config_fields().size());
   const SimConfig base = closed_loop_base();
@@ -103,48 +97,53 @@ TEST(ConfigTable, EveryFieldRoundTripsThroughOverrideJsonAndSnapshot) {
       EXPECT_EQ(config_json(cfg), config_json(base)) << arg;
       continue;
     }
-    SimConfig from_json;
-    ASSERT_EQ(json_round_trip(cfg, from_json), "") << arg;
-    EXPECT_EQ(from_json, cfg) << arg;
+    report::ResultDoc doc;
+    doc.base_config = cfg;
+    report::ResultDoc back;
+    ASSERT_EQ(report::from_json(report::to_json(doc), back), "") << arg;
+    EXPECT_EQ(back.base_config, cfg) << arg;
     SnapshotWriter w;
-    save_config(w, from_json);
+    save_config(w, back.base_config);
     SnapshotReader r(w.data());
     EXPECT_EQ(load_config(r), cfg) << arg;
   }
 }
 
 /// A reader's result is acceptable when its JSON reads back unchanged.
-void expect_stable(const SimConfig& cfg, const std::string& what) {
-  SimConfig back;
-  ASSERT_EQ(json_round_trip(cfg, back), "") << what;
-  EXPECT_EQ(config_json(back), config_json(cfg)) << what;
+void expect_stable(const report::ResultDoc& doc, const std::string& what) {
+  const std::string once = report::to_json(doc);
+  report::ResultDoc back;
+  ASSERT_EQ(report::from_json(once, back), "") << what;
+  EXPECT_EQ(report::to_json(back), once) << what;
 }
 
 TEST(ConfigTable, FuzzedGoldenConfigNeverEscapesTheReader) {
-  // Every single-byte mutation of the golden base_config object must be
-  // rejected with an error or read as a config that round-trips.
+  // Every single-byte mutation of the golden base_config object and of
+  // its first stats object must be rejected with an error or read as a
+  // document that round-trips.
   std::ifstream in(std::string(DXBAR_TEST_DATA_DIR) +
                    "/golden_result_v2.json");
   std::stringstream buf;
   buf << in.rdbuf();
   const std::string golden = buf.str();
-  const std::size_t begin = golden.find("\"base_config\": {");
-  ASSERT_NE(begin, std::string::npos);
-  const std::size_t end = golden.find('}', begin);
-  ASSERT_NE(end, std::string::npos);
-  int accepted = 0;
-  for (std::size_t i = begin; i <= end; ++i) {
-    for (const unsigned char delta : {0x01, 0x02, 0x20, 0x80}) {
-      std::string mutated = golden;
-      mutated[i] = static_cast<char>(mutated[i] ^ delta);
-      report::ResultDoc doc;
-      if (!report::from_json(mutated, doc).empty()) continue;
-      ++accepted;
-      expect_stable(doc.base_config, "byte " + std::to_string(i) +
-                                         " delta " + std::to_string(delta));
+  for (const std::string_view open : {"\"base_config\": {", "\"stats\": {"}) {
+    const std::size_t begin = golden.find(open);
+    ASSERT_NE(begin, std::string::npos) << open;
+    const std::size_t end = golden.find('}', begin);
+    int accepted = 0;
+    for (std::size_t i = begin; i <= end; ++i) {
+      for (const unsigned char delta : {0x01, 0x02, 0x20, 0x80}) {
+        std::string mutated = golden;
+        mutated[i] = static_cast<char>(mutated[i] ^ delta);
+        report::ResultDoc doc;
+        if (!report::from_json(mutated, doc).empty()) continue;
+        ++accepted;
+        expect_stable(doc, "byte " + std::to_string(i) + " delta " +
+                               std::to_string(delta));
+      }
     }
+    EXPECT_GT(accepted, 0) << open;  // digit flips stay readable
   }
-  EXPECT_GT(accepted, 0);  // digit flips stay readable
 }
 
 TEST(ConfigTable, FuzzedOverridesNeverEscapeTheReader) {
@@ -160,12 +159,52 @@ TEST(ConfigTable, FuzzedOverridesNeverEscapeTheReader) {
       for (const unsigned char delta : {0x01, 0x02, 0x20, 0x80}) {
         std::string mutated = arg;
         mutated[i] = static_cast<char>(mutated[i] ^ delta);
-        SimConfig cfg = base;
-        if (!apply_override(cfg, mutated).empty()) continue;
-        expect_stable(cfg, mutated);
+        report::ResultDoc doc;
+        doc.base_config = base;
+        if (!apply_override(doc.base_config, mutated).empty()) continue;
+        expect_stable(doc, mutated);
       }
     }
   }
+}
+
+TEST(StatsTable, EveryFieldRoundTripsInTheParentsKeyOrder) {
+  // Every stored field distinct and nonzero, so the conditional leakage
+  // and request keys are written too.
+  RunStats s;
+  double next = 1.5;
+  for (const StatsField& f : run_stats_fields()) {
+    if (!f.stored()) continue;
+    f.visit(s, [&](auto& m) { m = static_cast<decltype(+m)>(next++); });
+  }
+  JsonWriter w;
+  json_run_stats(w, s);
+  JsonValue v;
+  ASSERT_EQ(json_parse(w.take(), v), "");
+  std::string keys;
+  for (const auto& [key, value] : v.members) keys += key + " ";
+  EXPECT_EQ(keys,
+            "offered_load accepted_load accepted_load_stddev "
+            "avg_packet_latency avg_network_latency latency_p50 latency_p95 "
+            "latency_p99 latency_max avg_hops deflections_per_flit "
+            "retransmits_per_flit packets_completed flits_ejected "
+            "flits_injected cycles packet_length drained energy_buffer_nj "
+            "energy_crossbar_nj energy_link_nj energy_control_nj "
+            "energy_leakage_nj energy_per_packet_nj requests_completed "
+            "avg_req_latency req_latency_p50 req_latency_p95 req_latency_p99 "
+            "req_latency_max ");
+
+  report::ResultDoc doc;
+  doc.points.push_back({SimConfig{}, s});
+  report::ResultDoc back;
+  ASSERT_EQ(report::from_json(report::to_json(doc), back), "");
+  EXPECT_TRUE(same_stats(back.points[0].stats, s));
+
+  s.req_hist.record(3);  // binary-only
+  s.req_hist.record(900);
+  const std::vector<std::uint8_t> bytes = stats_bytes(s);
+  SnapshotReader r(bytes);
+  EXPECT_TRUE(same_stats(load_run_stats(r), s));
 }
 
 }  // namespace

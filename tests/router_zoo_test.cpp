@@ -18,6 +18,7 @@
 #include "router/minbd_router.hpp"
 #include "sim/network.hpp"
 #include "sim/sim_runner.hpp"
+#include "stats_compare.hpp"
 
 namespace dxbar {
 namespace {
@@ -32,21 +33,6 @@ SimConfig zoo_cfg(RouterDesign design, double load) {
   cfg.measure_cycles = 1000;
   cfg.seed = 11;
   return cfg;
-}
-
-void expect_identical(const RunStats& a, const RunStats& b) {
-  EXPECT_EQ(a.accepted_load, b.accepted_load);
-  EXPECT_EQ(a.avg_packet_latency, b.avg_packet_latency);
-  EXPECT_EQ(a.latency_p99, b.latency_p99);
-  EXPECT_EQ(a.avg_hops, b.avg_hops);
-  EXPECT_EQ(a.deflections_per_flit, b.deflections_per_flit);
-  EXPECT_EQ(a.packets_completed, b.packets_completed);
-  EXPECT_EQ(a.flits_ejected, b.flits_ejected);
-  EXPECT_EQ(a.flits_injected, b.flits_injected);
-  EXPECT_EQ(a.drained, b.drained);
-  EXPECT_EQ(a.energy_buffer_nj, b.energy_buffer_nj);
-  EXPECT_EQ(a.energy_crossbar_nj, b.energy_crossbar_nj);
-  EXPECT_EQ(a.energy_link_nj, b.energy_link_nj);
 }
 
 // --- DAMQ: credit-grant accounting -----------------------------------------
@@ -165,9 +151,8 @@ TEST(DamqShardEquivalence, OneTwoFourShardsAreBitExact) {
   cfg.shards = 1;
   const RunStats serial = run_open_loop(cfg);
   for (int shards : {2, 4}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
     cfg.shards = shards;
-    expect_identical(serial, run_open_loop(cfg));
+    EXPECT_TRUE(same_stats(serial, run_open_loop(cfg))) << "shards=" << shards;
   }
 }
 
@@ -178,9 +163,8 @@ TEST(MinBDShardEquivalence, OneTwoFourShardsAreBitExact) {
   cfg.shards = 1;
   const RunStats serial = run_open_loop(cfg);
   for (int shards : {2, 4}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
     cfg.shards = shards;
-    expect_identical(serial, run_open_loop(cfg));
+    EXPECT_TRUE(same_stats(serial, run_open_loop(cfg))) << "shards=" << shards;
   }
 }
 
@@ -213,7 +197,7 @@ TEST_P(ZooSnapshotTest, MidTrafficSaveRestoreResumesBitExactly) {
   SnapshotReader sr(bytes);
   resumed.load(sr);
   w2.load_state(sr);
-  expect_identical(straight, finish_open_loop(resumed, w2));
+  EXPECT_TRUE(same_stats(straight, finish_open_loop(resumed, w2)));
 }
 
 INSTANTIATE_TEST_SUITE_P(DamqAndMinBD, ZooSnapshotTest,

@@ -19,15 +19,10 @@
 #include "routing/route_cache.hpp"
 #include "routing/route_table.hpp"
 #include "sim/replica_batch.hpp"
+#include "stats_compare.hpp"
 
 namespace dxbar {
 namespace {
-
-std::vector<std::uint8_t> stats_bytes(const RunStats& s) {
-  SnapshotWriter w;
-  save_run_stats(w, s);
-  return w.take();
-}
 
 std::vector<std::uint8_t> snapshot_with_workload(
     const Network& net, const SyntheticWorkload& workload) {

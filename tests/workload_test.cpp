@@ -11,12 +11,13 @@
 #include <fstream>
 #include <vector>
 
+#include "common/latency_histogram.hpp"
 #include "sim/campaign.hpp"
 #include "sim/sim_runner.hpp"
 #include "sim/sweep.hpp"
+#include "stats_compare.hpp"
 #include "workload/closed_loop.hpp"
 #include "workload/factory.hpp"
-#include "common/latency_histogram.hpp"
 
 namespace dxbar {
 namespace {
@@ -48,30 +49,6 @@ SimConfig closed_loop_cfg(RouterDesign design) {
   cfg.measure_cycles = 1500;
   cfg.seed = 7;
   return cfg;
-}
-
-// Every RunStats field including the request-latency block, compared
-// exactly: determinism means bit-identical doubles.
-void expect_identical(const RunStats& a, const RunStats& b) {
-  EXPECT_EQ(a.accepted_load, b.accepted_load);
-  EXPECT_EQ(a.avg_packet_latency, b.avg_packet_latency);
-  EXPECT_EQ(a.latency_p50, b.latency_p50);
-  EXPECT_EQ(a.latency_p99, b.latency_p99);
-  EXPECT_EQ(a.packets_completed, b.packets_completed);
-  EXPECT_EQ(a.flits_ejected, b.flits_ejected);
-  EXPECT_EQ(a.flits_injected, b.flits_injected);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.drained, b.drained);
-  EXPECT_EQ(a.energy_buffer_nj, b.energy_buffer_nj);
-  EXPECT_EQ(a.energy_crossbar_nj, b.energy_crossbar_nj);
-  EXPECT_EQ(a.energy_link_nj, b.energy_link_nj);
-  EXPECT_EQ(a.energy_control_nj, b.energy_control_nj);
-  EXPECT_EQ(a.requests_completed, b.requests_completed);
-  EXPECT_EQ(a.avg_req_latency, b.avg_req_latency);
-  EXPECT_EQ(a.req_latency_p50, b.req_latency_p50);
-  EXPECT_EQ(a.req_latency_p95, b.req_latency_p95);
-  EXPECT_EQ(a.req_latency_p99, b.req_latency_p99);
-  EXPECT_EQ(a.req_latency_max, b.req_latency_max);
 }
 
 // --- latency histogram ---------------------------------------------------
@@ -202,7 +179,7 @@ TEST(CoherenceMix, PureReadIssuesNoWritebacksAndMatchesDefaultBitExactly) {
   const SimConfig base = closed_loop_cfg(RouterDesign::DXbar);
   SimConfig pure = base;
   pure.read_fraction = 1.0;
-  expect_identical(run_open_loop(base), run_open_loop(pure));
+  EXPECT_TRUE(same_stats(run_open_loop(base), run_open_loop(pure)));
 
   Network net(base);
   ClosedLoopWorkload wl(base, net.mesh());
@@ -275,14 +252,14 @@ TEST(CoherenceMix, MidRunSaveRestoreResumesBitExactly) {
   resumed.restore(net_bytes);
   SnapshotReader r(w.data());
   wl2->load_state(r);
-  expect_identical(straight, finish_open_loop(resumed, *wl2));
+  EXPECT_TRUE(same_stats(straight, finish_open_loop(resumed, *wl2)));
 }
 
 // --- determinism across execution strategies -----------------------------
 
 TEST(ClosedLoopDeterminism, RepeatRunsAreBitIdentical) {
   const SimConfig cfg = closed_loop_cfg(RouterDesign::UnifiedXbar);
-  expect_identical(run_open_loop(cfg), run_open_loop(cfg));
+  EXPECT_TRUE(same_stats(run_open_loop(cfg), run_open_loop(cfg)));
 }
 
 TEST(ClosedLoopDeterminism, ShardedRunMatchesSingleThreaded) {
@@ -291,9 +268,9 @@ TEST(ClosedLoopDeterminism, ShardedRunMatchesSingleThreaded) {
     cfg.shards = 1;
     const RunStats serial = run_open_loop(cfg);
     for (int shards : {2, 4}) {
-      SCOPED_TRACE(design_name(d) + " shards=" + std::to_string(shards));
       cfg.shards = shards;
-      expect_identical(serial, run_open_loop(cfg));
+      EXPECT_TRUE(same_stats(serial, run_open_loop(cfg)))
+          << design_name(d) << " shards=" << shards;
     }
   }
 }
@@ -312,8 +289,7 @@ TEST(ClosedLoopDeterminism, SweepResultsIndependentOfThreadCount) {
   ASSERT_EQ(one.size(), configs.size());
   ASSERT_EQ(four.size(), configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    SCOPED_TRACE("sweep point " + std::to_string(i));
-    expect_identical(one[i], four[i]);
+    EXPECT_TRUE(same_stats(one[i], four[i])) << "sweep point " << i;
   }
 }
 
@@ -332,8 +308,8 @@ TEST(ClosedLoopReplicaSweep, SeedReplicasMatchSerialRuns) {
   ASSERT_EQ(report.groups.size(), 1u);
   ASSERT_EQ(forked.size(), configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    SCOPED_TRACE("replica " + std::to_string(i));
-    expect_identical(run_open_loop(configs[i]), forked[i]);
+    EXPECT_TRUE(same_stats(run_open_loop(configs[i]), forked[i]))
+        << "replica " << i;
   }
 }
 
@@ -361,7 +337,7 @@ TEST(ClosedLoopSnapshot, MidRunSaveRestoreResumesBitExactly) {
   resumed.restore(net_bytes);
   SnapshotReader r(w.data());
   wl2->load_state(r);
-  expect_identical(straight, finish_open_loop(resumed, *wl2));
+  EXPECT_TRUE(same_stats(straight, finish_open_loop(resumed, *wl2)));
 }
 
 // --- ResultsLog<ClosedLoopResult>: point-level resume ---------------------
