@@ -1,16 +1,12 @@
 // Shared vocabulary for the experiment registrations.
 #pragma once
 
-#include <filesystem>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/dxbar.hpp"
 #include "exp/registry.hpp"
 #include "exp/runner.hpp"
-#include "sim/campaign.hpp"
-#include "snapshot/serialize.hpp"
 
 namespace dxbar::bench {
 
@@ -49,65 +45,24 @@ inline std::vector<double> figure_loads(double step = 0.1) {
   return loads;
 }
 
-/// Fingerprint of a closed-loop SPLASH job list (configs + per-app work
-/// + cycle cap): a ResultsLog keyed on it ignores results
-/// recorded for a different job list (e.g. --quick vs full).
-inline std::uint64_t
-splash_jobs_fingerprint(
-    const std::vector<std::pair<SimConfig, const SplashProfile*>>& jobs,
-    Cycle max_cycles) {
-  SnapshotWriter w;
-  for (const auto& [cfg, app] : jobs) {
-    save_config(w, cfg);
-    for (char c : app->name) w.u8(static_cast<std::uint8_t>(c));
-    w.u32(app->transactions_per_node);
+/// The SPLASH-2 points of Figs 9-10, series-major: every figure design
+/// on every application, each run to completion (warmup 0, the
+/// measurement window is a 2M-cycle cap).
+inline std::vector<SimConfig> splash_grid(const RunContext& ctx) {
+  std::vector<SimConfig> cfgs;
+  for (const DesignVariant& dv : figure_designs()) {
+    for (std::size_t a = 0; a < splash_profiles().size(); ++a) {
+      SimConfig c = ctx.base;
+      c.design = dv.design;
+      c.routing = dv.routing;
+      c.workload = WorkloadKind::Splash;
+      c.splash_app = static_cast<SplashApp>(a);
+      c.warmup_cycles = 0;
+      c.measure_cycles = 2'000'000;
+      cfgs.push_back(c);
+    }
   }
-  w.u64(max_cycles);
-  return fnv1a(w.data().data(), w.data().size());
-}
-
-/// Runs `n` closed-loop jobs in parallel with optional point-level
-/// resume: when ctx.resume_dir is set (the experiment declared
-/// custom_resume), finished points are loaded from
-/// `<resume_dir>/<exp_name>/results.bin`, only missing points run, and
-/// each completion is persisted as soon as it lands.
-inline std::vector<ClosedLoopResult> run_closed_loop_jobs(
-    const RunContext& ctx, const std::string& exp_name, std::size_t n,
-    std::uint64_t fingerprint,
-    const std::function<ClosedLoopResult(std::size_t)>& run_job) {
-  std::vector<ClosedLoopResult> results(n);
-  if (ctx.resume_dir.empty()) {
-    parallel_for(
-        n, [&](std::size_t i) { results[i] = run_job(i); }, ctx.threads);
-    return results;
-  }
-
-  const std::string dir = ctx.resume_dir + "/" + exp_name;
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    std::fprintf(stderr, "dxbar_bench: cannot create campaign dir %s: %s\n",
-                 dir.c_str(), ec.message().c_str());
-    std::exit(1);
-  }
-  ResultsLog<ClosedLoopResult> log(n, dir, fingerprint);
-  std::vector<std::size_t> missing;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!log.results()[i].has_value()) missing.push_back(i);
-  }
-  std::fprintf(stderr,
-               "dxbar_bench: %s: closed-loop campaign of %zu point(s) in "
-               "%s, %zu already complete\n",
-               exp_name.c_str(), n, dir.c_str(), n - missing.size());
-  parallel_for(
-      missing.size(),
-      [&](std::size_t m) {
-        const std::size_t i = missing[m];
-        log.record(i, run_job(i));
-      },
-      ctx.threads);
-  for (std::size_t i = 0; i < n; ++i) results[i] = *log.results()[i];
-  return results;
+  return cfgs;
 }
 
 }  // namespace dxbar::bench

@@ -1,7 +1,6 @@
 // Figure 10 — network energy per packet for the nine SPLASH-2 workloads
-// (coherence-traffic substitute), same closed-loop methodology as Fig 9.
+// (coherence-traffic substitute), same closed-loop points as Fig 9.
 #include "exp_common.hpp"
-#include "traffic/splash.hpp"
 
 namespace dxbar::bench {
 namespace {
@@ -12,29 +11,10 @@ const Registration reg(Experiment{
     .paper_shape =
         "Flit-Bless consumes far more energy than DXbar (the paper "
         "reports >=16x) and SCARAB >=2x; DXbar is the most frugal",
-    .run =
-        [](const RunContext& ctx) {
-          std::vector<SplashProfile> apps = splash_profiles();
-          if (ctx.quick) {
-            for (auto& a : apps) a.transactions_per_node = 30;
-          }
-
-          std::vector<std::pair<SimConfig, const SplashProfile*>> jobs;
-          for (const DesignVariant& dv : figure_designs()) {
-            for (const SplashProfile& app : apps) {
-              SimConfig c = ctx.base;
-              c.design = dv.design;
-              c.routing = dv.routing;
-              jobs.emplace_back(c, &app);
-            }
-          }
-
-          const std::vector<ClosedLoopResult> results = run_closed_loop_jobs(
-              ctx, "fig10", jobs.size(),
-              splash_jobs_fingerprint(jobs, 2'000'000), [&](std::size_t i) {
-                return run_splash(jobs[i].first, *jobs[i].second, 2'000'000);
-              });
-
+    .grid = splash_grid,
+    .reduce =
+        [](const RunContext&, const std::vector<RunStats>& stats) {
+          const auto apps = splash_profiles();
           Table t;
           t.title =
               "Figure 10: energy per packet (nJ), SPLASH-2 substitute";
@@ -45,7 +25,16 @@ const Registration reg(Experiment{
             t.series_labels.emplace_back(figure_designs()[s].label);
             std::vector<double> col;
             for (std::size_t a = 0; a < apps.size(); ++a) {
-              col.push_back(results[s * apps.size() + a].energy_per_packet_nj);
+              // Whole-run energy over packets delivered; not
+              // energy_per_packet_nj(), which scales per-flit energy by
+              // one packet length while SPLASH mixes 1- and 5-flit
+              // packets.
+              const RunStats& st = stats[s * apps.size() + a];
+              col.push_back(st.packets_completed == 0
+                                ? 0.0
+                                : st.total_energy_nj() /
+                                      static_cast<double>(
+                                          st.packets_completed));
             }
             t.values.push_back(std::move(col));
           }
@@ -65,7 +54,6 @@ const Registration reg(Experiment{
           }
           return r;
         },
-    .custom_resume = true,
 });
 
 }  // namespace

@@ -2,10 +2,9 @@
 // (coherence-traffic substitute; see DESIGN.md section 4), normalized to
 // the Buffered 4 baseline per application.  Closed-loop runs: the
 // network's round-trip latency feeds back into each node's issue rate
-// through the MSHR limit, which is what makes "execution time" a
-// property of the router design.
+// through the MSHR limit, which is what makes "execution time" (the
+// run's `cycles`) a property of the router design.
 #include "exp_common.hpp"
-#include "traffic/splash.hpp"
 
 namespace dxbar::bench {
 namespace {
@@ -17,29 +16,10 @@ const Registration reg(Experiment{
         "DXbar DOR performs best for most traces (DOR above WF); "
         "Flit-Bless and SCARAB keep up at these low-to-moderate loads "
         "and can even edge ahead for FFT",
-    .run =
-        [](const RunContext& ctx) {
-          std::vector<SplashProfile> apps = splash_profiles();
-          if (ctx.quick) {
-            for (auto& a : apps) a.transactions_per_node = 30;
-          }
-
-          std::vector<std::pair<SimConfig, const SplashProfile*>> jobs;
-          for (const DesignVariant& dv : figure_designs()) {
-            for (const SplashProfile& app : apps) {
-              SimConfig c = ctx.base;
-              c.design = dv.design;
-              c.routing = dv.routing;
-              jobs.emplace_back(c, &app);
-            }
-          }
-
-          const std::vector<ClosedLoopResult> results = run_closed_loop_jobs(
-              ctx, "fig9", jobs.size(),
-              splash_jobs_fingerprint(jobs, 2'000'000), [&](std::size_t i) {
-                return run_splash(jobs[i].first, *jobs[i].second, 2'000'000);
-              });
-
+    .grid = splash_grid,
+    .reduce =
+        [](const RunContext&, const std::vector<RunStats>& stats) {
+          const auto apps = splash_profiles();
           // Normalize to Buffered 4 (series index 2 in figure_designs()).
           const std::size_t baseline = 2;
           Table t;
@@ -53,10 +33,9 @@ const Registration reg(Experiment{
             std::vector<double> col;
             for (std::size_t a = 0; a < apps.size(); ++a) {
               const double base = static_cast<double>(
-                  results[baseline * apps.size() + a].completion_cycles);
+                  stats[baseline * apps.size() + a].cycles);
               col.push_back(
-                  static_cast<double>(
-                      results[s * apps.size() + a].completion_cycles) /
+                  static_cast<double>(stats[s * apps.size() + a].cycles) /
                   base);
             }
             t.values.push_back(std::move(col));
@@ -65,15 +44,14 @@ const Registration reg(Experiment{
           ExperimentResult r;
           r.add_table(std::move(t));
           bool all_finished = true;
-          for (const auto& res : results) {
-            all_finished = all_finished && res.finished;
+          for (const RunStats& st : stats) {
+            all_finished = all_finished && st.drained;
           }
           r.addf("\nall workloads completed: %s\n",
                  all_finished ? "yes" : "NO");
           r.exit_code = all_finished ? 0 : 1;
           return r;
         },
-    .custom_resume = true,
 });
 
 }  // namespace

@@ -1,6 +1,6 @@
-# CLI acceptance test for --resume on both resume grains: an open-loop
-# grid (ablation_unified_vs_dual, checkpointed Campaign) and a
-# closed-loop custom experiment (fig9, point-level results log).
+# CLI acceptance test for --resume on both kinds of Campaign point: an
+# open-loop grid (ablation_unified_vs_dual, checkpointed) and the SPLASH
+# grid of fig9 (workload=splash points, run without a checkpoint).
 #
 #   1. a run without --resume, then two runs into one fresh --resume
 #      directory, print the same stdout;

@@ -5,10 +5,14 @@
 //   ./splash_traces generate <app> <file> [key=value ...]
 //   ./splash_traces replay <file> [key=value ...]
 //   ./splash_traces run <app> [key=value ...]     # closed-loop, no file
+//
+// Both runs are one window over the whole run (warmup 0, measure = a
+// 2M-cycle cap, overridable) that ends when the work is done.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <span>
+#include <string>
 
 #include "core/dxbar.hpp"
 
@@ -23,15 +27,17 @@ void usage() {
                "Barnes\n");
 }
 
-void report(const dxbar::ClosedLoopResult& r) {
-  std::printf("finished            : %s\n", r.finished ? "yes" : "NO");
+void report(const dxbar::RunStats& s) {
+  const double energy = s.total_energy_nj();
+  const double packets = static_cast<double>(s.packets_completed);
+  std::printf("finished            : %s\n", s.drained ? "yes" : "NO");
   std::printf("execution time      : %llu cycles\n",
-              static_cast<unsigned long long>(r.completion_cycles));
+              static_cast<unsigned long long>(s.cycles));
   std::printf("packets delivered   : %llu\n",
-              static_cast<unsigned long long>(r.packets));
-  std::printf("avg packet latency  : %.1f cycles\n", r.avg_packet_latency);
+              static_cast<unsigned long long>(s.packets_completed));
+  std::printf("avg packet latency  : %.1f cycles\n", s.avg_packet_latency);
   std::printf("energy per packet   : %.3f nJ (total %.1f nJ)\n",
-              r.energy_per_packet_nj, r.energy_nj);
+              packets == 0.0 ? 0.0 : energy / packets, energy);
 }
 
 }  // namespace
@@ -45,6 +51,8 @@ int main(int argc, char** argv) {
 
   dxbar::SimConfig cfg;
   cfg.design = dxbar::RouterDesign::DXbar;
+  cfg.warmup_cycles = 0;
+  cfg.measure_cycles = 2'000'000;
   const int fixed_args = mode == "generate" ? 4 : 3;
   if (argc < fixed_args) {
     usage();
@@ -86,19 +94,20 @@ int main(int argc, char** argv) {
     const auto trace = dxbar::read_trace(in);
     std::printf("replaying %zu packets on %s...\n", trace.size(),
                 std::string(to_string(cfg.design)).c_str());
-    report(dxbar::run_trace_replay(cfg, trace));
+    dxbar::TraceWorkload workload(trace);
+    report(dxbar::run_open_loop(cfg, workload));
     return 0;
   }
 
   if (mode == "run") {
-    const dxbar::SplashProfile* app = dxbar::find_splash_profile(argv[2]);
-    if (app == nullptr) {
+    cfg.workload = dxbar::WorkloadKind::Splash;
+    if (!dxbar::apply_override(cfg, std::string("app=") + argv[2]).empty()) {
       std::fprintf(stderr, "unknown application '%s'\n", argv[2]);
       return 1;
     }
     std::printf("closed-loop %s on %s...\n", argv[2],
                 std::string(to_string(cfg.design)).c_str());
-    report(dxbar::run_splash(cfg, *app));
+    report(dxbar::run_open_loop(cfg));
     return 0;
   }
 

@@ -67,20 +67,34 @@ constexpr FieldName kPatternNames[] = {
 
 constexpr FieldName kWorkloadNames[] = {
     name(WorkloadKind::Synthetic), name(WorkloadKind::ClosedLoop),
-    name(WorkloadKind::Synthetic, "open"),
+    name(WorkloadKind::Splash), name(WorkloadKind::Synthetic, "open"),
     name(WorkloadKind::ClosedLoop, "closed"),
+};
+
+using A = SplashApp;
+constexpr FieldName kSplashAppNames[] = {
+    name(A::FFT), name(A::LU), name(A::Radiosity), name(A::Ocean),
+    name(A::Raytrace), name(A::Radix), name(A::Water), name(A::FMM),
+    name(A::Barnes),
 };
 
 constexpr int kTechNodes[] = {65, 32, 16};
 
 // Fields written only off their default keep older result corpora (and
 // the golden fixture) byte-identical: the paper's 65 nm node, the
-// single-stream seed, and the whole closed-loop block for synthetic
-// runs (read_fraction only off the pure-read mix).
+// single-stream seed, the workload kind for synthetic runs, and each
+// workload's own block only for that workload (read_fraction only off
+// the pure-read mix).
 constexpr bool off_65nm(const SimConfig& c) { return c.tech_node != 65; }
 constexpr bool reseeded(const SimConfig& c) { return c.measure_seed != 0; }
-constexpr bool closed_loop(const SimConfig& c) {
+constexpr bool not_synthetic(const SimConfig& c) {
   return c.workload != WorkloadKind::Synthetic;
+}
+constexpr bool closed_loop(const SimConfig& c) {
+  return c.workload == WorkloadKind::ClosedLoop;
+}
+constexpr bool splash(const SimConfig& c) {
+  return c.workload == WorkloadKind::Splash;
 }
 constexpr bool mixed_reads(const SimConfig& c) {
   return closed_loop(c) && c.read_fraction != 1.0;
@@ -110,7 +124,7 @@ using C = SimConfig;
 
 // Table order is the JSON key order and the snapshot byte order.  The
 // workload kind is structural because it gates the VC router's class
-// partition; the other closed-loop knobs live in the workload model.
+// partition; the other workload knobs live in the workload model.
 constexpr ConfigField kFields[] = {
     number("width", &C::mesh_width, 2, kInf, kStructural),
     number("height", &C::mesh_height, 2, kInf, kStructural),
@@ -140,13 +154,16 @@ constexpr ConfigField kFields[] = {
     number("seed", &C::seed, 0, kInf, kStructural),
     number("measure_seed", &C::measure_seed, 0, kInf, kWarmupNeutral,
            reseeded),
-    named("workload", &C::workload, kWorkloadNames, kStructural, closed_loop),
+    named("workload", &C::workload, kWorkloadNames, kStructural,
+          not_synthetic),
     number("mlp", &C::mlp, 1, kInf, 0, closed_loop),
     number("service_delay", &C::service_delay, 0, kInf, 0, closed_loop),
     number("request_length", &C::request_length, 1, kMaxPacketLength, 0,
            closed_loop),
     number("hotspot_fraction", &C::hotspot_fraction, 0, 1, 0, closed_loop),
     number("read_fraction", &C::read_fraction, 0, 1, 0, mixed_reads),
+    named("app", &C::splash_app, kSplashAppNames, 0, splash),
+    number("transactions", &C::transactions, 1, kInf, 0, splash),
     number("shards", &C::shards, 1, kInf, kExecutionOnly),
 };
 

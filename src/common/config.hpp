@@ -69,7 +69,8 @@ struct SimConfig {
   // --- closed-loop workload (workload=closedloop; DESIGN.md section 12) --
   /// Which workload model drives injection.  Synthetic (default) keeps
   /// the paper's open-loop Bernoulli traffic; ClosedLoop switches to the
-  /// finite-MLP request-reply client model in src/workload/.
+  /// finite-MLP request-reply client model in src/workload/; Splash runs
+  /// the SPLASH-2 substitute (traffic/splash.hpp) until its work is done.
   WorkloadKind workload = WorkloadKind::Synthetic;
   /// Memory-level parallelism: outstanding requests each node may hold.
   int mlp = 4;
@@ -89,6 +90,12 @@ struct SimConfig {
   /// default) draws no extra RNG samples, so pure-read runs are
   /// bit-identical to the pre-knob behaviour.
   double read_fraction = 1.0;
+
+  // --- SPLASH-2 workload (workload=splash; DESIGN.md section 4) -------
+  /// Application profile of the SPLASH-2 substitute.
+  SplashApp splash_app = SplashApp::FFT;
+  /// Transactions each node completes before the application is done.
+  int transactions = 500;
 
   // --- phases -----------------------------------------------------------
   Cycle warmup_cycles = 1000;
@@ -187,7 +194,8 @@ struct ConfigField {
       std::variant<int SimConfig::*, double SimConfig::*,
                    std::uint64_t SimConfig::*, bool SimConfig::*,
                    RouterDesign SimConfig::*, RoutingAlgo SimConfig::*,
-                   TrafficPattern SimConfig::*, WorkloadKind SimConfig::*>;
+                   TrafficPattern SimConfig::*, WorkloadKind SimConfig::*,
+                   SplashApp SimConfig::*>;
 
   std::string_view key;  ///< override key and JSON key
   Member member;

@@ -71,10 +71,12 @@ static_assert(aggregate_member_count<RunStats>() ==
 
 std::span<const StatsField> run_stats_fields() { return kFields; }
 
-RunStats StatsCollector::summarize(double offered_load, bool drained) const {
+RunStats StatsCollector::summarize(double offered_load, bool drained,
+                                   Cycle stopped_at) const {
   RunStats out;
   out.offered_load = offered_load;
-  out.cycles = window_end_ - window_start_;
+  const Cycle end = std::clamp(stopped_at, window_start_, window_end_);
+  out.cycles = end - window_start_;
   out.flits_ejected = window_flits_ejected_;
   out.flits_injected = window_flits_injected_;
   out.drained = drained;
@@ -83,7 +85,9 @@ RunStats StatsCollector::summarize(double offered_load, bool drained) const {
     out.accepted_load = static_cast<double>(window_flits_ejected_) /
                         (static_cast<double>(out.cycles) * num_nodes_);
 
-    if (out.cycles >= kBatches) {
+    // The sub-batches divide the whole window, so a run stopped inside
+    // it has none to compare.
+    if (end == window_end_ && out.cycles >= kBatches) {
       const double batch_cycles =
           static_cast<double>(out.cycles) / kBatches;
       double mean = 0.0;

@@ -42,9 +42,13 @@ struct RunStats {
   std::uint64_t packets_completed = 0;
   std::uint64_t flits_ejected = 0;
   std::uint64_t flits_injected = 0;
-  std::uint64_t cycles = 0;       ///< measurement window length
+  /// Measurement window length; for a finite workload's run (window
+  /// [0, cap)) the cycle it stopped at, its execution time.
+  std::uint64_t cycles = 0;
   int packet_length = 1;          ///< flits per packet (for per-packet energy)
-  bool drained = false;           ///< all in-flight traffic delivered
+  /// All in-flight traffic delivered; for a finite workload, its work
+  /// finished before the cycle cap.
+  bool drained = false;
   // Energy (nJ) accumulated over the measurement window, split by source.
   double energy_buffer_nj = 0.0;
   double energy_crossbar_nj = 0.0;
@@ -123,16 +127,6 @@ struct StatsField {
 /// Every scalar RunStats member plus the derived energy_per_packet_nj,
 /// in result-JSON key order (also the binary payload order).
 std::span<const StatsField> run_stats_fields();
-
-/// Result of a closed-loop (fixed-work) run.
-struct ClosedLoopResult {
-  Cycle completion_cycles = 0;  ///< "execution time" of the workload
-  bool finished = false;        ///< false when the cycle cap was hit
-  std::uint64_t packets = 0;
-  double energy_nj = 0.0;       ///< whole-run network energy
-  double energy_per_packet_nj = 0.0;
-  double avg_packet_latency = 0.0;
-};
 
 /// Window-gated injection counter a single shard can bump without
 /// touching the shared StatsCollector.  One tally lives per shard
@@ -216,7 +210,12 @@ class StatsCollector {
   }
 
   /// Summarises into RunStats (energy fields are filled by the caller).
-  [[nodiscard]] RunStats summarize(double offered_load, bool drained) const;
+  /// A run that stopped inside the window (a finite workload done
+  /// early) passes its stop cycle: `cycles` and the accepted load then
+  /// cover [window_start, stopped_at), and accepted_load_stddev is 0.
+  [[nodiscard]] RunStats summarize(
+      double offered_load, bool drained,
+      Cycle stopped_at = std::numeric_limits<Cycle>::max()) const;
 
   /// Snapshot protocol: captures the window bounds and all in-flight
   /// accumulation (ejection/injection counters, batch histogram, window

@@ -169,12 +169,35 @@ constexpr std::string_view to_string(MsgClass c) noexcept {
 enum class WorkloadKind : std::uint8_t {
   Synthetic,   ///< open-loop Bernoulli pattern traffic (the paper's)
   ClosedLoop,  ///< finite-MLP request-reply clients (DESIGN.md section 12)
+  Splash,      ///< SPLASH-2 coherence substitute run to completion (Figs 9-10)
 };
 
 constexpr std::string_view to_string(WorkloadKind k) noexcept {
   switch (k) {
     case WorkloadKind::Synthetic: return "synthetic";
     case WorkloadKind::ClosedLoop: return "closedloop";
+    case WorkloadKind::Splash: return "splash";
+  }
+  return "?";
+}
+
+/// The nine SPLASH-2 applications of the paper's Figs 9-10, in paper
+/// order (the index into splash_profiles()).
+enum class SplashApp : std::uint8_t {
+  FFT, LU, Radiosity, Ocean, Raytrace, Radix, Water, FMM, Barnes,
+};
+
+constexpr std::string_view to_string(SplashApp a) noexcept {
+  switch (a) {
+    case SplashApp::FFT: return "FFT";
+    case SplashApp::LU: return "LU";
+    case SplashApp::Radiosity: return "Radiosity";
+    case SplashApp::Ocean: return "Ocean";
+    case SplashApp::Raytrace: return "Raytrace";
+    case SplashApp::Radix: return "Radix";
+    case SplashApp::Water: return "Water";
+    case SplashApp::FMM: return "FMM";
+    case SplashApp::Barnes: return "Barnes";
   }
   return "?";
 }

@@ -8,9 +8,8 @@
 // CSV and schema-versioned JSON output — so a registration is ~40 lines
 // of "what to simulate and how to present it" and nothing else.
 //
-// Experiments that are not open-loop grids (closed-loop SPLASH runs,
-// static parameter tables) provide a custom `run` instead of
-// `grid`/`reduce`; they lose campaign resumability but share the CLI,
+// Experiments that simulate nothing (the static parameter tables)
+// provide a custom `run` instead of `grid`/`reduce`; they share the CLI,
 // rendering and output plumbing.
 #pragma once
 
@@ -79,11 +78,6 @@ struct RunContext {
   bool quick = false;
   unsigned threads = 0;  ///< 0 = hardware concurrency
 
-  /// Session --resume root, forwarded to experiments that declared
-  /// `custom_resume` (empty otherwise): a custom `run` persists its own
-  /// per-point results under `<resume_dir>/<name>/`.
-  std::string resume_dir;
-
   /// Runs an open-loop grid through the session executor (warm-start
   /// sweep, or the crash-resumable campaign under --resume), after
   /// validating every config.  The runner invokes this on
@@ -120,10 +114,6 @@ struct Experiment {
 
   /// Custom execution for non-grid experiments (used when grid == null).
   std::function<ExperimentResult(const RunContext&)> run;
-
-  /// Custom `run` understands ctx.resume_dir (closed-loop campaigns):
-  /// the runner forwards --resume instead of warning it has no effect.
-  bool custom_resume = false;
 };
 
 /// snprintf into a std::string (the benches' number-formatting helper).

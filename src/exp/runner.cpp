@@ -94,6 +94,7 @@ std::string make_base_config(const BenchArgs& args, SimConfig& out) {
     out.warmup_cycles = 300;
     out.measure_cycles = 1200;
     out.drain_cycles = 2000;
+    out.transactions = 30;  // SPLASH work per node (workload=splash)
   }
   // Overrides are applied after the quick defaults so an explicit
   // `warmup=...` on the command line wins regardless of where it
@@ -447,19 +448,15 @@ ExperimentResult execute(const Experiment& exp, const RunOptions& opt) {
     result.executor = campaign_mode ? "campaign" : "warm_sweep";
   } else {
     if (campaign_mode) {
-      if (exp.custom_resume) {
-        ctx.resume_dir = opt.resume_dir;
-      } else {
-        std::fprintf(stderr,
-                     "dxbar_bench: %s: not an open-loop grid experiment; "
-                     "--resume has no effect\n",
-                     exp.name.c_str());
-      }
+      std::fprintf(stderr,
+                   "dxbar_bench: %s: not a grid experiment; --resume has "
+                   "no effect\n",
+                   exp.name.c_str());
     }
     if (opt.seeds > 1) {
       std::fprintf(stderr,
-                   "dxbar_bench: %s: not an open-loop grid experiment; "
-                   "--seeds has no effect\n",
+                   "dxbar_bench: %s: not a grid experiment; --seeds has no "
+                   "effect\n",
                    exp.name.c_str());
     }
     result = exp.run(ctx);

@@ -1,7 +1,7 @@
 // Experiment runner: the execution and reporting engine behind the
 // `dxbar_bench` driver.
 //
-// Execution validates every config of an open-loop grid, then routes the
+// Execution validates every config of a grid, then routes the
 // grid through run_sweep — points that share a warmup (identical config
 // up to measurement rate / measure_seed + drain cap) are warmed once and
 // forked from a snapshot, and the grouping is logged — or, under
@@ -52,8 +52,9 @@ struct BenchArgs {
 BenchArgs parse_bench_args(std::span<const char* const> args);
 
 /// Builds the base SimConfig for a session: bench-default phase windows
-/// (warmup 1000 / measure 4000 / drain 6000), shrunk ~4x under --quick,
-/// then the key=value overrides applied on top.  Returns an error
+/// (warmup 1000 / measure 4000 / drain 6000), shrunk ~4x under --quick
+/// (which also cuts the SPLASH work to 30 transactions per node), then
+/// the key=value overrides applied on top.  Returns an error
 /// message for a bad override, empty on success.
 std::string make_base_config(const BenchArgs& args, SimConfig& out);
 

@@ -21,26 +21,10 @@ namespace {
 constexpr std::uint32_t kCheckpointTag = section_tag("CKPT");
 constexpr std::uint32_t kSecCampaign = section_tag("CAMP");
 
-/// Per result kind: the frame tag and the payload codec.
-template <class Result>
-struct ResultCodec;
-
 // A RunStats payload follows run_stats_fields(); logs from before that
 // layout used "RSOL", which the frame reader now drops as a foreign
 // tail, so those points re-run once.
-template <>
-struct ResultCodec<RunStats> {
-  static constexpr std::uint32_t kTag = section_tag("RSO2");
-  static constexpr auto save = &save_run_stats;
-  static constexpr auto load = &load_run_stats;
-};
-
-template <>
-struct ResultCodec<ClosedLoopResult> {
-  static constexpr std::uint32_t kTag = section_tag("RSCL");
-  static constexpr auto save = &save_closed_loop_result;
-  static constexpr auto load = &load_closed_loop_result;
-};
+constexpr std::uint32_t kResultTag = section_tag("RSO2");
 
 [[noreturn]] void fail(const std::string& path, const char* action,
                        int err = errno) {
@@ -174,18 +158,17 @@ void write_checkpoint(const std::string& path, std::size_t point,
 
 // ---- ResultsLog ------------------------------------------------------
 
-template <class Result>
-ResultsLog<Result>::ResultsLog(std::size_t points, const std::string& dir,
-                               std::uint64_t fingerprint)
+ResultsLog::ResultsLog(std::size_t points, const std::string& dir,
+                       std::uint64_t fingerprint)
     : path_(dir + "/results.bin"),
       fingerprint_(fingerprint),
       results_(points) {
   const std::vector<std::uint8_t> bytes = read_file(path_);
-  const std::size_t intact = for_each_frame(
-      bytes, ResultCodec<Result>::kTag, [&](SnapshotReader& r) {
+  const std::size_t intact =
+      for_each_frame(bytes, kResultTag, [&](SnapshotReader& r) {
         const std::uint64_t fp = r.u64();
         const std::uint32_t point = r.u32();
-        Result result = ResultCodec<Result>::load(r);
+        RunStats result = load_run_stats(r);
         if (fp == fingerprint_ && point < results_.size()) {
           results_[point] = std::move(result);
         }
@@ -199,29 +182,23 @@ ResultsLog<Result>::ResultsLog(std::size_t points, const std::string& dir,
   }
 }
 
-template <class Result>
-std::size_t ResultsLog<Result>::completed() const {
+std::size_t ResultsLog::completed() const {
   return static_cast<std::size_t>(
       std::count_if(results_.begin(), results_.end(),
                     [](const auto& r) { return r.has_value(); }));
 }
 
-template <class Result>
-void ResultsLog<Result>::record(std::size_t point, const Result& r) {
+void ResultsLog::record(std::size_t point, const RunStats& r) {
   SnapshotWriter payload;
   payload.u64(fingerprint_);
   payload.u32(static_cast<std::uint32_t>(point));
-  ResultCodec<Result>::save(payload, r);
-  const std::vector<std::uint8_t> bytes =
-      frame(ResultCodec<Result>::kTag, payload.data());
+  save_run_stats(payload, r);
+  const std::vector<std::uint8_t> bytes = frame(kResultTag, payload.data());
 
   const std::lock_guard<std::mutex> lock(mu_);
   write_file(path_, std::ios::app, bytes);
   results_[point] = r;
 }
-
-template class ResultsLog<RunStats>;
-template class ResultsLog<ClosedLoopResult>;
 
 // ---- Campaign --------------------------------------------------------
 
@@ -266,7 +243,10 @@ CampaignStatus Campaign::run(std::uint64_t cycle_budget) {
     }
 
     // The run's phase follows from net->now() alone, so slices of any
-    // length step exactly what one finish_open_loop call would.
+    // length step exactly what one finish_open_loop call would.  A
+    // workload without snapshots (SPLASH) gets no checkpoint: a pause
+    // inside such a point restarts it cold.
+    const bool checkpointed = workload->snapshot_supported();
     Cycle next_checkpoint = net->now() + checkpoint_interval_;
     for (;;) {
       const Cycle from = net->now();
@@ -277,7 +257,10 @@ CampaignStatus Campaign::run(std::uint64_t cycle_budget) {
       stepped += net->now() - from;
       if (done) break;
       if (net->now() == next_checkpoint) {
-        write_checkpoint(checkpoint_path_, i, fingerprint_, *net, *workload);
+        if (checkpointed) {
+          write_checkpoint(checkpoint_path_, i, fingerprint_, *net,
+                           *workload);
+        }
         next_checkpoint += checkpoint_interval_;
       }
       if (cycle_budget != 0 && stepped >= cycle_budget) return status();

@@ -4,7 +4,7 @@
 //
 //   results.bin     append-only, one frame per completed point
 //   checkpoint.bin  one frame holding a snapshot of the in-flight
-//                   open-loop point (campaign cursor + network +
+//                   point (campaign cursor + network +
 //                   workload), replaced atomically via write-to-temp +
 //                   rename
 //
@@ -15,13 +15,12 @@
 // truncating the file to it so later appends stay readable, and skips
 // frames of a different job list, whose points simply re-run.
 //
-// Two callers write results.bin.  Campaign runs open-loop points and
-// checkpoints inside each one: killing the process at ANY instant
-// (SIGKILL included) loses at most one checkpoint interval of simulated
-// work, and a fresh Campaign on the same directory produces results
-// bit-identical to an uninterrupted run.  Closed-loop experiments
-// (SPLASH runs, trace replays) are short but numerous, so they use the
-// ResultsLog directly and resume at point grain.
+// Campaign runs the points and checkpoints inside each one: killing the
+// process at ANY instant (SIGKILL included) loses at most one checkpoint
+// interval of simulated work, and a fresh Campaign on the same directory
+// produces results bit-identical to an uninterrupted run.  A point whose
+// workload has no snapshot support (workload=splash) is short and gets
+// no checkpoint: an interruption inside it restarts it cold.
 #pragma once
 
 #include <mutex>
@@ -41,9 +40,7 @@ class ResumeFileError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// `<dir>/results.bin` for one job list, holding RunStats or
-/// ClosedLoopResult records.
-template <class Result>
+/// `<dir>/results.bin` for one job list: one RunStats per point.
 class ResultsLog {
  public:
   /// Loads the results recorded in `dir` for the job list `fingerprint`
@@ -53,7 +50,8 @@ class ResultsLog {
              std::uint64_t fingerprint);
 
   /// Per-point results; nullopt while a point is still pending.
-  [[nodiscard]] const std::vector<std::optional<Result>>& results() const {
+  [[nodiscard]] const std::vector<std::optional<RunStats>>& results()
+      const {
     return results_;
   }
 
@@ -61,17 +59,14 @@ class ResultsLog {
 
   /// Persists one finished point: thread-safe, flushed before it
   /// returns.  Throws ResumeFileError when the append fails.
-  void record(std::size_t point, const Result& r);
+  void record(std::size_t point, const RunStats& r);
 
  private:
   std::string path_;
   std::uint64_t fingerprint_;
-  std::vector<std::optional<Result>> results_;
+  std::vector<std::optional<RunStats>> results_;
   std::mutex mu_;
 };
-
-extern template class ResultsLog<RunStats>;
-extern template class ResultsLog<ClosedLoopResult>;
 
 struct CampaignStatus {
   std::size_t completed = 0;  ///< points with persisted results
@@ -79,9 +74,9 @@ struct CampaignStatus {
   bool finished = false;  ///< every point completed
 };
 
-/// An ordered list of open-loop points, each simulated cold through
-/// sim_runner's phases (advance_open_loop, drain_open_loop,
-/// summarize_open_loop) in checkpoint_interval slices.
+/// An ordered list of points, each simulated cold through sim_runner's
+/// phases (advance_open_loop, drain_open_loop, summarize_open_loop) in
+/// checkpoint_interval slices.
 class Campaign {
  public:
   /// `points` defines the campaign (order matters: it is the execution
@@ -113,7 +108,7 @@ class Campaign {
   std::string checkpoint_path_;
   Cycle checkpoint_interval_;
   std::uint64_t fingerprint_;  ///< over the full point list
-  ResultsLog<RunStats> log_;
+  ResultsLog log_;
 };
 
 }  // namespace dxbar

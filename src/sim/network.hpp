@@ -68,6 +68,7 @@ class Network final : public Injector {
 
   /// The workload drives injection; must outlive the network's use.
   void set_workload(WorkloadModel* w) { workload_ = w; }
+  [[nodiscard]] WorkloadModel* workload() const noexcept { return workload_; }
 
   /// Optional event observer (may be null to detach).
   void set_tracer(EventTracer* t) { tracer_ = t; }

@@ -5,7 +5,15 @@
 namespace dxbar {
 
 namespace {
+
 constexpr std::uint32_t kSecWorkload = section_tag("WKLD");
+
+/// The stop point of a finite workload's run: its work is done and the
+/// network has delivered all of it.
+bool work_done(const Network& net, const WorkloadModel& workload) {
+  return workload.finished() && net.idle();
+}
+
 }  // namespace
 
 void advance_open_loop(Network& net, Cycle until) {
@@ -13,12 +21,18 @@ void advance_open_loop(Network& net, Cycle until) {
   const Cycle warmup = cfg.warmup_cycles;
   const Cycle measure_end = warmup + cfg.measure_cycles;
   if (until > measure_end) until = measure_end;
+  // Looked up once: a workload that never finishes adds no check to the
+  // cycle loop.
+  const WorkloadModel* finite =
+      net.workload() != nullptr && net.workload()->finite() ? net.workload()
+                                                             : nullptr;
 
   // Energy accumulates only inside the measurement window; deriving the
   // gate from the clock makes the call position-independent, so a
   // restored network resumes with the exact setting the straight run had.
   net.energy().set_enabled(net.now() >= warmup && net.now() < measure_end);
   while (net.now() < until) {
+    if (finite != nullptr && work_done(net, *finite)) return;
     if (net.now() == warmup) net.energy().set_enabled(true);
     net.step();
   }
@@ -37,6 +51,11 @@ void fill_energy_stats(RunStats& out, const EnergyMeter& events,
 bool drain_open_loop(Network& net, WorkloadModel& workload, Cycle until) {
   const SimConfig& cfg = net.config();
   const Cycle measure_end = cfg.warmup_cycles + cfg.measure_cycles;
+  // A finite workload's run has no drain: it is over once its work is
+  // done, or at the cycle cap.
+  if (workload.finite()) {
+    return net.now() >= measure_end || work_done(net, workload);
+  }
   if (net.now() < measure_end) return false;
   net.energy().set_enabled(false);
   workload.set_injection_enabled(false);
@@ -53,8 +72,10 @@ bool drain_open_loop(Network& net, WorkloadModel& workload, Cycle until) {
 RunStats summarize_open_loop(Network& net, const WorkloadModel& workload,
                              std::vector<PacketRecord>* packets_out) {
   const SimConfig& cfg = net.config();
-  RunStats out = net.stats().summarize(cfg.offered_load,
-                                       net.idle() && workload.quiescent());
+  const bool drained =
+      workload.finite() ? work_done(net, workload)
+                        : net.idle() && workload.quiescent();
+  RunStats out = net.stats().summarize(cfg.offered_load, drained, net.now());
   out.packet_length = cfg.packet_length;
   fill_energy_stats(out, net.energy(), cfg);
   workload.fill_run_stats(out);
@@ -113,61 +134,6 @@ DetailedRun run_open_loop_detailed(const SimConfig& cfg) {
   DetailedRun out;
   out.stats = open_loop_impl(cfg, *workload, &out.packets);
   return out;
-}
-
-ClosedLoopResult run_closed_loop(const SimConfig& cfg,
-                                 WorkloadModel& workload, Cycle max_cycles) {
-  Network net(cfg);
-  net.set_workload(&workload);
-  net.energy().set_enabled(true);
-
-  ClosedLoopResult out;
-  while (net.now() < max_cycles) {
-    if (workload.finished() && net.idle()) {
-      out.finished = true;
-      break;
-    }
-    net.step();
-  }
-  out.completion_cycles = net.now();
-  out.packets = net.packets_delivered();
-  out.energy_nj = net.energy().total_nj();
-  out.energy_per_packet_nj =
-      out.packets == 0 ? 0.0
-                       : out.energy_nj / static_cast<double>(out.packets);
-
-  // Whole-run latency average (closed-loop runs have no warmup window).
-  const auto& packets = net.stats().window_packets();
-  if (!packets.empty()) {
-    double sum = 0.0;
-    for (const PacketRecord& p : packets) {
-      sum += static_cast<double>(p.latency());
-    }
-    out.avg_packet_latency = sum / static_cast<double>(packets.size());
-  }
-  return out;
-}
-
-ClosedLoopResult run_trace_replay(const SimConfig& cfg,
-                                  std::vector<TraceEntry> entries,
-                                  Cycle max_cycles) {
-  SimConfig run_cfg = cfg;
-  run_cfg.warmup_cycles = 0;
-  run_cfg.measure_cycles = max_cycles;
-  TraceWorkload workload(std::move(entries));
-  return run_closed_loop(run_cfg, workload, max_cycles);
-}
-
-ClosedLoopResult run_splash(const SimConfig& cfg, const SplashProfile& app,
-                            Cycle max_cycles) {
-  // The whole run is the measurement: make the stats window cover it.
-  SimConfig run_cfg = cfg;
-  run_cfg.warmup_cycles = 0;
-  run_cfg.measure_cycles = max_cycles;
-
-  const Mesh mesh(run_cfg.mesh_width, run_cfg.mesh_height);
-  SplashWorkload workload(app, run_cfg, mesh);
-  return run_closed_loop(run_cfg, workload, max_cycles);
 }
 
 }  // namespace dxbar

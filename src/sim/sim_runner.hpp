@@ -1,6 +1,7 @@
-// Experiment drivers: open-loop (warmup / measure / drain) runs for the
-// synthetic-traffic figures and closed-loop runs for the SPLASH-2
-// substitute.
+// Simulation runners: one run shape (warmup / measure / drain) for every
+// workload.  A finite workload (workload=splash, a trace replay) runs
+// with warmup 0 and the cycle cap as its measurement window; its run
+// ends when its work is done and the network is idle, with no drain.
 #pragma once
 
 #include <limits>
@@ -9,8 +10,6 @@
 #include "common/config.hpp"
 #include "common/stats.hpp"
 #include "sim/network.hpp"
-#include "traffic/splash.hpp"
-#include "traffic/trace_io.hpp"
 
 namespace dxbar {
 
@@ -26,8 +25,9 @@ RunStats run_open_loop(const SimConfig& cfg);
 RunStats run_open_loop(const SimConfig& cfg, WorkloadModel& workload);
 
 /// Steps `net` forward to cycle `until` (capped at the end of the
-/// measurement window), flipping the energy meter on at the warmup
-/// boundary.  The energy gate is re-derived from the clock on entry, so
+/// measurement window, and stopping early where a finite workload's
+/// work is done and the network is idle), flipping the energy meter on
+/// at the warmup boundary.  The energy gate is re-derived from the clock on entry, so
 /// calling this on a network restored from a snapshot reproduces the
 /// straight-through run exactly.  The building block behind warm-start
 /// sweeps and resumable campaigns.
@@ -37,7 +37,8 @@ void advance_open_loop(Network& net, Cycle until);
 /// energy and injection off and steps until the network and workload
 /// are empty, cfg.drain_cycles have run since the window closed, or the
 /// clock reaches `until`.  Returns true when the drain is over (false
-/// before the window closes).  Like advance_open_loop it derives its
+/// before the window closes).  A finite workload's run has no drain: it
+/// is over at the cap or once its work is done.  Like advance_open_loop it derives its
 /// state from the clock, so a drain sliced across snapshot restores is
 /// bit-identical to one call.
 bool drain_open_loop(Network& net, WorkloadModel& workload,
@@ -86,20 +87,5 @@ struct DetailedRun {
   std::vector<PacketRecord> packets;  ///< window packets, completion order
 };
 DetailedRun run_open_loop_detailed(const SimConfig& cfg);
-
-/// Runs a SPLASH-2 substitute application to completion (or `max_cycles`)
-/// in closed-loop mode (the network's latency feeds back into issue).
-ClosedLoopResult run_splash(const SimConfig& cfg, const SplashProfile& app,
-                            Cycle max_cycles = 2'000'000);
-
-/// Replays a packet trace open-loop (the paper's trace methodology);
-/// completion_cycles is the makespan until the last packet drains.
-ClosedLoopResult run_trace_replay(const SimConfig& cfg,
-                                  std::vector<TraceEntry> entries,
-                                  Cycle max_cycles = 2'000'000);
-
-/// Runs an arbitrary closed-loop workload to completion + drain.
-ClosedLoopResult run_closed_loop(const SimConfig& cfg,
-                                 WorkloadModel& workload, Cycle max_cycles);
 
 }  // namespace dxbar

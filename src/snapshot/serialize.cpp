@@ -4,26 +4,6 @@
 
 namespace dxbar {
 
-void save_closed_loop_result(SnapshotWriter& w, const ClosedLoopResult& c) {
-  w.u64(c.completion_cycles);
-  w.boolean(c.finished);
-  w.u64(c.packets);
-  w.f64(c.energy_nj);
-  w.f64(c.energy_per_packet_nj);
-  w.f64(c.avg_packet_latency);
-}
-
-ClosedLoopResult load_closed_loop_result(SnapshotReader& r) {
-  ClosedLoopResult c;
-  c.completion_cycles = r.u64();
-  c.finished = r.boolean();
-  c.packets = r.u64();
-  c.energy_nj = r.f64();
-  c.energy_per_packet_nj = r.f64();
-  c.avg_packet_latency = r.f64();
-  return c;
-}
-
 namespace {
 
 // Each field's bytes take its member type's width: i32, f64, u64, one

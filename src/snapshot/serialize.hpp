@@ -1,5 +1,5 @@
 // Serializers for the shared value types (Flit, PacketRecord, RunStats,
-// ClosedLoopResult, SimConfig) plus small container helpers, layered on the snapshot wire
+// SimConfig) plus small container helpers, layered on the snapshot wire
 // format.  Components with private state implement their own
 // save()/load() members; everything that is a plain value round-trips
 // through these free functions so every writer and reader agree on one
@@ -93,14 +93,11 @@ inline PacketRecord load_packet_record(SnapshotReader& r) {
   return p;
 }
 
-// ---- RunStats / ClosedLoopResult / SimConfig (campaign persistence) --
+// ---- RunStats / SimConfig (campaign persistence) ---------------------
 
 /// Every stored run_stats_fields() row, in table order, then req_hist.
 void save_run_stats(SnapshotWriter& w, const RunStats& s);
 RunStats load_run_stats(SnapshotReader& r);
-
-void save_closed_loop_result(SnapshotWriter& w, const ClosedLoopResult& c);
-ClosedLoopResult load_closed_loop_result(SnapshotReader& r);
 
 /// Every serialized config field, in config_fields() order.
 void save_config(SnapshotWriter& w, const SimConfig& cfg);

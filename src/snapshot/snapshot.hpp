@@ -41,7 +41,7 @@
 namespace dxbar {
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x4E535844;  // "DXSN"
-inline constexpr std::uint16_t kSnapshotVersion = 8;
+inline constexpr std::uint16_t kSnapshotVersion = 9;
 inline constexpr std::uint16_t kSnapshotEndianMark = 0xFEFF;
 
 /// Builds a four-character section tag, e.g. section_tag("CHAN").

@@ -2,35 +2,44 @@
 
 #include <algorithm>
 #include <cctype>
+#include <iterator>
 
 namespace dxbar {
 
-const std::vector<SplashProfile>& splash_profiles() {
-  // Relative intensities/write shares follow the qualitative SPLASH-2
-  // characterisation (Woo et al., ISCA'95): Radix and Ocean are the most
-  // communication-intensive, FFT is bursty (all-to-all transpose
-  // phases), Water/FMM/LU compute-bound, Raytrace read-dominated.
-  // Burst intensities are tuned so that during ON phases the MSHRs fill
-  // (execution becomes sensitive to the network round-trip latency) and
-  // the communication-heavy applications (Radix, Ocean, FFT) push the
-  // memory-controller hot spots toward congestion — where deflection and
-  // drop-based routers pay — while the compute-bound ones (Water, FMM,
-  // LU) stay comfortably below saturation.
-  static const std::vector<SplashProfile> profiles = {
-      {"FFT", 0.300, 0.30, 0.040, 0.008, 500},
-      {"LU", 0.050, 0.25, 0.010, 0.020, 500},
-      {"Radiosity", 0.150, 0.35, 0.015, 0.010, 500},
-      {"Ocean", 0.250, 0.40, 0.020, 0.010, 500},
-      {"Raytrace", 0.120, 0.15, 0.015, 0.010, 500},
-      {"Radix", 0.400, 0.45, 0.020, 0.012, 500},
-      {"Water", 0.040, 0.25, 0.005, 0.020, 500},
-      {"FMM", 0.060, 0.20, 0.008, 0.015, 500},
-      {"Barnes", 0.120, 0.30, 0.012, 0.010, 500},
-  };
-  return profiles;
-}
-
 namespace {
+
+// Relative intensities/write shares follow the qualitative SPLASH-2
+// characterisation (Woo et al., ISCA'95): Radix and Ocean are the most
+// communication-intensive, FFT is bursty (all-to-all transpose
+// phases), Water/FMM/LU compute-bound, Raytrace read-dominated.
+// Burst intensities are tuned so that during ON phases the MSHRs fill
+// (execution becomes sensitive to the network round-trip latency) and
+// the communication-heavy applications (Radix, Ocean, FFT) push the
+// memory-controller hot spots toward congestion — where deflection and
+// drop-based routers pay — while the compute-bound ones (Water, FMM,
+// LU) stay comfortably below saturation.
+constexpr SplashProfile kProfiles[] = {
+    {"FFT", 0.300, 0.30, 0.040, 0.008},
+    {"LU", 0.050, 0.25, 0.010, 0.020},
+    {"Radiosity", 0.150, 0.35, 0.015, 0.010},
+    {"Ocean", 0.250, 0.40, 0.020, 0.010},
+    {"Raytrace", 0.120, 0.15, 0.015, 0.010},
+    {"Radix", 0.400, 0.45, 0.020, 0.012},
+    {"Water", 0.040, 0.25, 0.005, 0.020},
+    {"FMM", 0.060, 0.20, 0.008, 0.015},
+    {"Barnes", 0.120, 0.30, 0.012, 0.010},
+};
+
+// The `app` config field names the profiles by SplashApp.
+constexpr bool names_follow_splash_app() {
+  for (std::size_t i = 0; i < std::size(kProfiles); ++i) {
+    if (kProfiles[i].name != to_string(static_cast<SplashApp>(i))) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(names_follow_splash_app());
 
 /// Deterministic per-event randomness: a short SplitMix64 stream seeded
 /// by (seed, stream tag, index).  Using counter-derived streams instead
@@ -47,6 +56,12 @@ double to_unit(std::uint64_t x) {
 }
 
 }  // namespace
+
+std::span<const SplashProfile> splash_profiles() { return kProfiles; }
+
+const SplashProfile& splash_profile(SplashApp app) {
+  return kProfiles[static_cast<std::size_t>(app)];
+}
 
 const SplashProfile* find_splash_profile(std::string_view name) {
   auto eq = [](std::string_view a, std::string_view b) {
@@ -71,10 +86,12 @@ SplashWorkload::SplashWorkload(const SplashProfile& profile,
     : profile_(profile),
       machine_(machine),
       mesh_(mesh),
-      seed_(cfg.seed ^ 0x5B1A54ULL),
+      transactions_(static_cast<std::uint32_t>(cfg.transactions)),
+      seed_((cfg.measure_seed != 0 ? cfg.measure_seed : cfg.seed) ^
+            0x5B1A54ULL),
       nodes_(static_cast<std::size_t>(mesh.num_nodes())) {
-  for (auto& n : nodes_) n.remaining = profile_.transactions_per_node;
-  total_ = static_cast<std::uint64_t>(profile_.transactions_per_node) *
+  for (auto& n : nodes_) n.remaining = transactions_;
+  total_ = static_cast<std::uint64_t>(transactions_) *
            static_cast<std::uint64_t>(mesh.num_nodes());
 
   // Memory controllers at every (odd, odd) coordinate: 16 MCs on the
@@ -124,7 +141,7 @@ void SplashWorkload::begin_cycle(Cycle now, Injector& inject) {
     // from the transaction index, not from issue timing.
     const std::uint64_t tx =
         (static_cast<std::uint64_t>(n) << 32) |
-        (profile_.transactions_per_node - st.remaining);
+        (transactions_ - st.remaining);
     SplitMix64 tx_draws = stream(seed_, 0x7EAALL, tx);
     const NodeId home = mc_nodes_[tx_draws.next() % mc_nodes_.size()];
     const bool is_write = to_unit(tx_draws.next()) < profile_.write_fraction;

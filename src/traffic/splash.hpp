@@ -17,12 +17,14 @@
 // randomness is hash-derived from the transaction id so every router
 // design sees identical traffic content.
 //
-// "Execution time" is the cycle at which the configured number of
-// transactions per node has completed, the same quantity a trace replay
-// measures.
+// "Execution time" is the cycle at which cfg.transactions transactions
+// per node have completed, the same quantity a trace replay measures.
+// A workload=splash config runs it through the ordinary open-loop
+// phases (sim/sim_runner.hpp), which end the run there.
 #pragma once
 
 #include <queue>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -42,12 +44,15 @@ struct SplashProfile {
   double write_fraction;  ///< fraction of misses that are ownership misses
   double on_to_off;       ///< P(ON -> OFF) per cycle (burst shaping)
   double off_to_on;       ///< P(OFF -> ON) per cycle
-  std::uint32_t transactions_per_node;  ///< work per node until "done"
 };
 
 /// The nine applications of the paper's Fig 9/10, in paper order:
-/// FFT, LU, Radiosity, Ocean, Raytrace, Radix, Water, FMM, Barnes.
-const std::vector<SplashProfile>& splash_profiles();
+/// FFT, LU, Radiosity, Ocean, Raytrace, Radix, Water, FMM, Barnes
+/// (indexed by SplashApp).
+std::span<const SplashProfile> splash_profiles();
+
+/// The profile cfg.splash_app names.
+const SplashProfile& splash_profile(SplashApp app);
 
 /// Look up a profile by (case-insensitive) name; nullptr when unknown.
 const SplashProfile* find_splash_profile(std::string_view name);
@@ -83,6 +88,10 @@ std::vector<TraceEntry> generate_splash_trace(const SplashProfile& profile,
                                               const Mesh& mesh,
                                               MachineParams machine = {});
 
+/// Runs `profile` for cfg.transactions transactions per node.  The
+/// traffic derives from cfg.measure_seed when it is nonzero (the
+/// replica seed of `--seeds N`; a SPLASH run has no warmup, so this is
+/// the reseed at the warmup boundary), else from cfg.seed.
 class SplashWorkload final : public WorkloadModel {
  public:
   SplashWorkload(const SplashProfile& profile, const SimConfig& cfg,
@@ -91,6 +100,7 @@ class SplashWorkload final : public WorkloadModel {
   void begin_cycle(Cycle now, Injector& inject) override;
   void on_packet_delivered(const PacketRecord& rec, Cycle now,
                            Injector& inject) override;
+  [[nodiscard]] bool finite() const override { return true; }
   [[nodiscard]] bool finished() const override;
 
   [[nodiscard]] std::uint64_t transactions_completed() const {
@@ -132,6 +142,7 @@ class SplashWorkload final : public WorkloadModel {
   SplashProfile profile_;
   MachineParams machine_;
   const Mesh& mesh_;
+  std::uint32_t transactions_;  ///< per node
   std::uint64_t seed_;
   std::vector<NodeState> nodes_;
   std::vector<NodeId> mc_nodes_;  ///< the 16 memory-controller positions

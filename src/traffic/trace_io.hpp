@@ -156,6 +156,7 @@ class TraceWorkload final : public WorkloadModel {
   explicit TraceWorkload(std::vector<TraceEntry> entries);
 
   void begin_cycle(Cycle now, Injector& inject) override;
+  [[nodiscard]] bool finite() const override { return true; }
   /// All entries have been injected (the network may still be draining).
   [[nodiscard]] bool finished() const override {
     return next_ >= entries_.size();
@@ -190,6 +191,7 @@ class StreamingTraceWorkload final : public WorkloadModel {
   explicit StreamingTraceWorkload(StreamingTraceReader& reader);
 
   void begin_cycle(Cycle now, Injector& inject) override;
+  [[nodiscard]] bool finite() const override { return true; }
   [[nodiscard]] bool finished() const override { return !have_pending_; }
   void set_injection_enabled(bool on) override { enabled_ = on; }
 

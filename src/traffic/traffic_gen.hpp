@@ -50,7 +50,13 @@ class WorkloadModel {
     (void)inject;
   }
 
-  /// Closed-loop workloads report completion; open-loop never finishes.
+  /// True for a workload with a fixed amount of work (a SPLASH
+  /// application, a trace replay): its run ends at the first cycle
+  /// boundary where it is finished() and the network is idle, and has
+  /// no drain phase.  Asked once per phase call, never per cycle.
+  [[nodiscard]] virtual bool finite() const { return false; }
+
+  /// A finite workload reports completion; open-loop never finishes.
   [[nodiscard]] virtual bool finished() const { return false; }
 
   /// Open-loop drain control: the runner disables injection after the

@@ -124,10 +124,10 @@ TEST(VcChannel, StopBlocksAllVcs) {
 // start flowing, and the control/data split must look MESI-like.
 TEST(Splash, MessageMixContainsControlAndData) {
   SimConfig cfg;
+  cfg.transactions = 30;
   const Mesh m(8, 8);
-  SplashProfile app = *find_splash_profile("Ocean");
-  app.transactions_per_node = 30;
-  const auto trace = generate_splash_trace(app, cfg, m);
+  const auto trace =
+      generate_splash_trace(*find_splash_profile("Ocean"), cfg, m);
 
   std::size_t control = 0, data = 0;
   for (const TraceEntry& e : trace) {
@@ -147,11 +147,10 @@ TEST(Splash, MessageMixContainsControlAndData) {
 
 TEST(Splash, WriteFractionDrivesInvalidationTraffic) {
   SimConfig cfg;
+  cfg.transactions = 30;
   const Mesh m(8, 8);
   SplashProfile reads = *find_splash_profile("Raytrace");  // 15% writes
   SplashProfile writes = *find_splash_profile("Radix");    // 45% writes
-  reads.transactions_per_node = 30;
-  writes.transactions_per_node = 30;
   // Equalize issue behaviour so only the write mix differs.
   writes.intensity = reads.intensity;
   writes.on_to_off = reads.on_to_off;

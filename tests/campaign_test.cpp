@@ -318,35 +318,6 @@ TEST(Campaign, ByteFuzzedResultsNeverLoadAWrongValue) {
       }
     }
   }
-
-  // The closed-loop result kind shares the frame reader.
-  const std::string cl_dir = scratch_dir("fuzz_closed_loop");
-  std::vector<ClosedLoopResult> recorded(6);
-  {
-    ResultsLog<ClosedLoopResult> log(recorded.size(), cl_dir, 99);
-    for (std::size_t i = 0; i < recorded.size(); ++i) {
-      recorded[i].completion_cycles = 1000 + i;
-      recorded[i].finished = i % 2 == 0;
-      recorded[i].packets = 7 * i;
-      recorded[i].energy_nj = 0.5 * static_cast<double>(i);
-      log.record(i, recorded[i]);
-    }
-  }
-  const auto cl_bytes = read_bytes(fs::path(cl_dir) / "results.bin");
-  for (const auto& damaged : damaged_copies(cl_bytes, 200)) {
-    write_bytes(fs::path(cl_dir) / "results.bin", damaged);
-    std::unique_ptr<ResultsLog<ClosedLoopResult>> log;
-    ASSERT_NO_THROW(log = std::make_unique<ResultsLog<ClosedLoopResult>>(
-                        recorded.size(), cl_dir, 99));
-    for (std::size_t i = 0; i < recorded.size(); ++i) {
-      if (!log->results()[i].has_value()) continue;
-      const ClosedLoopResult& got = *log->results()[i];
-      EXPECT_EQ(got.completion_cycles, recorded[i].completion_cycles);
-      EXPECT_EQ(got.finished, recorded[i].finished);
-      EXPECT_EQ(got.packets, recorded[i].packets);
-      EXPECT_EQ(got.energy_nj, recorded[i].energy_nj);
-    }
-  }
 }
 
 TEST(Campaign, ByteFuzzedCheckpointResumesBitExact) {

@@ -24,7 +24,7 @@
 namespace dxbar {
 namespace {
 
-/// One valid value per table entry that differs from closed_loop_base().
+/// One valid value per table entry that differs from base_for(key).
 const std::map<std::string, std::string, std::less<>> kSamples = {
     {"width", "6"},
     {"height", "5"},
@@ -57,13 +57,18 @@ const std::map<std::string, std::string, std::less<>> kSamples = {
     {"request_length", "2"},
     {"hotspot_fraction", "0.5"},
     {"read_fraction", "0.5"},
+    {"app", "LU"},
+    {"transactions", "30"},
     {"shards", "2"},
 };
 
-/// Closed-loop, so the conditionally written block is in the JSON.
-SimConfig closed_loop_base() {
+/// The config a sample of `key` is applied to: closed-loop, or SPLASH
+/// for the SPLASH rows, so that workload's block is in the JSON.
+SimConfig base_for(std::string_view key) {
   SimConfig cfg;
-  cfg.workload = WorkloadKind::ClosedLoop;
+  cfg.workload = key == "app" || key == "transactions"
+                     ? WorkloadKind::Splash
+                     : WorkloadKind::ClosedLoop;
   return cfg;
 }
 
@@ -75,8 +80,8 @@ std::string config_json(const SimConfig& cfg) {
 
 TEST(ConfigTable, EveryFieldRoundTripsThroughOverrideJsonAndSnapshot) {
   ASSERT_EQ(kSamples.size(), config_fields().size());
-  const SimConfig base = closed_loop_base();
   for (const ConfigField& f : config_fields()) {
+    const SimConfig base = base_for(f.key);
     const auto sample = kSamples.find(f.key);
     ASSERT_NE(sample, kSamples.end()) << f.key;
     SimConfig cfg = base;
@@ -148,8 +153,8 @@ TEST(ConfigTable, FuzzedGoldenConfigNeverEscapesTheReader) {
 
 TEST(ConfigTable, FuzzedOverridesNeverEscapeTheReader) {
   // The same for one key=value override per table entry.
-  const SimConfig base = closed_loop_base();
   for (const ConfigField& f : config_fields()) {
+    const SimConfig base = base_for(f.key);
     SimConfig sample = base;
     ASSERT_EQ(apply_override(sample, std::string(f.key) + "=" +
                                          kSamples.find(f.key)->second),

@@ -181,10 +181,10 @@ TEST(ScarabThrottle, RetransmitBufferCapsOutstandingFlits) {
 
 TEST(SplashTrace, GeneratedTraceIsWellFormed) {
   SimConfig cfg;
+  cfg.transactions = 20;
   const Mesh m(8, 8);
-  SplashProfile small = *find_splash_profile("Water");
-  small.transactions_per_node = 20;
-  const auto trace = generate_splash_trace(small, cfg, m);
+  const auto trace =
+      generate_splash_trace(*find_splash_profile("Water"), cfg, m);
   ASSERT_FALSE(trace.empty());
   Cycle prev = 0;
   for (const TraceEntry& e : trace) {
@@ -199,9 +199,9 @@ TEST(SplashTrace, GeneratedTraceIsWellFormed) {
 
 TEST(SplashTrace, DeterministicForSeed) {
   SimConfig cfg;
+  cfg.transactions = 10;
   const Mesh m(8, 8);
-  SplashProfile small = *find_splash_profile("FFT");
-  small.transactions_per_node = 10;
+  const SplashProfile& small = *find_splash_profile("FFT");
   const auto a = generate_splash_trace(small, cfg, m);
   const auto b = generate_splash_trace(small, cfg, m);
   ASSERT_EQ(a.size(), b.size());
@@ -216,14 +216,16 @@ TEST(SplashTrace, DeterministicForSeed) {
 TEST(SplashTrace, ReplayDeliversEveryPacket) {
   SimConfig cfg;
   cfg.design = RouterDesign::Buffered8;
+  cfg.transactions = 10;
+  cfg.warmup_cycles = 0;  // the whole replay is the window
+  cfg.measure_cycles = 2'000'000;
   const Mesh m(8, 8);
-  SplashProfile small = *find_splash_profile("LU");
-  small.transactions_per_node = 10;
-  auto trace = generate_splash_trace(small, cfg, m);
+  auto trace = generate_splash_trace(*find_splash_profile("LU"), cfg, m);
   const std::size_t n = trace.size();
-  const ClosedLoopResult r = run_trace_replay(cfg, std::move(trace));
-  EXPECT_TRUE(r.finished);
-  EXPECT_EQ(r.packets, n);
+  TraceWorkload replay(std::move(trace));
+  const RunStats r = run_open_loop(cfg, replay);
+  EXPECT_TRUE(r.drained);
+  EXPECT_EQ(r.packets_completed, n);
 }
 
 }  // namespace

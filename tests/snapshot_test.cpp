@@ -307,6 +307,9 @@ TEST(SnapshotErrors, StructuralMismatchIsRejected) {
 // them: its streams equal the version-7 ones with the version field,
 // the structural fingerprint (hashed over a version-stamped writer) and
 // each channel's always-empty arrival-register byte changed or removed.
+// Version 9 (two SPLASH rows in the config codec) re-recorded them: its
+// streams equal the version-8 ones but for the version byte and the
+// 8-byte structural fingerprint.
 
 SimConfig saturated_cfg(RouterDesign design) {
   SimConfig cfg;
@@ -335,8 +338,8 @@ TEST(SnapshotPinned, SaturatedNetworkBytesAreUnchanged) {
     std::uint64_t fnv;
   };
   for (const Golden& g :
-       {Golden{RouterDesign::Buffered4, 302861, 18258257302140960227ULL},
-        Golden{RouterDesign::Scarab, 264777, 13263852611941205510ULL}}) {
+       {Golden{RouterDesign::Buffered4, 302861, 13284396931781755098ULL},
+        Golden{RouterDesign::Scarab, 264777, 6323220910733563967ULL}}) {
     SCOPED_TRACE(std::string(to_string(g.design)));
     const auto bytes = saturated_snapshot(g.design);
     EXPECT_EQ(bytes.size(), g.size);
@@ -566,6 +569,10 @@ TEST(SnapshotValues, EveryFieldHasPinnedIdentityRoles) {
        false, true, true},
       {"read_fraction", [](SimConfig& c) { c.read_fraction = 0.5; }, false,
        true, true},
+      {"splash_app", [](SimConfig& c) { c.splash_app = SplashApp::LU; },
+       false, true, true},
+      {"transactions", [](SimConfig& c) { c.transactions = 30; }, false, true,
+       true},
       {"warmup_cycles", [](SimConfig& c) { c.warmup_cycles = 500; }, true,
        true, true},
       {"measure_cycles", [](SimConfig& c) { c.measure_cycles = 4000; }, true,
@@ -585,8 +592,8 @@ TEST(SnapshotValues, EveryFieldHasPinnedIdentityRoles) {
       {"measure_seed", [](SimConfig& c) { c.measure_seed = 3; }, false,
        false, true},
   };
-  // One case per SimConfig member (32 today).
-  EXPECT_EQ(std::size(cases), 32u);
+  // One case per SimConfig member (34 today).
+  EXPECT_EQ(std::size(cases), 34u);
   const SimConfig base;
   for (const Case& k : cases) {
     SimConfig cfg = base;

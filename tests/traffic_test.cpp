@@ -238,9 +238,7 @@ TEST(Splash, RepliesCompleteTransactions) {
   EXPECT_TRUE(w.finished());
   EXPECT_EQ(w.transactions_completed(), w.transactions_total());
   EXPECT_EQ(w.transactions_total(),
-            static_cast<std::uint64_t>(
-                find_splash_profile("Water")->transactions_per_node) *
-                64u);
+            static_cast<std::uint64_t>(cfg.transactions) * 64u);
 }
 
 TEST(TraceIo, RoundTrip) {

@@ -2,8 +2,8 @@
 // fixed-bucket latency histogram, the protocol-deadlock-freedom
 // invariant (forward progress at saturation for every design), the
 // MLP bound, determinism across execution strategies (shards, sweep
-// threads, replica batches), snapshot/restore, and point-level resume
-// through the closed-loop results log.
+// threads, replica batches), snapshot/restore, and the SPLASH points'
+// campaign resume (they get no checkpoint).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -340,94 +340,105 @@ TEST(ClosedLoopSnapshot, MidRunSaveRestoreResumesBitExactly) {
   EXPECT_TRUE(same_stats(straight, finish_open_loop(resumed, *wl2)));
 }
 
-// --- ResultsLog<ClosedLoopResult>: point-level resume ---------------------
+// --- SPLASH points: campaigns, sweeps and resume ------------------------
 
-ClosedLoopResult sample_result(std::uint64_t i) {
-  ClosedLoopResult r;
-  r.completion_cycles = 1000 + i;
-  r.finished = true;
-  r.packets = 50 * (i + 1);
-  r.energy_nj = 1.25 * static_cast<double>(i);
-  r.energy_per_packet_nj = 0.5 + static_cast<double>(i);
-  r.avg_packet_latency = 20.0 + static_cast<double>(i);
-  return r;
+/// A small workload=splash point (4x4, a few transactions per node),
+/// run to completion under a cycle cap.
+SimConfig splash_point(SplashApp app, RouterDesign design, int transactions) {
+  SimConfig cfg;
+  cfg.mesh_width = 4;
+  cfg.mesh_height = 4;
+  cfg.design = design;
+  cfg.workload = WorkloadKind::Splash;
+  cfg.splash_app = app;
+  cfg.transactions = transactions;
+  cfg.warmup_cycles = 0;
+  cfg.measure_cycles = 200'000;
+  return cfg;
 }
 
-void expect_result(const ClosedLoopResult& a, const ClosedLoopResult& b) {
-  EXPECT_EQ(a.completion_cycles, b.completion_cycles);
-  EXPECT_EQ(a.finished, b.finished);
-  EXPECT_EQ(a.packets, b.packets);
-  EXPECT_EQ(a.energy_nj, b.energy_nj);
-  EXPECT_EQ(a.energy_per_packet_nj, b.energy_per_packet_nj);
-  EXPECT_EQ(a.avg_packet_latency, b.avg_packet_latency);
+std::vector<SimConfig> splash_points(int transactions) {
+  return {splash_point(SplashApp::FFT, RouterDesign::DXbar, transactions),
+          splash_point(SplashApp::LU, RouterDesign::FlitBless, transactions),
+          splash_point(SplashApp::Radix, RouterDesign::Buffered4,
+                       transactions),
+          splash_point(SplashApp::Water, RouterDesign::Scarab, transactions)};
+}
+
+std::string fresh_dir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  std::filesystem::remove_all(dir);  // stale state from a prior run
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+/// Cycles a cold run of each point steps.
+std::vector<Cycle> run_lengths(const std::vector<SimConfig>& points) {
+  std::vector<Cycle> out;
+  for (const SimConfig& p : points) out.push_back(run_open_loop(p).cycles);
+  return out;
+}
+
+void expect_cold_results(const Campaign& c,
+                         const std::vector<SimConfig>& points) {
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    ASSERT_TRUE(c.results()[i].has_value()) << "point " << i;
+    EXPECT_TRUE(same_stats(*c.results()[i], run_open_loop(points[i])))
+        << "point " << i;
+  }
 }
 
 TEST(ClosedLoopCampaignTest, ResumeSkipsCompletedPoints) {
-  const std::string dir = ::testing::TempDir() + "/clc_resume";
-  std::filesystem::remove_all(dir);  // stale state from a prior run
-  std::filesystem::create_directories(dir);
-  constexpr std::uint64_t kFp = 0xfeedface;
+  const std::string dir = fresh_dir("clc_resume");
+  const std::vector<SimConfig> points = splash_points(4);
+  const std::vector<Cycle> len = run_lengths(points);
 
   {
-    ResultsLog<ClosedLoopResult> c(4, dir, kFp);
-    EXPECT_EQ(c.completed(), 0u);
-    c.record(0, sample_result(0));
-    c.record(2, sample_result(2));
-    EXPECT_EQ(c.completed(), 2u);
+    // A budget of exactly the first two runs completes those two.
+    Campaign c(points, dir, 100);
+    EXPECT_EQ(c.status().completed, 0u);
+    EXPECT_FALSE(c.run(len[0] + len[1]).finished);
+    EXPECT_EQ(c.status().completed, 2u);
   }
   {
-    ResultsLog<ClosedLoopResult> c(4, dir, kFp);
-    EXPECT_EQ(c.completed(), 2u);
-    ASSERT_TRUE(c.results()[0].has_value());
-    EXPECT_FALSE(c.results()[1].has_value());
-    ASSERT_TRUE(c.results()[2].has_value());
-    expect_result(*c.results()[0], sample_result(0));
-    expect_result(*c.results()[2], sample_result(2));
-    c.record(1, sample_result(1));
-    c.record(3, sample_result(3));
+    Campaign c(points, dir, 100);
+    EXPECT_EQ(c.status().completed, 2u);
+    EXPECT_TRUE(c.results()[1].has_value());
+    EXPECT_FALSE(c.results()[2].has_value());
+    EXPECT_TRUE(c.run().finished);
   }
-  ResultsLog<ClosedLoopResult> c(4, dir, kFp);
-  EXPECT_EQ(c.completed(), 4u);
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    expect_result(*c.results()[i], sample_result(i));
-  }
+  Campaign c(points, dir, 100);
+  EXPECT_TRUE(c.status().finished);
+  expect_cold_results(c, points);
 }
 
 TEST(ClosedLoopCampaignTest, ForeignFingerprintFramesAreIgnored) {
-  const std::string dir = ::testing::TempDir() + "/clc_foreign";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const std::string dir = fresh_dir("clc_foreign");
+  const std::vector<SimConfig> quick = splash_points(3);
+  const std::vector<SimConfig> full = splash_points(5);
 
-  {
-    ResultsLog<ClosedLoopResult> quick(3, dir, /*fingerprint=*/111);
-    quick.record(0, sample_result(0));
-    quick.record(1, sample_result(1));
-  }
+  ASSERT_TRUE(Campaign(quick, dir, 100).run().finished);
   // A full run sharing the directory: the quick run's frames must not
   // leak in as completed points.
   {
-    ResultsLog<ClosedLoopResult> full(3, dir, /*fingerprint=*/222);
-    EXPECT_EQ(full.completed(), 0u);
-    full.record(2, sample_result(7));
+    Campaign c(full, dir, 100);
+    EXPECT_EQ(c.status().completed, 0u);
+    EXPECT_FALSE(c.run(run_lengths(full)[0]).finished);
   }
-  // And back: each fingerprint still sees exactly its own frames.
-  ResultsLog<ClosedLoopResult> quick(3, dir, 111);
-  EXPECT_EQ(quick.completed(), 2u);
-  ResultsLog<ClosedLoopResult> full(3, dir, 222);
-  ASSERT_EQ(full.completed(), 1u);
-  expect_result(*full.results()[2], sample_result(7));
+  // And back: each point list still sees exactly its own frames.
+  EXPECT_EQ(Campaign(quick, dir, 100).status().completed, quick.size());
+  const Campaign c(full, dir, 100);
+  ASSERT_EQ(c.status().completed, 1u);
+  EXPECT_TRUE(same_stats(*c.results()[0], run_open_loop(full[0])));
 }
 
 TEST(ClosedLoopCampaignTest, TornTailIsDroppedNotFatal) {
-  const std::string dir = ::testing::TempDir() + "/clc_torn";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  constexpr std::uint64_t kFp = 42;
+  const std::string dir = fresh_dir("clc_torn");
+  const std::vector<SimConfig> points = {splash_points(4)[0],
+                                         splash_points(4)[1]};
 
-  {
-    ResultsLog<ClosedLoopResult> c(2, dir, kFp);
-    c.record(0, sample_result(0));
-  }
+  ASSERT_EQ(Campaign(points, dir, 100).run(run_lengths(points)[0]).completed,
+            1u);
   {
     // Simulate a crash mid-append: garbage after the last valid frame.
     std::ofstream out(dir + "/results.bin",
@@ -435,28 +446,57 @@ TEST(ClosedLoopCampaignTest, TornTailIsDroppedNotFatal) {
     out.write("\x13\x37\x13", 3);
   }
   {
-    ResultsLog<ClosedLoopResult> c(2, dir, kFp);
-    EXPECT_EQ(c.completed(), 1u);
-    expect_result(*c.results()[0], sample_result(0));
-    c.record(1, sample_result(1));
+    Campaign c(points, dir, 100);
+    EXPECT_EQ(c.status().completed, 1u);
+    EXPECT_TRUE(c.run().finished);
   }
   // The garbage is gone, so the frame appended after it loads.
-  ResultsLog<ClosedLoopResult> c(2, dir, kFp);
-  EXPECT_EQ(c.completed(), 2u);
-  expect_result(*c.results()[1], sample_result(1));
+  const Campaign c(points, dir, 100);
+  EXPECT_TRUE(c.status().finished);
+  expect_cold_results(c, points);
 }
 
 TEST(ClosedLoopCampaignTest, UnreadableResultsFileIsATypedError) {
-  const std::string dir = ::testing::TempDir() + "/clc_unreadable";
-  std::filesystem::remove_all(dir);
+  const std::string dir = fresh_dir("clc_unreadable");
   std::filesystem::create_directories(dir + "/results.bin");
   try {
-    ResultsLog<ClosedLoopResult> c(2, dir, 1);
+    Campaign c(splash_points(4), dir, 100);
     FAIL() << "an unreadable results.bin must throw";
   } catch (const ResumeFileError& e) {
     EXPECT_NE(std::string(e.what()).find("results.bin"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(SplashPoint, SweepAndResumedCampaignMatchTheColdRun) {
+  const SimConfig cfg =
+      splash_point(SplashApp::Ocean, RouterDesign::DXbar, 4);
+  const RunStats cold = run_open_loop(cfg);
+  ASSERT_TRUE(cold.drained);
+  ASSERT_GT(cold.cycles, 200u);
+
+  // run_sweep prices the tech=32 sibling from the same run.
+  SimConfig at32 = cfg;
+  at32.tech_node = 32;
+  SweepReport report;
+  const std::vector<RunStats> swept =
+      run_sweep({cfg, at32}, 2, nullptr, &report);
+  EXPECT_EQ(report.priced_points, 1u);
+  EXPECT_TRUE(same_stats(swept[0], cold));
+  EXPECT_TRUE(same_stats(swept[1], run_open_loop(at32)));
+
+  // A pause inside the point writes no checkpoint (SPLASH state has no
+  // snapshot), so the resume restarts it cold.
+  const std::string dir = fresh_dir("splash_point_resume");
+  {
+    Campaign paused({cfg}, dir, 100);
+    EXPECT_FALSE(paused.run(cold.cycles / 2).finished);
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir + "/checkpoint.bin"));
+  Campaign resumed({cfg}, dir, 100);
+  ASSERT_TRUE(resumed.run().finished);
+  EXPECT_TRUE(same_stats(*resumed.results()[0], cold));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/checkpoint.bin"));
 }
 
 }  // namespace
