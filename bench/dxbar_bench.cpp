@@ -5,7 +5,8 @@
 //   dxbar_bench fig5 [--quick]         # run one experiment
 //   dxbar_bench --all --quick          # smoke-run everything
 //   dxbar_bench fig5 --json out/ --csv out/   # machine-readable outputs
-//   dxbar_bench fig5 --resume camp/    # crash-resumable campaign
+//   dxbar_bench fig5 --resume camp/    # crash-resumable: a rerun skips
+//                                      # the points already recorded
 //   dxbar_bench fig5 warmup_cycles=500 seed=7  # config overrides
 //
 // Overrides always win over --quick, regardless of argument order.
@@ -16,8 +17,8 @@
 
 #include "exp/registry.hpp"
 #include "exp/runner.hpp"
-#include "sim/campaign.hpp"
 #include "sim/replica_batch.hpp"
+#include "sim/results_log.hpp"
 
 using namespace dxbar;
 using namespace dxbar::exp;
@@ -43,7 +44,8 @@ void print_usage(std::FILE* to) {
       "                  forked from it); tables gain mean and ±ci95 columns\n"
       "  --csv DIR       mirror every table to DIR/<exp>_<title>.csv\n"
       "  --json DIR      write DIR/<exp>.json (schema v%d)\n"
-      "  --resume DIR    run grids as crash-resumable campaigns in DIR\n"
+      "  --resume DIR    record every finished grid point in DIR/<exp>;\n"
+      "                  a rerun skips the points already recorded\n"
       "  key=value       SimConfig override (applied after --quick;\n"
       "                  overrides always win regardless of order)\n",
       report::kSchemaVersion);

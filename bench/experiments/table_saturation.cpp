@@ -4,8 +4,8 @@
 // load over the sweep.  Covers all eight router designs, including the
 // BufferedVC / AFC extensions the legend figures leave out.
 //
-// Pure grid + reduce, so it composes with --resume (campaign) and the
-// warm-start sweep executor like every other grid experiment.
+// Pure grid + reduce, so it composes with --resume and the warm-start
+// sweep like every other grid experiment.
 #include <algorithm>
 
 #include "exp_common.hpp"

@@ -1,6 +1,6 @@
-# CLI acceptance test for --resume on both kinds of Campaign point: an
-# open-loop grid (ablation_unified_vs_dual, checkpointed) and the SPLASH
-# grid of fig9 (workload=splash points, run without a checkpoint).
+# CLI acceptance test for --resume, the results log in front of the
+# sweep, on an open-loop grid (ablation_unified_vs_dual) and the SPLASH
+# grid of fig9 (workload=splash points):
 #
 #   1. a run without --resume, then two runs into one fresh --resume
 #      directory, print the same stdout;

@@ -20,8 +20,8 @@
 #include "common/stats.hpp"
 #include "fault/fault_model.hpp"
 #include "power/energy_model.hpp"
-#include "sim/campaign.hpp"
 #include "sim/network.hpp"
+#include "sim/results_log.hpp"
 #include "sim/sim_runner.hpp"
 #include "sim/sweep.hpp"
 #include "snapshot/serialize.hpp"

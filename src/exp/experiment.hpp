@@ -4,7 +4,7 @@
 // registered `Experiment`: a point grid (SimConfig generator) plus a
 // reducer from the grid's RunStats to named series and text summaries.
 // The runner (exp/runner.hpp) owns execution — warm-start sweeps with
-// shared-warmup grouping, crash-resumable campaigns, table rendering,
+// shared-warmup grouping, crash-resumable results logs, table rendering,
 // CSV and schema-versioned JSON output — so a registration is ~40 lines
 // of "what to simulate and how to present it" and nothing else.
 //
@@ -55,7 +55,9 @@ struct ExperimentResult {
   /// Warm-snapshot groups run_sweep formed among the simulated points
   /// (priced points join none; 0 when every point ran cold).
   std::size_t warm_groups = 0;
-  std::string executor;  ///< "warm_sweep", "campaign" or "custom"
+  /// "warm_sweep", "campaign" (the same sweep behind a --resume results
+  /// log) or "custom".
+  std::string executor;
 
   void add_table(Table t) {
     Block b;
@@ -77,13 +79,6 @@ struct RunContext {
   SimConfig base;  ///< bench defaults + --quick + key=value overrides
   bool quick = false;
   unsigned threads = 0;  ///< 0 = hardware concurrency
-
-  /// Runs an open-loop grid through the session executor (warm-start
-  /// sweep, or the crash-resumable campaign under --resume), after
-  /// validating every config.  The runner invokes this on
-  /// `Experiment::grid` output itself; custom `run` experiments may call
-  /// it for embedded grids, from the calling thread.
-  std::function<std::vector<RunStats>(const std::vector<SimConfig>&)> sweep;
 };
 
 struct Experiment {

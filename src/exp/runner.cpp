@@ -7,15 +7,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-
+#include <optional>
 #include <set>
 #include <thread>
 
 #include "common/rng.hpp"
 #include "common/text.hpp"
 #include "report/analysis.hpp"
-#include "sim/campaign.hpp"
 #include "sim/replica_batch.hpp"
+#include "sim/results_log.hpp"
 #include "sim/sweep.hpp"
 
 #ifndef DXBAR_GIT_DESCRIBE
@@ -123,35 +123,6 @@ std::string group_signature(const SimConfig& cfg) {
   return buf;
 }
 
-std::vector<RunStats> sweep_warm(const std::string& exp_name,
-                                 const std::vector<SimConfig>& configs,
-                                 unsigned threads, WarmupCache* cache,
-                                 std::size_t& groups_out) {
-  SweepReport report;
-  auto stats = run_sweep(configs, threads, cache, &report);
-  groups_out = report.groups.size();
-  if (!report.groups.empty() || report.priced_points > 0) {
-    std::fprintf(stderr,
-                 "dxbar_bench: %s: warm-sweep formed %zu group(s) over %zu "
-                 "points (%zu warm, %zu cold, %zu priced)\n",
-                 exp_name.c_str(), report.groups.size(), configs.size(),
-                 report.warm_points(), report.cold_points,
-                 report.priced_points);
-    for (std::size_t g = 0; g < report.groups.size(); ++g) {
-      std::fprintf(
-          stderr, "dxbar_bench: %s:   group %zu: %zu point(s), %s\n",
-          exp_name.c_str(), g, report.groups[g].size(),
-          group_signature(configs[report.groups[g].front()]).c_str());
-    }
-  }
-  if (cache != nullptr && report.cache_hits + report.cache_misses > 0) {
-    std::fprintf(stderr,
-                 "dxbar_bench: %s: warm cache: %zu hit(s), %zu miss(es)\n",
-                 exp_name.c_str(), report.cache_hits, report.cache_misses);
-  }
-  return stats;
-}
-
 /// Rejects the first config of a sweep that SimConfig::validate refuses,
 /// before any point simulates: one line naming the experiment, the point
 /// index, the design and the reason, then exit 2 (the bad-config code).
@@ -168,33 +139,59 @@ void validate_sweep(const std::string& exp_name,
   }
 }
 
-std::vector<RunStats> sweep_campaign(const std::string& exp_name,
-                                     const std::vector<SimConfig>& configs,
-                                     const std::string& resume_root) {
-  namespace fs = std::filesystem;
-  const std::string dir = resume_root + "/" + exp_name;
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) {
-    std::fprintf(stderr, "dxbar_bench: cannot create campaign dir %s: %s\n",
-                 dir.c_str(), ec.message().c_str());
-    std::exit(1);
+/// Runs one grid through run_sweep after validate_sweep, and logs the
+/// warm groups it formed.  Under --resume the sweep goes through the
+/// results log of `<resume_dir>/<exp>`: points it holds are served, and
+/// every other point is recorded as soon as it finishes.
+std::vector<RunStats> sweep_grid(const std::string& exp_name,
+                                 const std::vector<SimConfig>& configs,
+                                 const RunOptions& opt,
+                                 std::size_t& groups_out) {
+  validate_sweep(exp_name, configs);
+  std::optional<ResultsLog> log;
+  if (!opt.resume_dir.empty()) {
+    const std::string dir = opt.resume_dir + "/" + exp_name;
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec) {
+      std::fprintf(stderr, "dxbar_bench: cannot create campaign dir %s: %s\n",
+                   dir.c_str(), ec.message().c_str());
+      std::exit(1);
+    }
+    log.emplace(configs, dir);
+    std::fprintf(stderr,
+                 "dxbar_bench: %s: campaign of %zu point(s) in %s, %zu "
+                 "already complete\n",
+                 exp_name.c_str(), configs.size(), dir.c_str(),
+                 log->completed());
   }
-  Campaign campaign(configs, dir);
-  const CampaignStatus before = campaign.status();
-  std::fprintf(stderr,
-               "dxbar_bench: %s: campaign of %zu point(s) in %s, %zu "
-               "already complete\n",
-               exp_name.c_str(), before.total, dir.c_str(), before.completed);
-  const CampaignStatus after = campaign.run();
-  if (!after.finished) {
-    std::fprintf(stderr, "dxbar_bench: %s: campaign incomplete (%zu/%zu)\n",
-                 exp_name.c_str(), after.completed, after.total);
-    std::exit(1);
+
+  SweepReport report;
+  auto stats = run_sweep(configs, opt.threads, opt.warm_cache, &report,
+                         log.has_value() ? &*log : nullptr);
+  groups_out = report.groups.size();
+  if (!report.groups.empty() || report.priced_points > 0) {
+    std::fprintf(stderr,
+                 "dxbar_bench: %s: warm-sweep formed %zu group(s) over %zu "
+                 "points (%zu warm, %zu cold, %zu priced)\n",
+                 exp_name.c_str(), report.groups.size(),
+                 report.warm_points() + report.cold_points +
+                     report.priced_points,
+                 report.warm_points(), report.cold_points,
+                 report.priced_points);
+    for (std::size_t g = 0; g < report.groups.size(); ++g) {
+      std::fprintf(
+          stderr, "dxbar_bench: %s:   group %zu: %zu point(s), %s\n",
+          exp_name.c_str(), g, report.groups[g].size(),
+          group_signature(configs[report.groups[g].front()]).c_str());
+    }
   }
-  std::vector<RunStats> stats;
-  stats.reserve(configs.size());
-  for (const auto& r : campaign.results()) stats.push_back(*r);
+  if (opt.warm_cache != nullptr &&
+      report.cache_hits + report.cache_misses > 0) {
+    std::fprintf(stderr,
+                 "dxbar_bench: %s: warm cache: %zu hit(s), %zu miss(es)\n",
+                 exp_name.c_str(), report.cache_hits, report.cache_misses);
+  }
   return stats;
 }
 
@@ -239,6 +236,17 @@ std::string select_experiments(const BenchArgs& args,
   return {};
 }
 
+namespace {
+
+/// The preflight's suffix for `finite` points that have no estimate.
+std::string finite_note(std::size_t finite) {
+  if (finite == 0) return {};
+  return ", " + std::to_string(finite) +
+         " finite-workload point(s) not estimated";
+}
+
+}  // namespace
+
 void print_preflight(const std::vector<const Experiment*>& to_run,
                      const RunOptions& opt) {
   RunContext ctx;
@@ -256,6 +264,7 @@ void print_preflight(const std::vector<const Experiment*>& to_run,
   const unsigned long long seeds =
       static_cast<unsigned long long>(std::max(1, opt.seeds));
   unsigned long long total_points = 0, total_simulated = 0, total_cycles = 0;
+  std::size_t total_finite = 0;
   for (const Experiment* e : to_run) {
     if (!e->grid) {
       std::fprintf(stderr, "dxbar_bench:   %-24s custom run (no estimate)\n",
@@ -264,11 +273,18 @@ void print_preflight(const std::vector<const Experiment*>& to_run,
     }
     const std::vector<SimConfig> cfgs = e->grid(ctx);
     // run_sweep simulates one config per dynamics class and prices the
-    // rest, so only the first member of each class costs cycles.
+    // rest, so only the first member of each class costs cycles.  A
+    // finite workload (workload=splash) stops when its work is done, far
+    // short of its measure_cycles cap, so its points get no estimate.
     std::set<std::vector<std::uint8_t>> classes;
     unsigned long long cycles = 0;
+    std::size_t finite = 0;
     for (const SimConfig& c : cfgs) {
-      if (!classes.insert(dynamics_signature(c)).second) continue;
+      const bool is_finite = c.workload == WorkloadKind::Splash;
+      finite += is_finite ? seeds : 0;
+      if (!classes.insert(dynamics_signature(c)).second || is_finite) {
+        continue;
+      }
       // Replicas share one warmup (run_sweep forks them from its
       // snapshot), so --seeds N costs one warmup plus N measurement
       // windows per point.
@@ -279,15 +295,18 @@ void print_preflight(const std::vector<const Experiment*>& to_run,
     total_points += points;
     total_simulated += simulated;
     total_cycles += cycles;
+    total_finite += finite;
     std::fprintf(stderr,
                  "dxbar_bench:   %-24s %4zu points (%zu simulated), %8llu "
-                 "cycles\n",
-                 e->name.c_str(), points, simulated, cycles);
+                 "cycles%s\n",
+                 e->name.c_str(), points, simulated, cycles,
+                 finite_note(finite).c_str());
   }
   std::fprintf(stderr,
                "dxbar_bench: preflight total: %llu points (%llu simulated), "
-               "%llu cycles\n",
-               total_points, total_simulated, total_cycles);
+               "%llu cycles%s\n",
+               total_points, total_simulated, total_cycles,
+               finite_note(total_finite).c_str());
 }
 
 namespace {
@@ -387,6 +406,19 @@ ExperimentResult combine_replica_results(const std::string& exp_name,
   return out;
 }
 
+std::vector<SimConfig> expand_replicas(const std::vector<SimConfig>& grid,
+                                       int seeds) {
+  std::vector<SimConfig> configs = grid;
+  configs.reserve(grid.size() * static_cast<std::size_t>(std::max(1, seeds)));
+  for (int rep = 1; rep < seeds; ++rep) {
+    for (SimConfig cfg : grid) {
+      cfg.measure_seed = replica_measure_seed(cfg, rep);
+      configs.push_back(cfg);
+    }
+  }
+  return configs;
+}
+
 ExperimentResult execute(const Experiment& exp, const RunOptions& opt) {
   RunContext ctx;
   ctx.base = opt.base;
@@ -396,33 +428,12 @@ ExperimentResult execute(const Experiment& exp, const RunOptions& opt) {
   ExperimentResult result;
   std::size_t warm_groups = 0;
   const bool campaign_mode = !opt.resume_dir.empty();
-  ctx.sweep = [&](const std::vector<SimConfig>& configs) {
-    validate_sweep(exp.name, configs);
-    if (campaign_mode) {
-      return sweep_campaign(exp.name, configs, opt.resume_dir);
-    }
-    return sweep_warm(exp.name, configs, opt.threads, opt.warm_cache,
-                      warm_groups);
-  };
-
   if (exp.grid) {
     const std::vector<SimConfig> base_grid = exp.grid(ctx);
     const int seeds = std::max(1, opt.seeds);
-    // Rep-major expansion: [rep0: all points][rep1: all points]... so
-    // each replica slice is structurally identical to the base grid and
-    // can be fed to the reducer unchanged.  run_sweep groups the copies
-    // of each point under one shared warmup.
-    std::vector<SimConfig> configs = base_grid;
-    if (seeds > 1) {
-      configs.reserve(base_grid.size() * static_cast<std::size_t>(seeds));
-      for (int rep = 1; rep < seeds; ++rep) {
-        for (SimConfig cfg : base_grid) {
-          cfg.measure_seed = replica_measure_seed(cfg, rep);
-          configs.push_back(cfg);
-        }
-      }
-    }
-    const std::vector<RunStats> stats = ctx.sweep(configs);
+    std::vector<SimConfig> configs = expand_replicas(base_grid, seeds);
+    const std::vector<RunStats> stats =
+        sweep_grid(exp.name, configs, opt, warm_groups);
     if (seeds > 1 && exp.combine) {
       // The experiment owns replica folding (e.g. pooling latency
       // histograms across replicas before taking order statistics).

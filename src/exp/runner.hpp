@@ -4,10 +4,10 @@
 // Execution validates every config of a grid, then routes the
 // grid through run_sweep — points that share a warmup (identical config
 // up to measurement rate / measure_seed + drain cap) are warmed once and
-// forked from a snapshot, and the grouping is logged — or, under
-// --resume, through the crash-resumable Campaign runner (kill the
-// process at any instant, re-run the same command, get bit-identical
-// results).
+// forked from a snapshot, and the grouping is logged.  Under --resume
+// the same sweep runs behind a results log (sim/results_log.hpp): kill
+// the process at any instant, re-run the same command, and only the
+// points that were in flight run again, with bit-identical results.
 //
 // Reporting renders the reduced tables to stdout (byte-compatible with
 // the legacy per-figure binaries), optionally mirrors them to CSV, and
@@ -76,15 +76,24 @@ struct RunOptions {
   WarmupCache* warm_cache = nullptr;
   std::string csv_dir;     ///< empty = no CSV
   std::string json_dir;    ///< empty = no JSON
-  std::string resume_dir;  ///< nonempty = campaign execution (grids only)
+  std::string resume_dir;  ///< nonempty = results log per grid in DIR/<exp>
   std::vector<std::string> overrides;  ///< recorded in the JSON output
 };
 
+/// Rep-major replica expansion of a grid under --seeds N: [rep0: all
+/// points][rep1: all points]..., so each replica slice is structurally
+/// identical to `grid` and can be fed to the reducer unchanged.  Replica
+/// 0 keeps every config untouched; replica r > 0 derives an independent
+/// nonzero measure_seed from the point's own seeds.
+std::vector<SimConfig> expand_replicas(const std::vector<SimConfig>& grid,
+                                       int seeds);
+
 /// Executes one experiment (no output side effects beyond stderr
-/// progress logs).  Grid experiments run via warm sweep or campaign;
-/// custom experiments call their `run`.  A grid config that
-/// SimConfig::validate rejects ends the process with exit code 2 and a
-/// one-line stderr message before any point simulates.
+/// progress logs).  Grid experiments run through run_sweep (behind a
+/// results log under --resume); custom experiments call their `run`.
+/// A grid config that SimConfig::validate rejects ends the process with
+/// exit code 2 and a one-line stderr message before any point
+/// simulates.
 ExperimentResult execute(const Experiment& exp, const RunOptions& opt);
 
 /// Folds N per-replica reductions into one result: every table cell

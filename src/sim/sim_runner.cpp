@@ -14,6 +14,38 @@ bool work_done(const Network& net, const WorkloadModel& workload) {
   return workload.finished() && net.idle();
 }
 
+/// The drain phase of a run at the end of its measurement window: turns
+/// energy and injection off and steps until the network and workload
+/// are empty or cfg.drain_cycles have run.  A finite workload's run has
+/// no drain: it is over once its work is done, or at the cycle cap.
+void drain_open_loop(Network& net, WorkloadModel& workload) {
+  if (workload.finite()) return;
+  const SimConfig& cfg = net.config();
+  net.energy().set_enabled(false);
+  workload.set_injection_enabled(false);
+  const Cycle drain_end =
+      cfg.warmup_cycles + cfg.measure_cycles + cfg.drain_cycles;
+  while (!(net.idle() && workload.quiescent()) && net.now() < drain_end) {
+    net.step();
+  }
+}
+
+/// Summarizes a drained run: window stats, energy priced at the
+/// network's own config, and the workload's request-latency fields.
+RunStats summarize_open_loop(Network& net, const WorkloadModel& workload,
+                             std::vector<PacketRecord>* packets_out) {
+  const SimConfig& cfg = net.config();
+  const bool drained =
+      workload.finite() ? work_done(net, workload)
+                        : net.idle() && workload.quiescent();
+  RunStats out = net.stats().summarize(cfg.offered_load, drained, net.now());
+  out.packet_length = cfg.packet_length;
+  fill_energy_stats(out, net.energy(), cfg);
+  workload.fill_run_stats(out);
+  if (packets_out != nullptr) *packets_out = net.stats().window_packets();
+  return out;
+}
+
 }  // namespace
 
 void advance_open_loop(Network& net, Cycle until) {
@@ -46,41 +78,6 @@ void fill_energy_stats(RunStats& out, const EnergyMeter& events,
   out.energy_link_nj = priced.link_nj();
   out.energy_control_nj = priced.control_nj();
   out.energy_leakage_nj = network_leakage_nj(cfg, out.cycles);
-}
-
-bool drain_open_loop(Network& net, WorkloadModel& workload, Cycle until) {
-  const SimConfig& cfg = net.config();
-  const Cycle measure_end = cfg.warmup_cycles + cfg.measure_cycles;
-  // A finite workload's run has no drain: it is over once its work is
-  // done, or at the cycle cap.
-  if (workload.finite()) {
-    return net.now() >= measure_end || work_done(net, workload);
-  }
-  if (net.now() < measure_end) return false;
-  net.energy().set_enabled(false);
-  workload.set_injection_enabled(false);
-
-  const Cycle drain_end = measure_end + cfg.drain_cycles;
-  while (!(net.idle() && workload.quiescent())) {
-    if (net.now() >= drain_end) return true;
-    if (net.now() >= until) return false;
-    net.step();
-  }
-  return true;
-}
-
-RunStats summarize_open_loop(Network& net, const WorkloadModel& workload,
-                             std::vector<PacketRecord>* packets_out) {
-  const SimConfig& cfg = net.config();
-  const bool drained =
-      workload.finite() ? work_done(net, workload)
-                        : net.idle() && workload.quiescent();
-  RunStats out = net.stats().summarize(cfg.offered_load, drained, net.now());
-  out.packet_length = cfg.packet_length;
-  fill_energy_stats(out, net.energy(), cfg);
-  workload.fill_run_stats(out);
-  if (packets_out != nullptr) *packets_out = net.stats().window_packets();
-  return out;
 }
 
 RunStats finish_open_loop(Network& net, WorkloadModel& workload,

@@ -6,9 +6,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "sim/replica_batch.hpp"
+#include "sim/results_log.hpp"
 #include "sim/sim_runner.hpp"
 #include "snapshot/serialize.hpp"
 #include "workload/factory.hpp"
@@ -102,7 +105,7 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
 
 std::vector<RunStats> run_sweep(const std::vector<SimConfig>& configs,
                                 unsigned threads, WarmupCache* cache,
-                                SweepReport* report) {
+                                SweepReport* report, ResultsLog* log) {
   struct Group {
     std::vector<std::size_t> members;
     std::vector<std::uint8_t> key;
@@ -110,14 +113,32 @@ std::vector<RunStats> run_sweep(const std::vector<SimConfig>& configs,
     bool from_cache = false;
   };
 
+  if (log != nullptr && log->results().size() != configs.size()) {
+    throw std::invalid_argument(
+        "run_sweep: results log of " + std::to_string(log->results().size()) +
+        " points for " + std::to_string(configs.size()) + " configs");
+  }
+
+  // Points the log already holds are served as stored; only the pending
+  // rest form classes and groups below.
+  std::vector<RunStats> results(configs.size());
+  std::vector<std::size_t> pending;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    if (log != nullptr && log->results()[i].has_value()) {
+      results[i] = *log->results()[i];
+    } else {
+      pending.push_back(i);
+    }
+  }
+
   // Dynamics classes: configs equal up to the pricing-only fields run
-  // one simulation.  The lowest index represents its class; the other
-  // members are priced from the representative's event counts.
+  // one simulation.  The lowest pending index represents its class; the
+  // other members are priced from the representative's event counts.
   std::vector<std::size_t> reps;
   std::vector<std::vector<std::size_t>> priced;  // aligned with reps
   {
     std::map<std::vector<std::uint8_t>, std::size_t> class_of;
-    for (std::size_t i = 0; i < configs.size(); ++i) {
+    for (const std::size_t i : pending) {
       const auto [it, inserted] =
           class_of.try_emplace(dynamics_signature(configs[i]), reps.size());
       if (inserted) {
@@ -185,8 +206,7 @@ std::vector<RunStats> run_sweep(const std::vector<SimConfig>& configs,
 
   // Phase 2: every representative on its own (grouped ones forked from
   // their group's warm state, the rest cold), pricing its siblings while
-  // its network is alive.
-  std::vector<RunStats> results(configs.size());
+  // its network is alive, then recording the class into the log.
   parallel_for(
       reps.size(),
       [&](std::size_t k) {
@@ -195,6 +215,9 @@ std::vector<RunStats> run_sweep(const std::vector<SimConfig>& configs,
                   g < 0 ? nullptr
                         : groups[static_cast<std::size_t>(g)].warm_state.get(),
                   results);
+        if (log == nullptr) return;
+        log->record(reps[k], results[reps[k]]);
+        for (const std::size_t j : priced[k]) log->record(j, results[j]);
       },
       threads);
 
@@ -205,7 +228,7 @@ std::vector<RunStats> run_sweep(const std::vector<SimConfig>& configs,
       if (cache != nullptr) ++(g.from_cache ? report->cache_hits
                                             : report->cache_misses);
     }
-    report->priced_points = configs.size() - reps.size();
+    report->priced_points = pending.size() - reps.size();
     report->cold_points = reps.size() - report->warm_points();
   }
   return results;

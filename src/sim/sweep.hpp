@@ -13,16 +13,17 @@
 
 namespace dxbar {
 
+class ResultsLog;   // sim/results_log.hpp
 class WarmupCache;  // sim/replica_batch.hpp
 
-/// How a run_sweep call executed its configs: one entry per
-/// shared-warmup group (member indices into the config vector), the
-/// count of simulated configs that ran cold, the count of configs priced
-/// from a sibling's simulation instead of simulated, and how the group
-/// warmups were served by the session cache (both counts zero when no
-/// cache was supplied).  warm + cold + priced == configs.size().  Lets
-/// callers log which groups were formed (the experiment harness prints
-/// this per grid).
+/// How a run_sweep call executed its pending configs (those a results
+/// log did not already hold): one entry per shared-warmup group (member
+/// indices into the config vector), the count of simulated configs that
+/// ran cold, the count of configs priced from a sibling's simulation
+/// instead of simulated, and how the group warmups were served by the
+/// session cache (both counts zero when no cache was supplied).
+/// warm + cold + priced == the pending count.  Lets callers log which
+/// groups were formed (the experiment harness prints this per grid).
 struct SweepReport {
   std::vector<std::vector<std::size_t>> groups;
   std::size_t cold_points = 0;
@@ -64,10 +65,18 @@ struct SweepReport {
 /// representative's RunStats and has its energy fields priced from the
 /// same integer event counts at its own operating point
 /// (fill_energy_stats, the step finish_open_loop itself uses).
+///
+/// With a results `log` (built for exactly `configs`), the points it
+/// already holds are served from it before classes and groups form, so
+/// a group whose members are all stored runs no warmup; every other
+/// point is recorded into the log by its worker as soon as its class
+/// finishes.  A kill then loses only the classes in flight.  A failed
+/// append throws ResumeFileError on the calling thread.
 std::vector<RunStats> run_sweep(const std::vector<SimConfig>& configs,
                                 unsigned threads = 0,
                                 WarmupCache* cache = nullptr,
-                                SweepReport* report = nullptr);
+                                SweepReport* report = nullptr,
+                                ResultsLog* log = nullptr);
 
 /// Generic parallel map over an index range [0, n): `fn(i)` must be
 /// thread-safe and is invoked exactly once per index.  Work is claimed

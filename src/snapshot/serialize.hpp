@@ -93,7 +93,7 @@ inline PacketRecord load_packet_record(SnapshotReader& r) {
   return p;
 }
 
-// ---- RunStats / SimConfig (campaign persistence) ---------------------
+// ---- RunStats / SimConfig (results-log persistence) ------------------
 
 /// Every stored run_stats_fields() row, in table order, then req_hist.
 void save_run_stats(SnapshotWriter& w, const RunStats& s);

@@ -222,8 +222,8 @@ class SnapshotReader {
   std::size_t pos_ = 0;
 };
 
-/// FNV-1a over a byte range; the campaign runner frames records with it
-/// to detect torn writes after a crash.
+/// FNV-1a over a byte range; the --resume results log frames records
+/// with it to detect torn writes after a crash.
 [[nodiscard]] constexpr std::uint64_t fnv1a(const std::uint8_t* data,
                                             std::size_t n) noexcept {
   std::uint64_t h = 0xCBF29CE484222325ULL;

@@ -1,5 +1,5 @@
 // Workload construction from a SimConfig: the one switch point every
-// runner (sweeps, replica batches, campaigns) goes through, so a new
+// runner (sweeps, replica batches) goes through, so a new
 // WorkloadKind automatically works under --seeds, --resume, warm-start
 // sweeps and snapshot/restore.
 #pragma once

@@ -1,8 +1,9 @@
 // Experiment-harness tests: registry contents and ordering, the
 // dxbar_bench argument parser (notably the override-vs---quick ordering
 // contract the legacy bench_util parser violated), executor equivalence
-// (warm sweep vs campaign, thread-count invariance), JSON output
-// well-formedness and CSV emission behavior.
+// (plain sweep vs --resume results log, thread-count invariance), the
+// preflight estimate, JSON output well-formedness and CSV emission
+// behavior.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -213,7 +214,7 @@ TEST(ExpFilter, UnknownPositionalIsStillAnError) {
 }
 
 // ---------------------------------------------------------------------
-// Execution: warm sweep, campaign, thread invariance
+// Execution: warm sweep, --resume results log, thread invariance
 
 std::vector<std::uint8_t> stats_bytes(const std::vector<RunStats>& stats) {
   SnapshotWriter w;
@@ -285,10 +286,47 @@ TEST(ExpExecute, CampaignExecutorIsBitIdenticalToWarmSweep) {
   EXPECT_EQ(first.executor, "campaign");
   EXPECT_EQ(stats_bytes(direct.grid_stats), stats_bytes(first.grid_stats));
 
-  // Second run resumes from the completed campaign (pure cache replay)
-  // and must reproduce the same bytes.
+  // Second run serves every point from the results log and must
+  // reproduce the same bytes.
   const ExperimentResult second = execute(e, resumed);
   EXPECT_EQ(stats_bytes(direct.grid_stats), stats_bytes(second.grid_stats));
+}
+
+TEST(ExpPreflight, FiniteWorkloadPointsAddNoCycleEstimate) {
+  // fig9's SPLASH points run to completion far short of their cycle
+  // cap, so they add no cycles; fig5's 63 quick points cost one warmup
+  // plus one measurement window each (63 x (300 + 1200)).
+  BenchArgs args;
+  args.quick = true;
+  RunOptions opt;
+  opt.quick = true;
+  ASSERT_EQ(make_base_config(args, opt.base), "");
+  const Experiment* fig9 = Registry::instance().find("fig9");
+  const Experiment* fig5 = Registry::instance().find("fig5");
+  ASSERT_NE(fig9, nullptr);
+  ASSERT_NE(fig5, nullptr);
+
+  ::testing::internal::CaptureStderr();
+  print_preflight({fig9, fig5}, opt);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  const auto line_of = [&](const std::string& needle) {
+    const std::size_t at = err.find(needle);
+    if (at == std::string::npos) return std::string();
+    const std::size_t begin = err.rfind('\n', at) + 1;
+    return err.substr(begin, err.find('\n', at) - begin);
+  };
+  const std::string fig9_line = line_of(" fig9 ");
+  EXPECT_NE(fig9_line.find(" 0 cycles, 63 finite-workload point(s) not "
+                           "estimated"),
+            std::string::npos)
+      << err;
+  const std::string fig5_line = line_of(" fig5 ");
+  EXPECT_NE(fig5_line.find(" 94500 cycles"), std::string::npos) << err;
+  EXPECT_EQ(fig5_line.find("finite"), std::string::npos) << err;
+  EXPECT_NE(line_of("preflight total").find(
+                " 94500 cycles, 63 finite-workload point(s) not estimated"),
+            std::string::npos)
+      << err;
 }
 
 TEST(ExpExecute, WarmupPinningActivatesGrouping) {

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "exp/registry.hpp"
+#include "exp/runner.hpp"
 #include "sim/replica_batch.hpp"
 #include "sim/sim_runner.hpp"
 #include "sim/sweep.hpp"
@@ -354,6 +356,36 @@ TEST(PricingClassTest, PricedSweepMatchesColdRuns) {
   ASSERT_EQ(reswept.size(), swept.size());
   for (std::size_t i = 0; i < swept.size(); ++i) {
     EXPECT_EQ(stats_bytes(reswept[i]), stats_bytes(swept[i]));
+  }
+}
+
+TEST(PricingClassTest, EnergyScalingQuickGridMatchesColdRuns) {
+  // The registered tech-node grid as `dxbar_bench ablation_energy_scaling
+  // --quick --seeds 2` executes it: run_sweep simulates one node per
+  // dynamics class and prices the others, and each result must equal
+  // the cold run of its own config.
+  const exp::Experiment* e =
+      exp::Registry::instance().find("ablation_energy_scaling");
+  ASSERT_NE(e, nullptr);
+  exp::BenchArgs args;
+  args.quick = true;
+  exp::RunContext ctx;
+  ctx.quick = true;
+  ASSERT_EQ(exp::make_base_config(args, ctx.base), "");
+  const std::vector<SimConfig> configs =
+      exp::expand_replicas(e->grid(ctx), 2);
+
+  SweepReport report;
+  const std::vector<RunStats> swept = run_sweep(configs, 4, nullptr, &report);
+  EXPECT_GT(report.priced_points, 0u);
+  std::vector<RunStats> cold(configs.size());
+  parallel_for(
+      configs.size(), [&](std::size_t i) { cold[i] = run_open_loop(configs[i]); },
+      4);
+  ASSERT_EQ(swept.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    SCOPED_TRACE("config " + std::to_string(i));
+    EXPECT_EQ(stats_bytes(swept[i]), stats_bytes(cold[i]));
   }
 }
 

@@ -3,7 +3,7 @@
 // invariant (forward progress at saturation for every design), the
 // MLP bound, determinism across execution strategies (shards, sweep
 // threads, replica batches), snapshot/restore, and the SPLASH points'
-// campaign resume (they get no checkpoint).
+// sweeps and --resume results logs.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/latency_histogram.hpp"
-#include "sim/campaign.hpp"
+#include "sim/results_log.hpp"
 #include "sim/sim_runner.hpp"
 #include "sim/sweep.hpp"
 #include "stats_compare.hpp"
@@ -314,7 +314,7 @@ TEST(ClosedLoopReplicaSweep, SeedReplicasMatchSerialRuns) {
 }
 
 TEST(ClosedLoopSnapshot, MidRunSaveRestoreResumesBitExactly) {
-  // Mirror of the campaign checkpoint protocol: network snapshot plus
+  // Mirror of the warm-fork snapshot protocol: network snapshot plus
   // the workload's WKLD state (MSHRs, in-flight txns, pending replies,
   // histogram) taken mid-measurement must resume into the exact stats
   // of the uninterrupted run.
@@ -340,7 +340,7 @@ TEST(ClosedLoopSnapshot, MidRunSaveRestoreResumesBitExactly) {
   EXPECT_TRUE(same_stats(straight, finish_open_loop(resumed, *wl2)));
 }
 
-// --- SPLASH points: campaigns, sweeps and resume ------------------------
+// --- SPLASH points: sweeps and resume -----------------------------------
 
 /// A small workload=splash point (4x4, a few transactions per node),
 /// run to completion under a cycle cap.
@@ -372,44 +372,51 @@ std::string fresh_dir(const std::string& name) {
   return dir;
 }
 
-/// Cycles a cold run of each point steps.
-std::vector<Cycle> run_lengths(const std::vector<SimConfig>& points) {
-  std::vector<Cycle> out;
-  for (const SimConfig& p : points) out.push_back(run_open_loop(p).cycles);
-  return out;
+/// Sweeps `points` through the results log of `dir`; `report` counts
+/// the points the sweep ran.
+std::vector<RunStats> sweep_logged(const std::vector<SimConfig>& points,
+                                   const std::string& dir,
+                                   SweepReport* report = nullptr) {
+  ResultsLog log(points, dir);
+  return run_sweep(points, 2, nullptr, report, &log);
 }
 
-void expect_cold_results(const Campaign& c,
+void expect_cold_results(const std::vector<RunStats>& results,
                          const std::vector<SimConfig>& points) {
+  ASSERT_EQ(results.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(c.results()[i].has_value()) << "point " << i;
-    EXPECT_TRUE(same_stats(*c.results()[i], run_open_loop(points[i])))
+    EXPECT_TRUE(same_stats(results[i], run_open_loop(points[i])))
         << "point " << i;
   }
+}
+
+std::size_t swept_points(const SweepReport& report) {
+  return report.warm_points() + report.cold_points + report.priced_points;
 }
 
 TEST(ClosedLoopCampaignTest, ResumeSkipsCompletedPoints) {
   const std::string dir = fresh_dir("clc_resume");
   const std::vector<SimConfig> points = splash_points(4);
-  const std::vector<Cycle> len = run_lengths(points);
 
   {
-    // A budget of exactly the first two runs completes those two.
-    Campaign c(points, dir, 100);
-    EXPECT_EQ(c.status().completed, 0u);
-    EXPECT_FALSE(c.run(len[0] + len[1]).finished);
-    EXPECT_EQ(c.status().completed, 2u);
+    // A sweep killed after its first two points finished.
+    ResultsLog killed(points, dir);
+    EXPECT_EQ(killed.completed(), 0u);
+    for (const std::size_t i : {0u, 1u}) {
+      killed.record(i, run_open_loop(points[i]));
+    }
   }
   {
-    Campaign c(points, dir, 100);
-    EXPECT_EQ(c.status().completed, 2u);
-    EXPECT_TRUE(c.results()[1].has_value());
-    EXPECT_FALSE(c.results()[2].has_value());
-    EXPECT_TRUE(c.run().finished);
+    ResultsLog log(points, dir);
+    EXPECT_EQ(log.completed(), 2u);
+    EXPECT_TRUE(log.results()[1].has_value());
+    EXPECT_FALSE(log.results()[2].has_value());
+    SweepReport report;
+    expect_cold_results(run_sweep(points, 2, nullptr, &report, &log),
+                        points);
+    EXPECT_EQ(swept_points(report), 2u);
   }
-  Campaign c(points, dir, 100);
-  EXPECT_TRUE(c.status().finished);
-  expect_cold_results(c, points);
+  EXPECT_EQ(ResultsLog(points, dir).completed(), points.size());
 }
 
 TEST(ClosedLoopCampaignTest, ForeignFingerprintFramesAreIgnored) {
@@ -417,19 +424,19 @@ TEST(ClosedLoopCampaignTest, ForeignFingerprintFramesAreIgnored) {
   const std::vector<SimConfig> quick = splash_points(3);
   const std::vector<SimConfig> full = splash_points(5);
 
-  ASSERT_TRUE(Campaign(quick, dir, 100).run().finished);
+  sweep_logged(quick, dir);
   // A full run sharing the directory: the quick run's frames must not
   // leak in as completed points.
   {
-    Campaign c(full, dir, 100);
-    EXPECT_EQ(c.status().completed, 0u);
-    EXPECT_FALSE(c.run(run_lengths(full)[0]).finished);
+    ResultsLog log(full, dir);
+    EXPECT_EQ(log.completed(), 0u);
+    log.record(0, run_open_loop(full[0]));
   }
   // And back: each point list still sees exactly its own frames.
-  EXPECT_EQ(Campaign(quick, dir, 100).status().completed, quick.size());
-  const Campaign c(full, dir, 100);
-  ASSERT_EQ(c.status().completed, 1u);
-  EXPECT_TRUE(same_stats(*c.results()[0], run_open_loop(full[0])));
+  EXPECT_EQ(ResultsLog(quick, dir).completed(), quick.size());
+  const ResultsLog log(full, dir);
+  ASSERT_EQ(log.completed(), 1u);
+  EXPECT_TRUE(same_stats(*log.results()[0], run_open_loop(full[0])));
 }
 
 TEST(ClosedLoopCampaignTest, TornTailIsDroppedNotFatal) {
@@ -437,8 +444,7 @@ TEST(ClosedLoopCampaignTest, TornTailIsDroppedNotFatal) {
   const std::vector<SimConfig> points = {splash_points(4)[0],
                                          splash_points(4)[1]};
 
-  ASSERT_EQ(Campaign(points, dir, 100).run(run_lengths(points)[0]).completed,
-            1u);
+  ResultsLog(points, dir).record(0, run_open_loop(points[0]));
   {
     // Simulate a crash mid-append: garbage after the last valid frame.
     std::ofstream out(dir + "/results.bin",
@@ -446,21 +452,23 @@ TEST(ClosedLoopCampaignTest, TornTailIsDroppedNotFatal) {
     out.write("\x13\x37\x13", 3);
   }
   {
-    Campaign c(points, dir, 100);
-    EXPECT_EQ(c.status().completed, 1u);
-    EXPECT_TRUE(c.run().finished);
+    SweepReport report;
+    ResultsLog log(points, dir);
+    EXPECT_EQ(log.completed(), 1u);
+    run_sweep(points, 2, nullptr, &report, &log);
+    EXPECT_EQ(swept_points(report), 1u);
   }
   // The garbage is gone, so the frame appended after it loads.
-  const Campaign c(points, dir, 100);
-  EXPECT_TRUE(c.status().finished);
-  expect_cold_results(c, points);
+  SweepReport report;
+  expect_cold_results(sweep_logged(points, dir, &report), points);
+  EXPECT_EQ(swept_points(report), 0u);
 }
 
 TEST(ClosedLoopCampaignTest, UnreadableResultsFileIsATypedError) {
   const std::string dir = fresh_dir("clc_unreadable");
   std::filesystem::create_directories(dir + "/results.bin");
   try {
-    Campaign c(splash_points(4), dir, 100);
+    ResultsLog log(splash_points(4), dir);
     FAIL() << "an unreadable results.bin must throw";
   } catch (const ResumeFileError& e) {
     EXPECT_NE(std::string(e.what()).find("results.bin"), std::string::npos)
@@ -475,28 +483,23 @@ TEST(SplashPoint, SweepAndResumedCampaignMatchTheColdRun) {
   ASSERT_TRUE(cold.drained);
   ASSERT_GT(cold.cycles, 200u);
 
-  // run_sweep prices the tech=32 sibling from the same run.
+  // run_sweep prices the tech=32 sibling from the same run, and records
+  // both into the log.
   SimConfig at32 = cfg;
   at32.tech_node = 32;
+  const std::vector<SimConfig> points = {cfg, at32};
+  const std::string dir = fresh_dir("splash_point_resume");
   SweepReport report;
-  const std::vector<RunStats> swept =
-      run_sweep({cfg, at32}, 2, nullptr, &report);
+  const std::vector<RunStats> swept = sweep_logged(points, dir, &report);
   EXPECT_EQ(report.priced_points, 1u);
   EXPECT_TRUE(same_stats(swept[0], cold));
   EXPECT_TRUE(same_stats(swept[1], run_open_loop(at32)));
 
-  // A pause inside the point writes no checkpoint (SPLASH state has no
-  // snapshot), so the resume restarts it cold.
-  const std::string dir = fresh_dir("splash_point_resume");
-  {
-    Campaign paused({cfg}, dir, 100);
-    EXPECT_FALSE(paused.run(cold.cycles / 2).finished);
-  }
-  EXPECT_FALSE(std::filesystem::exists(dir + "/checkpoint.bin"));
-  Campaign resumed({cfg}, dir, 100);
-  ASSERT_TRUE(resumed.run().finished);
-  EXPECT_TRUE(same_stats(*resumed.results()[0], cold));
-  EXPECT_FALSE(std::filesystem::exists(dir + "/checkpoint.bin"));
+  // The resumed sweep serves both points from the log.
+  const std::vector<RunStats> resumed = sweep_logged(points, dir, &report);
+  EXPECT_EQ(swept_points(report), 0u);
+  EXPECT_TRUE(same_stats(resumed[0], cold));
+  EXPECT_TRUE(same_stats(resumed[1], swept[1]));
 }
 
 }  // namespace
