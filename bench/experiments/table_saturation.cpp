@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "exp_common.hpp"
+#include "report/analysis.hpp"
 
 namespace dxbar::bench {
 namespace {
@@ -55,18 +56,16 @@ const Registration reg(Experiment{
           t.values.assign(2, {});
           for (std::size_t s = 0; s < all_designs().size(); ++s) {
             t.x.emplace_back(to_string(all_designs()[s]));
-            double sat = loads.back();
+            std::vector<double> accepted;
             double peak = 0.0;
             for (std::size_t i = 0; i < loads.size(); ++i) {
-              const double acc = stats[s * loads.size() + i].accepted_load;
-              peak = std::max(peak, acc);
-              if (acc < 0.9 * loads[i] && sat == loads.back()) {
-                sat = loads[i];
-              }
+              accepted.push_back(stats[s * loads.size() + i].accepted_load);
+              peak = std::max(peak, accepted.back());
             }
-            // A design saturating at the last bin never dipped below
-            // 90% acceptance; report the sweep's upper edge.
-            t.values[0].push_back(sat);
+            // A design that never dips below 90% acceptance reports the
+            // sweep's upper edge.
+            t.values[0].push_back(
+                report::saturation_from_points(loads, accepted));
             t.values[1].push_back(peak);
           }
 

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "core/dxbar.hpp"
 
@@ -91,7 +92,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot read '%s'\n", argv[2]);
       return 1;
     }
-    const auto trace = dxbar::read_trace(in);
+    std::vector<dxbar::TraceEntry> trace;
+    try {
+      trace = dxbar::read_trace(in, cfg.num_nodes());
+    } catch (const dxbar::TraceError& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
     std::printf("replaying %zu packets on %s...\n", trace.size(),
                 std::string(to_string(cfg.design)).c_str());
     dxbar::TraceWorkload workload(trace);

@@ -20,9 +20,6 @@ class FixedQueue {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] bool full() const noexcept { return size_ == slots_.size(); }
-  [[nodiscard]] std::size_t free_slots() const noexcept {
-    return slots_.size() - size_;
-  }
 
   /// Append to the tail.  Pushing to a full queue is a programming
   /// error: it asserts in debug builds, and in release builds returns

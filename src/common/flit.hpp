@@ -45,10 +45,6 @@ struct Flit {
     if (packet != o.packet) return packet < o.packet;
     return seq < o.seq;
   }
-
-  [[nodiscard]] bool is_tail() const noexcept {
-    return seq + 1 == packet_len;
-  }
 };
 
 /// Record of a fully reassembled packet, produced by the ejection-side

@@ -88,7 +88,6 @@ struct JsonValue {
   [[nodiscard]] bool is_number() const noexcept {
     return type == Type::Number;
   }
-  [[nodiscard]] bool is_bool() const noexcept { return type == Type::Bool; }
 
   /// Object member lookup; nullptr when absent or not an object.
   [[nodiscard]] const JsonValue* find(std::string_view key) const noexcept;

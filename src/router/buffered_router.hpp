@@ -36,11 +36,6 @@ class BufferedRouter final : public Router {
   void save_state(SnapshotWriter& w) const override;
   void load_state(SnapshotReader& r) override;
 
-  /// Total buffer slots per input port == credits the upstream holds.
-  [[nodiscard]] int buffer_slots_per_input() const noexcept {
-    return lanes_per_input_ * depth_;
-  }
-
  private:
   struct Entry {
     Flit flit;

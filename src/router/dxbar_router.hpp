@@ -52,10 +52,6 @@ class DXbarRouter final : public Router {
   void load_state(SnapshotReader& r) override;
 
   // --- introspection for tests ---------------------------------------
-  [[nodiscard]] int buffer_size(Direction d) const {
-    return static_cast<int>(buffers_[port_index(d)].size());
-  }
-  [[nodiscard]] bool fairness_flipped() const { return fairness_.flipped(); }
   [[nodiscard]] std::uint64_t primary_traversals() const {
     return primary_traversals_;
   }

@@ -36,9 +36,6 @@ class UnifiedRouter final : public Router {
   void load_state(SnapshotReader& r) override;
 
   // --- introspection for tests ---------------------------------------
-  [[nodiscard]] int buffer_size(Direction d) const {
-    return static_cast<int>(buffers_[port_index(d)].size());
-  }
   [[nodiscard]] std::uint64_t swap_count() const { return swap_count_; }
   [[nodiscard]] std::uint64_t dual_grant_cycles() const {
     return dual_grant_cycles_;

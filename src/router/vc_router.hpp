@@ -43,10 +43,6 @@ class VcRouter final : public Router {
   [[nodiscard]] std::uint64_t speculation_failures() const {
     return speculation_failures_;
   }
-  [[nodiscard]] int vc_size(Direction d, int vc) const {
-    return static_cast<int>(
-        vcs_[static_cast<std::size_t>(port_index(d) * num_vcs_ + vc)].size());
-  }
 
  private:
   struct Entry {

@@ -78,10 +78,10 @@ class WorkloadModel {
   // ---- snapshot protocol ----------------------------------------------
   //
   // A snapshotable workload serializes its cursor (RNG stream position,
-  // trace index, enable flag) so a restored network resumes with the
-  // exact injection sequence of an uninterrupted run.  Workloads with
-  // state the snapshot format does not cover (the SPLASH closed-loop
-  // machine) keep the throwing defaults.
+  // enable flag) so a restored network resumes with the exact injection
+  // sequence of an uninterrupted run.  Workloads with state the
+  // snapshot format does not cover (the SPLASH closed-loop machine,
+  // trace replay) keep the throwing defaults.
 
   [[nodiscard]] virtual bool snapshot_supported() const { return false; }
   virtual void save_state(SnapshotWriter& w) const {

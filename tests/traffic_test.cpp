@@ -247,7 +247,7 @@ TEST(TraceIo, RoundTrip) {
   std::ostringstream os;
   write_trace(os, in);
   std::istringstream is(os.str());
-  const auto out = read_trace(is);
+  const auto out = read_trace(is, 64);
   ASSERT_EQ(out.size(), 4u);
   // Sorted by cycle, stable within the same cycle.
   EXPECT_EQ(out[0], (TraceEntry{3, 0, 63, 1}));
@@ -258,16 +258,16 @@ TEST(TraceIo, RoundTrip) {
 
 TEST(TraceIo, IgnoresCommentsAndBlankLines) {
   std::istringstream is("# header\n\n1 2 3 4\n # trailing\n2 3 4 1 # note\n");
-  const auto out = read_trace(is);
+  const auto out = read_trace(is, 64);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], (TraceEntry{1, 2, 3, 4}));
 }
 
 TEST(TraceIo, RejectsMalformedLines) {
   std::istringstream is("1 2\n");
-  EXPECT_THROW(read_trace(is), std::runtime_error);
+  EXPECT_THROW(read_trace(is, 64), std::runtime_error);
   std::istringstream bad_len("1 2 3 0\n");
-  EXPECT_THROW(read_trace(bad_len), std::runtime_error);
+  EXPECT_THROW(read_trace(bad_len, 64), std::runtime_error);
 }
 
 TEST(TraceIo, WorkloadReplaysAtScheduledCycles) {
