@@ -1,6 +1,7 @@
 // Figure 5 — throughput (accepted vs offered load) under Uniform Random
 // traffic for all router designs on the 8x8 mesh.
 #include "exp_common.hpp"
+#include "report/analysis.hpp"
 
 namespace dxbar::bench {
 namespace {
@@ -50,14 +51,8 @@ const Registration reg(Experiment{
           // Saturation summary (first offered load where acceptance < 90%).
           r.addf("\nSaturation points (acceptance < 90%% of offered):\n");
           for (std::size_t s = 0; s < t.series_labels.size(); ++s) {
-            double sat = loads.back();
-            for (std::size_t i = 0; i < loads.size(); ++i) {
-              if (t.values[s][i] < 0.9 * loads[i]) {
-                sat = loads[i];
-                break;
-              }
-            }
-            r.addf("  %-12s %.2f\n", t.series_labels[s].c_str(), sat);
+            r.addf("  %-12s %.2f\n", t.series_labels[s].c_str(),
+                   report::saturation_from_points(loads, t.values[s]));
           }
           return r;
         },

@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "common/flit.hpp"
-#include "snapshot/snapshot.hpp"
 
 namespace dxbar {
 
@@ -52,8 +51,10 @@ class RoundRobinArbiter {
   [[nodiscard]] int priority_pointer() const noexcept { return next_; }
 
   // Snapshot protocol: the rotating priority pointer is the only state.
-  void save(SnapshotWriter& w) const { w.i32(next_); }
-  void load(SnapshotReader& r) { next_ = r.i32(); }
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& ar) {
+    ar(self.next_);
+  }
 
  private:
   int n_;

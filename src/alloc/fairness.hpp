@@ -10,8 +10,6 @@
 // wins.  The paper settles on a threshold of four.
 #pragma once
 
-#include "snapshot/snapshot.hpp"
-
 namespace dxbar {
 
 class FairnessCounter {
@@ -39,8 +37,10 @@ class FairnessCounter {
   void reset() noexcept { count_ = 0; }
 
   // Snapshot protocol (the threshold is configuration, not state).
-  void save(SnapshotWriter& w) const { w.i32(count_); }
-  void load(SnapshotReader& r) { count_ = r.i32(); }
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& ar) {
+    ar(self.count_);
+  }
 
  private:
   int threshold_;

@@ -37,13 +37,12 @@ class SeparableAllocator {
   [[nodiscard]] int num_outputs() const noexcept { return num_outputs_; }
 
   // Snapshot protocol: both arbiter banks' priority pointers.
-  void save(SnapshotWriter& w) const {
-    for (int o = 0; o < num_outputs_; ++o) output_arbiters_[o].save(w);
-    for (int i = 0; i < num_inputs_; ++i) input_arbiters_[i].save(w);
-  }
-  void load(SnapshotReader& r) {
-    for (int o = 0; o < num_outputs_; ++o) output_arbiters_[o].load(r);
-    for (int i = 0; i < num_inputs_; ++i) input_arbiters_[i].load(r);
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& ar) {
+    const auto outputs = static_cast<std::size_t>(self.num_outputs_);
+    const auto inputs = static_cast<std::size_t>(self.num_inputs_);
+    ar(std::span(self.output_arbiters_).first(outputs),
+       std::span(self.input_arbiters_).first(inputs));
   }
 
  private:

@@ -13,6 +13,8 @@ namespace dxbar {
 template <typename T>
 class FixedQueue {
  public:
+  using value_type = T;
+
   explicit FixedQueue(std::size_t capacity)
       : slots_(capacity == 0 ? 1 : capacity) {}
 

@@ -35,6 +35,13 @@ struct Flit {
   std::uint8_t retransmits = 0;   ///< times this flit was dropped+resent
   std::uint16_t hops = 0;         ///< link traversals so far
 
+  /// Snapshot protocol (see snapshot/snapshot.hpp).
+  template <class Self, class Ar>
+  static void fields(Self& f, Ar& ar) {
+    ar(f.packet, f.seq, f.packet_len, f.src, f.dst, f.injected_at, f.born_at,
+       f.vc, f.cls, f.deflections, f.retransmits, f.hops);
+  }
+
   /// Age-based priority: reply-class flits beat request-class flits (the
   /// deadlock-avoidance rule for closed-loop traffic; single-class runs
   /// are unaffected since every cls is 0), then older packets win;
@@ -61,6 +68,12 @@ struct PacketRecord {
   std::uint32_t total_hops = 0;
   std::uint32_t total_deflections = 0;
   std::uint32_t total_retransmits = 0;
+
+  template <class Self, class Ar>
+  static void fields(Self& p, Ar& ar) {
+    ar(p.id, p.src, p.dst, p.length, p.cls, p.created, p.injected,
+       p.completed, p.total_hops, p.total_deflections, p.total_retransmits);
+  }
 
   [[nodiscard]] Cycle latency() const noexcept { return completed - created; }
   [[nodiscard]] Cycle network_latency() const noexcept {

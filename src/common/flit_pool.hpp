@@ -216,13 +216,17 @@ class PooledFlitDeque {
   /// by re-acquiring slots, so freelist layout never has to match across
   /// a save/load round trip.
   void save(SnapshotWriter& w) const {
-    w.u64(size_);
-    for_each([&](const Flit& f) { save_flit(w, f); });
+    w(std::uint64_t{size_});
+    for_each([&](const Flit& f) { w(f); });
   }
   void load(SnapshotReader& r) {
     clear();
     const std::uint64_t n = r.count(8);
-    for (std::uint64_t i = 0; i < n; ++i) push_back(load_flit(r));
+    for (std::uint64_t i = 0; i < n; ++i) {
+      Flit f;
+      r(f);
+      push_back(f);
+    }
   }
 
  private:

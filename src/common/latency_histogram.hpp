@@ -75,33 +75,27 @@ class LatencyHistogram {
   }
 
   // ---- snapshot protocol ---------------------------------------------
+  // Sparse: (index, count) pairs for the nonzero buckets only, so the
+  // writer counts them and the reader range-checks each index.
   void save(SnapshotWriter& w) const {
-    w.u64(count_);
-    w.u64(sum_);
-    w.u64(max_);
-    // Sparse encoding: (index, count) pairs for nonzero buckets.
     std::uint64_t nonzero = 0;
     for (std::uint64_t b : buckets_) nonzero += b != 0 ? 1 : 0;
-    w.u64(nonzero);
+    w(count_, sum_, max_, nonzero);
     for (std::size_t i = 0; i < kNumBuckets; ++i) {
-      if (buckets_[i] != 0) {
-        w.u32(static_cast<std::uint32_t>(i));
-        w.u64(buckets_[i]);
-      }
+      if (buckets_[i] != 0) w(static_cast<std::uint32_t>(i), buckets_[i]);
     }
   }
   void load(SnapshotReader& r) {
     buckets_.fill(0);
-    count_ = r.u64();
-    sum_ = r.u64();
-    max_ = r.u64();
+    r(count_, sum_, max_);
     const std::uint64_t nonzero = r.count();
     for (std::uint64_t i = 0; i < nonzero; ++i) {
-      const std::uint32_t idx = r.u32();
+      std::uint32_t idx = 0;
+      r(idx);
       if (idx >= kNumBuckets) {
         throw SnapshotError("latency histogram bucket index out of range");
       }
-      buckets_[idx] = r.u64();
+      r(buckets_[idx]);
     }
   }
 

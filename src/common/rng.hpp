@@ -68,12 +68,12 @@ class Rng {
   bool bernoulli(double p) noexcept { return uniform() < p; }
 
   /// Snapshot protocol: the four state words capture the stream exactly.
-  void save(SnapshotWriter& w) const {
-    for (std::uint64_t s : s_) w.u64(s);
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& ar) {
+    ar(self.s_);
   }
-  void load(SnapshotReader& r) {
-    for (std::uint64_t& s : s_) s = r.u64();
-  }
+  void save(SnapshotWriter& w) const { w(*this); }
+  void load(SnapshotReader& r) { r(*this); }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {

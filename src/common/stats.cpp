@@ -5,7 +5,6 @@
 #include <iterator>
 
 #include "common/config.hpp"
-#include "snapshot/serialize.hpp"
 
 namespace dxbar {
 namespace {
@@ -141,30 +140,6 @@ RunStats StatsCollector::summarize(double offered_load, bool drained,
     }
   }
   return out;
-}
-
-void StatsCollector::save(SnapshotWriter& w) const {
-  w.u64(window_start_);
-  w.u64(window_end_);
-  w.u64(window_flits_ejected_);
-  for (std::uint64_t b : batch_ejections_) w.u64(b);
-  w.u64(window_flits_injected_);
-  w.u64(window_packets_.size());
-  for (const PacketRecord& p : window_packets_) save_packet_record(w, p);
-}
-
-void StatsCollector::load(SnapshotReader& r) {
-  window_start_ = r.u64();
-  window_end_ = r.u64();
-  window_flits_ejected_ = r.u64();
-  for (std::uint64_t& b : batch_ejections_) b = r.u64();
-  window_flits_injected_ = r.u64();
-  const std::uint64_t n = r.count(16);
-  window_packets_.clear();
-  window_packets_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    window_packets_.push_back(load_packet_record(r));
-  }
 }
 
 }  // namespace dxbar

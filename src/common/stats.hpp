@@ -18,7 +18,6 @@
 #include "common/flit.hpp"
 #include "common/latency_histogram.hpp"
 #include "common/types.hpp"
-#include "snapshot/snapshot.hpp"
 
 namespace dxbar {
 
@@ -182,12 +181,6 @@ class StatsCollector {
     (void)f;
   }
 
-  /// A flit entered the network (left a source queue) at cycle `now`.
-  void on_flit_injected(const Flit& f, Cycle now) noexcept {
-    if (now >= window_start_ && now < window_end_) ++window_flits_injected_;
-    (void)f;
-  }
-
   /// Folds a shard's InjectionTally (already window-gated) in.
   void add_injected(std::uint64_t n) noexcept { window_flits_injected_ += n; }
 
@@ -199,11 +192,6 @@ class StatsCollector {
     }
   }
 
-  [[nodiscard]] Cycle window_start() const noexcept { return window_start_; }
-  [[nodiscard]] Cycle window_end() const noexcept { return window_end_; }
-  [[nodiscard]] std::uint64_t window_flits_ejected() const noexcept {
-    return window_flits_ejected_;
-  }
   [[nodiscard]] const std::vector<PacketRecord>& window_packets()
       const noexcept {
     return window_packets_;
@@ -220,8 +208,12 @@ class StatsCollector {
   /// Snapshot protocol: captures the window bounds and all in-flight
   /// accumulation (ejection/injection counters, batch histogram, window
   /// packet records).
-  void save(SnapshotWriter& w) const;
-  void load(SnapshotReader& r);
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& ar) {
+    ar(self.window_start_, self.window_end_, self.window_flits_ejected_,
+       self.batch_ejections_, self.window_flits_injected_);
+    ar.list(self.window_packets_, 16);
+  }
 
  private:
   Cycle window_start_;
@@ -231,29 +223,6 @@ class StatsCollector {
   std::array<std::uint64_t, kBatches> batch_ejections_{};
   std::uint64_t window_flits_injected_ = 0;
   std::vector<PacketRecord> window_packets_;
-};
-
-/// Online mean/min/max accumulator used in benches.
-class Accumulator {
- public:
-  void add(double x) noexcept {
-    sum_ += x;
-    ++n_;
-    if (x < min_) min_ = x;
-    if (x > max_) max_ = x;
-  }
-  [[nodiscard]] double mean() const noexcept {
-    return n_ == 0 ? 0.0 : sum_ / static_cast<double>(n_);
-  }
-  [[nodiscard]] double min() const noexcept { return n_ == 0 ? 0.0 : min_; }
-  [[nodiscard]] double max() const noexcept { return n_ == 0 ? 0.0 : max_; }
-  [[nodiscard]] std::uint64_t count() const noexcept { return n_; }
-
- private:
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-  std::uint64_t n_ = 0;
 };
 
 /// Two-sided 95% Student-t quantile for `df` degrees of freedom: the

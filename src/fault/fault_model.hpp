@@ -14,10 +14,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
-#include "snapshot/snapshot.hpp"
 
 namespace dxbar {
 
@@ -30,6 +30,11 @@ struct RouterFault {
   bool faulty = false;
   CrossbarKind failed = CrossbarKind::Primary;
   Cycle onset = 0;  ///< cycle the fault manifests
+
+  template <class Self, class Ar>
+  static void fields(Self& f, Ar& ar) {
+    ar(f.faulty, f.failed, f.onset);
+  }
 };
 
 class FaultPlan {
@@ -72,29 +77,10 @@ class FaultPlan {
   // itself must travel because a network may be built with a custom plan
   // the target's config cannot re-derive.
 
-  void save(SnapshotWriter& w) const {
-    w.u64(faults_.size());
-    for (const RouterFault& f : faults_) {
-      w.boolean(f.faulty);
-      w.u8(static_cast<std::uint8_t>(f.failed));
-      w.u64(f.onset);
-    }
-    w.u64(detect_delay_);
-    w.i32(num_faulty_);
-  }
-
-  void load(SnapshotReader& r) {
-    const std::uint64_t n = r.count(10);
-    if (n != faults_.size()) {
-      throw SnapshotError("fault plan router count mismatch");
-    }
-    for (RouterFault& f : faults_) {
-      f.faulty = r.boolean();
-      f.failed = static_cast<CrossbarKind>(r.u8());
-      f.onset = r.u64();
-    }
-    detect_delay_ = r.u64();
-    num_faulty_ = r.i32();
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& ar) {
+    ar.expect(self.faults_.size(), "fault plan router count mismatch", 10);
+    ar(std::span(self.faults_), self.detect_delay_, self.num_faulty_);
   }
 
  private:

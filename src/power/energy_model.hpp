@@ -16,7 +16,6 @@
 
 #include "common/config.hpp"
 #include "common/types.hpp"
-#include "snapshot/snapshot.hpp"
 
 namespace dxbar {
 
@@ -160,21 +159,10 @@ class EnergyMeter {
 
   // Snapshot protocol: the gate flag and the five event counts (the
   // per-event parameters are configuration).
-  void save(SnapshotWriter& w) const {
-    w.boolean(enabled_);
-    w.u64(crossbar_events_);
-    w.u64(link_events_);
-    w.u64(buffer_writes_);
-    w.u64(buffer_reads_);
-    w.u64(nack_hop_events_);
-  }
-  void load(SnapshotReader& r) {
-    enabled_ = r.boolean();
-    crossbar_events_ = r.u64();
-    link_events_ = r.u64();
-    buffer_writes_ = r.u64();
-    buffer_reads_ = r.u64();
-    nack_hop_events_ = r.u64();
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& ar) {
+    ar(self.enabled_, self.crossbar_events_, self.link_events_,
+       self.buffer_writes_, self.buffer_reads_, self.nack_hop_events_);
   }
 
  private:

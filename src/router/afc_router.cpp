@@ -203,19 +203,4 @@ int AfcRouter::occupancy() const {
   return n;
 }
 
-void AfcRouter::save_state(SnapshotWriter& w) const {
-  for (const auto& b : buffers_) save_fixed_queue(w, b, save_flit);
-  w.boolean(buffered_mode_);
-  w.f64(arrival_ema_);
-  w.u64(mode_switches_);
-}
-
-void AfcRouter::load_state(SnapshotReader& r) {
-  for (auto& b : buffers_) load_fixed_queue(r, b, load_flit);
-  buffered_mode_ = r.boolean();
-  arrival_ema_ = r.f64();
-  mode_switches_ = r.u64();
-  held_ = occupancy();
-}
-
 }  // namespace dxbar

@@ -28,8 +28,11 @@ class AfcRouter final : public Router {
 
   void step(Cycle now) override;
   [[nodiscard]] int occupancy() const override;
-  void save_state(SnapshotWriter& w) const override;
-  void load_state(SnapshotReader& r) override;
+  void save_state(SnapshotWriter& w) const override { fields(*this, w); }
+  void load_state(SnapshotReader& r) override {
+    fields(*this, r);
+    held_ = occupancy();
+  }
 
   /// EMA thresholds in arrivals/cycle (router capacity is ~4).
   static constexpr double kBufferOn = 1.75;
@@ -42,6 +45,12 @@ class AfcRouter final : public Router {
   [[nodiscard]] double arrival_ema() const { return arrival_ema_; }
 
  private:
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& ar) {
+    ar(self.buffers_, self.buffered_mode_, self.arrival_ema_,
+       self.mode_switches_);
+  }
+
   struct AllocState {
     std::array<bool, kNumPorts> taken{};
   };

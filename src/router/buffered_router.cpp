@@ -112,7 +112,7 @@ void BufferedRouter::step(Cycle now) {
       }
     }
     const bool ok = lanes_[static_cast<std::size_t>(best)].push(
-        Entry{*arrival, now + 1});
+        TimedFlit{*arrival, now + 1});
     assert(ok && "credit flow control must prevent buffer overflow");
     (void)ok;
     ++held_;
@@ -125,29 +125,6 @@ int BufferedRouter::occupancy() const {
   int n = 0;
   for (const auto& q : lanes_) n += static_cast<int>(q.size());
   return n;
-}
-
-void BufferedRouter::save_state(SnapshotWriter& w) const {
-  for (const auto& q : lanes_) {
-    save_fixed_queue(w, q, [](SnapshotWriter& sw, const Entry& e) {
-      save_flit(sw, e.flit);
-      sw.u64(e.ready);
-    });
-  }
-  allocator_.save(w);
-}
-
-void BufferedRouter::load_state(SnapshotReader& r) {
-  for (auto& q : lanes_) {
-    load_fixed_queue(r, q, [](SnapshotReader& sr) {
-      Entry e;
-      e.flit = load_flit(sr);
-      e.ready = sr.u64();
-      return e;
-    });
-  }
-  allocator_.load(r);
-  held_ = occupancy();
 }
 
 }  // namespace dxbar

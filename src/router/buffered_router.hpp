@@ -33,14 +33,17 @@ class BufferedRouter final : public Router {
 
   void step(Cycle now) override;
   [[nodiscard]] int occupancy() const override;
-  void save_state(SnapshotWriter& w) const override;
-  void load_state(SnapshotReader& r) override;
+  void save_state(SnapshotWriter& w) const override { fields(*this, w); }
+  void load_state(SnapshotReader& r) override {
+    fields(*this, r);
+    held_ = occupancy();
+  }
 
  private:
-  struct Entry {
-    Flit flit;
-    Cycle ready = 0;  ///< first cycle the flit may bid for the switch
-  };
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& ar) {
+    ar(std::span(self.lanes_), self.allocator_);
+  }
 
   /// Lane index for (link dir d, sub-queue k).
   [[nodiscard]] int lane(int dir, int k) const noexcept {
@@ -49,7 +52,8 @@ class BufferedRouter final : public Router {
 
   int lanes_per_input_;
   int depth_;
-  std::vector<FixedQueue<Entry>> lanes_;  ///< kNumLinkDirs * lanes_per_input
+  /// kNumLinkDirs * lanes_per_input
+  std::vector<FixedQueue<TimedFlit>> lanes_;
   /// Flits in the input buffers, kept so the idle test reads one field
   /// instead of every buffer.  Derived state: load_state rebuilds it,
   /// the snapshot does not carry it.

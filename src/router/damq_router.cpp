@@ -8,10 +8,10 @@ DamqRouter::DamqRouter(NodeId id, const RouterEnv& env)
     : Router(id, env),
       depth_(env.cfg->buffer_depth),
       pool_(kNumLinkDirs * env.cfg->buffer_depth),
-      queues_{FixedQueue<Entry>(static_cast<std::size_t>(pool_)),
-              FixedQueue<Entry>(static_cast<std::size_t>(pool_)),
-              FixedQueue<Entry>(static_cast<std::size_t>(pool_)),
-              FixedQueue<Entry>(static_cast<std::size_t>(pool_))},
+      queues_{FixedQueue<TimedFlit>(static_cast<std::size_t>(pool_)),
+              FixedQueue<TimedFlit>(static_cast<std::size_t>(pool_)),
+              FixedQueue<TimedFlit>(static_cast<std::size_t>(pool_)),
+              FixedQueue<TimedFlit>(static_cast<std::size_t>(pool_))},
       allocator_(kNumPorts, kNumPorts) {
   int live_ports = 0;
   for (int d = 0; d < kNumLinkDirs; ++d) {
@@ -135,7 +135,7 @@ void DamqRouter::step(Cycle now) {
            "DAMQ arrival without an outstanding credit");
     --outstanding_[static_cast<std::size_t>(d)];
     const bool ok = queues_[static_cast<std::size_t>(d)].push(
-        Entry{*arrival, now + 1});
+        TimedFlit{*arrival, now + 1});
     assert(ok && "DAMQ grant accounting must prevent pool overflow");
     (void)ok;
     ++held_;
@@ -157,33 +157,6 @@ int DamqRouter::occupancy() const {
   int n = 0;
   for (const auto& q : queues_) n += static_cast<int>(q.size());
   return n;
-}
-
-void DamqRouter::save_state(SnapshotWriter& w) const {
-  for (const auto& q : queues_) {
-    save_fixed_queue(w, q, [](SnapshotWriter& sw, const Entry& e) {
-      save_flit(sw, e.flit);
-      sw.u64(e.ready);
-    });
-  }
-  for (int o : outstanding_) w.i32(o);
-  w.i32(grant_rr_);
-  allocator_.save(w);
-}
-
-void DamqRouter::load_state(SnapshotReader& r) {
-  for (auto& q : queues_) {
-    load_fixed_queue(r, q, [](SnapshotReader& sr) {
-      Entry e;
-      e.flit = load_flit(sr);
-      e.ready = sr.u64();
-      return e;
-    });
-  }
-  for (int& o : outstanding_) o = r.i32();
-  grant_rr_ = r.i32();
-  allocator_.load(r);
-  held_ = occupancy();
 }
 
 }  // namespace dxbar

@@ -59,8 +59,11 @@ class DamqRouter final : public Router {
 
   void step(Cycle now) override;
   [[nodiscard]] int occupancy() const override;
-  void save_state(SnapshotWriter& w) const override;
-  void load_state(SnapshotReader& r) override;
+  void save_state(SnapshotWriter& w) const override { fields(*this, w); }
+  void load_state(SnapshotReader& r) override {
+    fields(*this, r);
+    held_ = occupancy();
+  }
 
   /// Total shared slots (the whole pool; hardware provisions the SRAM
   /// regardless of how many mesh-edge ports exist).
@@ -84,10 +87,10 @@ class DamqRouter final : public Router {
   static constexpr int kGrantWindow = 3;
 
  private:
-  struct Entry {
-    Flit flit;
-    Cycle ready = 0;  ///< first cycle the flit may bid for the switch
-  };
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& ar) {
+    ar(self.queues_, self.outstanding_, self.grant_rr_, self.allocator_);
+  }
 
   [[nodiscard]] bool live(int d) const noexcept {
     return env_.in_links[static_cast<std::size_t>(d)] != nullptr;
@@ -110,7 +113,7 @@ class DamqRouter final : public Router {
   int depth_;   ///< per-port slots at the Buffered-4-equivalent budget
   int pool_;    ///< kNumLinkDirs * depth_
   int shared_;  ///< pool_ minus window() reserved slots per live input
-  std::array<FixedQueue<Entry>, kNumLinkDirs> queues_;
+  std::array<FixedQueue<TimedFlit>, kNumLinkDirs> queues_;
   /// Flits in the logical FIFOs, kept so the idle test reads one field
   /// instead of every FIFO.  Derived state: load_state rebuilds it,
   /// the snapshot does not carry it.

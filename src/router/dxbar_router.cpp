@@ -432,30 +432,4 @@ void DXbarRouter::step(Cycle now) {
 
 int DXbarRouter::occupancy() const { return buffered_count_; }
 
-void DXbarRouter::save_state(SnapshotWriter& w) const {
-  for (const auto& b : buffers_) save_fixed_queue(w, b, save_flit);
-  w.i32(buffered_count_);
-  fairness_.save(w);
-  for (int hw : head_wait_) w.i32(hw);
-  w.i32(injection_wait_);
-  w.u64(primary_traversals_);
-  w.u64(secondary_traversals_);
-  w.u64(buffered_diversions_);
-  w.u64(contention_stalls_);
-  w.u64(overflow_deflections_);
-}
-
-void DXbarRouter::load_state(SnapshotReader& r) {
-  for (auto& b : buffers_) load_fixed_queue(r, b, load_flit);
-  buffered_count_ = r.i32();
-  fairness_.load(r);
-  for (int& hw : head_wait_) hw = r.i32();
-  injection_wait_ = r.i32();
-  primary_traversals_ = r.u64();
-  secondary_traversals_ = r.u64();
-  buffered_diversions_ = r.u64();
-  contention_stalls_ = r.u64();
-  overflow_deflections_ = r.u64();
-}
-
 }  // namespace dxbar

@@ -48,8 +48,8 @@ class DXbarRouter final : public Router {
 
   void step(Cycle now) override;
   [[nodiscard]] int occupancy() const override;
-  void save_state(SnapshotWriter& w) const override;
-  void load_state(SnapshotReader& r) override;
+  void save_state(SnapshotWriter& w) const override { fields(*this, w); }
+  void load_state(SnapshotReader& r) override { fields(*this, r); }
 
   // --- introspection for tests ---------------------------------------
   [[nodiscard]] std::uint64_t primary_traversals() const {
@@ -69,6 +69,14 @@ class DXbarRouter final : public Router {
   }
 
  private:
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& ar) {
+    ar(self.buffers_, self.buffered_count_, self.fairness_, self.head_wait_,
+       self.injection_wait_, self.primary_traversals_,
+       self.secondary_traversals_, self.buffered_diversions_,
+       self.contention_stalls_, self.overflow_deflections_);
+  }
+
   /// Output ports already claimed this cycle (links also need credits).
   struct AllocState {
     std::array<bool, kNumPorts> taken{};

@@ -108,15 +108,4 @@ int MinBDRouter::occupancy() const {
   return static_cast<int>(side_.size());
 }
 
-void MinBDRouter::save_state(SnapshotWriter& w) const {
-  save_fixed_queue(w, side_, [](SnapshotWriter& sw, const Flit& f) {
-    save_flit(sw, f);
-  });
-}
-
-void MinBDRouter::load_state(SnapshotReader& r) {
-  load_fixed_queue(r, side_,
-                   [](SnapshotReader& sr) { return load_flit(sr); });
-}
-
 }  // namespace dxbar

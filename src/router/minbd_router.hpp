@@ -38,8 +38,8 @@ class MinBDRouter final : public Router {
 
   void step(Cycle now) override;
   [[nodiscard]] int occupancy() const override;
-  void save_state(SnapshotWriter& w) const override;
-  void load_state(SnapshotReader& r) override;
+  void save_state(SnapshotWriter& w) const override { fields(*this, w); }
+  void load_state(SnapshotReader& r) override { fields(*this, r); }
 
   /// Flits currently parked in the side buffer.
   [[nodiscard]] int side_occupancy() const noexcept {
@@ -53,6 +53,11 @@ class MinBDRouter final : public Router {
   }
 
  private:
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& ar) {
+    ar(self.side_);
+  }
+
   int degree_ = 0;               ///< live out-links (== live in-links)
   FixedQueue<Flit> side_;        ///< the shared side buffer
 };

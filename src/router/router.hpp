@@ -32,6 +32,18 @@
 
 namespace dxbar {
 
+/// An input-buffer entry of the buffered designs (Buffered 4/8, VC,
+/// DAMQ): the flit and the first cycle it may bid for the switch.
+struct TimedFlit {
+  Flit flit;
+  Cycle ready = 0;
+
+  template <class Self, class Ar>
+  static void fields(Self& e, Ar& ar) {
+    ar(e.flit, e.ready);
+  }
+};
+
 /// Source-side queue of flits awaiting injection at one node.  Unbounded:
 /// open-loop experiments measure accepted load, and closed-loop workloads
 /// throttle themselves via MSHR limits before the queue matters.
@@ -72,8 +84,10 @@ class InjectionQueue {
 
   // Snapshot protocol: queue contents by value (the clock/stats wiring
   // and backing pool are re-established at construction).
-  void save(SnapshotWriter& w) const { q_.save(w); }
-  void load(SnapshotReader& r) { q_.load(r); }
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& ar) {
+    ar(self.q_);
+  }
 
  private:
   PooledFlitDeque q_;

@@ -209,25 +209,4 @@ int UnifiedRouter::occupancy() const {
   return n;
 }
 
-void UnifiedRouter::save_state(SnapshotWriter& w) const {
-  for (const auto& b : buffers_) save_fixed_queue(w, b, save_flit);
-  fairness_.save(w);
-  for (int hw : head_wait_) w.i32(hw);
-  w.i32(injection_wait_);
-  w.u64(swap_count_);
-  w.u64(dual_grant_cycles_);
-  w.u64(overflow_deflections_);
-}
-
-void UnifiedRouter::load_state(SnapshotReader& r) {
-  for (auto& b : buffers_) load_fixed_queue(r, b, load_flit);
-  fairness_.load(r);
-  for (int& hw : head_wait_) hw = r.i32();
-  injection_wait_ = r.i32();
-  swap_count_ = r.u64();
-  dual_grant_cycles_ = r.u64();
-  overflow_deflections_ = r.u64();
-  held_ = occupancy();
-}
-
 }  // namespace dxbar

@@ -32,8 +32,11 @@ class UnifiedRouter final : public Router {
 
   void step(Cycle now) override;
   [[nodiscard]] int occupancy() const override;
-  void save_state(SnapshotWriter& w) const override;
-  void load_state(SnapshotReader& r) override;
+  void save_state(SnapshotWriter& w) const override { fields(*this, w); }
+  void load_state(SnapshotReader& r) override {
+    fields(*this, r);
+    held_ = occupancy();
+  }
 
   // --- introspection for tests ---------------------------------------
   [[nodiscard]] std::uint64_t swap_count() const { return swap_count_; }
@@ -45,6 +48,12 @@ class UnifiedRouter final : public Router {
   }
 
  private:
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& ar) {
+    ar(self.buffers_, self.fairness_, self.head_wait_, self.injection_wait_,
+       self.swap_count_, self.dual_grant_cycles_, self.overflow_deflections_);
+  }
+
   [[nodiscard]] std::uint32_t request_mask(const Flit& f,
                                            bool ignore_stop) const;
   void depart(Flit f, int out);

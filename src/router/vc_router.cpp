@@ -124,7 +124,7 @@ void VcRouter::step(Cycle now) {
     if (!arrival.has_value()) continue;
     const int v = arrival->vc;
     const bool ok = vcs_[static_cast<std::size_t>(vc_index(d, v))].push(
-        Entry{*arrival, now + 1});
+        TimedFlit{*arrival, now + 1});
     assert(ok && "per-VC credits must prevent overflow");
     (void)ok;
     ++held_;
@@ -137,35 +137,6 @@ int VcRouter::occupancy() const {
   int n = 0;
   for (const auto& q : vcs_) n += static_cast<int>(q.size());
   return n;
-}
-
-void VcRouter::save_state(SnapshotWriter& w) const {
-  for (const auto& q : vcs_) {
-    save_fixed_queue(w, q, [](SnapshotWriter& sw, const Entry& e) {
-      save_flit(sw, e.flit);
-      sw.u64(e.ready);
-    });
-  }
-  for (const auto& a : vc_pick_) a.save(w);
-  for (const auto& a : out_vc_pick_) a.save(w);
-  allocator_.save(w);
-  w.u64(speculation_failures_);
-}
-
-void VcRouter::load_state(SnapshotReader& r) {
-  for (auto& q : vcs_) {
-    load_fixed_queue(r, q, [](SnapshotReader& sr) {
-      Entry e;
-      e.flit = load_flit(sr);
-      e.ready = sr.u64();
-      return e;
-    });
-  }
-  for (auto& a : vc_pick_) a.load(r);
-  for (auto& a : out_vc_pick_) a.load(r);
-  allocator_.load(r);
-  speculation_failures_ = r.u64();
-  held_ = occupancy();
 }
 
 }  // namespace dxbar

@@ -36,8 +36,11 @@ class VcRouter final : public Router {
 
   void step(Cycle now) override;
   [[nodiscard]] int occupancy() const override;
-  void save_state(SnapshotWriter& w) const override;
-  void load_state(SnapshotReader& r) override;
+  void save_state(SnapshotWriter& w) const override { fields(*this, w); }
+  void load_state(SnapshotReader& r) override {
+    fields(*this, r);
+    held_ = occupancy();
+  }
 
   // --- introspection for tests ---------------------------------------
   [[nodiscard]] std::uint64_t speculation_failures() const {
@@ -45,10 +48,11 @@ class VcRouter final : public Router {
   }
 
  private:
-  struct Entry {
-    Flit flit;
-    Cycle ready = 0;
-  };
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& ar) {
+    ar(std::span(self.vcs_), self.vc_pick_, self.out_vc_pick_, self.allocator_,
+       self.speculation_failures_);
+  }
 
   [[nodiscard]] int vc_index(int dir, int vc) const noexcept {
     return dir * num_vcs_ + vc;
@@ -65,7 +69,7 @@ class VcRouter final : public Router {
   int num_vcs_;
   int vc_depth_;
   bool class_vcs_;  ///< partition VCs by message class (closed loop)
-  std::vector<FixedQueue<Entry>> vcs_;  ///< kNumLinkDirs * num_vcs_
+  std::vector<FixedQueue<TimedFlit>> vcs_;  ///< kNumLinkDirs * num_vcs_
   /// Flits in the input buffers, kept so the idle test reads one field
   /// instead of every buffer.  Derived state: load_state rebuilds it,
   /// the snapshot does not carry it.

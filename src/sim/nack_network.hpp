@@ -12,7 +12,7 @@
 
 #include "common/flit.hpp"
 #include "power/energy_model.hpp"
-#include "snapshot/serialize.hpp"
+#include "snapshot/snapshot.hpp"
 #include "topology/mesh.hpp"
 
 namespace dxbar {
@@ -61,34 +61,22 @@ class NackNetwork {
   // is bit-stable across a round trip.
 
   void save(SnapshotWriter& w) const {
-    w.u64(q_.size());
-    auto copy = q_;
-    while (!copy.empty()) {
-      const Event& e = copy.top();
-      w.u64(e.deliver);
-      w.u64(e.seq);
-      save_flit(w, e.flit);
-      copy.pop();
-    }
-    w.u64(wire_free_.size());
-    for (Cycle c : wire_free_) w.u64(c);
-    w.u64(seq_);
+    w(std::uint64_t{q_.size()});
+    for (auto copy = q_; !copy.empty(); copy.pop()) w(copy.top());
+    w.list(wire_free_, 8);
+    w(seq_);
   }
 
   void load(SnapshotReader& r) {
     q_ = {};
     const std::uint64_t n = r.count(16);
     for (std::uint64_t i = 0; i < n; ++i) {
-      Event e;
-      e.deliver = r.u64();
-      e.seq = r.u64();
-      e.flit = load_flit(r);
+      Event e{};
+      r(e);
       q_.push(e);
     }
-    const std::uint64_t wires = r.count(8);
-    wire_free_.assign(wires, 0);
-    for (Cycle& c : wire_free_) c = r.u64();
-    seq_ = r.u64();
+    r.list(wire_free_, 8);
+    r(seq_);
   }
 
  private:
@@ -96,6 +84,11 @@ class NackNetwork {
     Cycle deliver;
     std::uint64_t seq;  ///< FIFO order among same-cycle deliveries
     Flit flit;
+
+    template <class Self, class Ar>
+    static void fields(Self& e, Ar& ar) {
+      ar(e.deliver, e.seq, e.flit);
+    }
 
     [[nodiscard]] bool operator>(const Event& o) const noexcept {
       if (deliver != o.deliver) return deliver > o.deliver;

@@ -253,6 +253,10 @@ class Network final : public Injector {
   /// Slow structural scan backing the idle() counter identity in debug
   /// builds.
   [[nodiscard]] bool idle_by_scan() const;
+  /// The snapshot sections, walked by save() and load() alike
+  /// (network_snapshot.cpp).
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& ar);
 
   SimConfig cfg_;
   Mesh mesh_;
@@ -292,6 +296,11 @@ class Network final : public Injector {
   struct Assembly {
     int received = 0;
     PacketRecord rec;
+
+    template <class Self, class Ar>
+    static void fields(Self& a, Ar& ar) {
+      ar(a.received, a.rec);
+    }
   };
   PacketMap<Assembly> assembly_;
 

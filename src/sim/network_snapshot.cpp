@@ -17,6 +17,7 @@
 // stepped — network built from a structurally identical SimConfig, and
 // the NETW fingerprint check enforces that before anything is mutated.
 #include <cassert>
+#include <span>
 
 #include "sim/network.hpp"
 #include "snapshot/serialize.hpp"
@@ -37,147 +38,95 @@ constexpr std::uint32_t kSecStats = section_tag("STAT");
 
 }  // namespace
 
+template <class Self, class Ar>
+void Network::fields(Self& self, Ar& ar) {
+  ar.section(kSecNetwork, [&] {
+    // Checked before anything is restored.
+    ar.expect(structural_fingerprint(self.cfg_),
+              "structural fingerprint mismatch: the snapshot was taken on a "
+              "network with a different structure (mesh, design, buffers, "
+              "faults, seed, or stats window)");
+    ar(self.now_, self.next_packet_, self.flits_created_,
+       self.flits_delivered_, self.packets_created_, self.packets_delivered_,
+       self.flits_dropped_);
+  });
+  ar.section(kSecEnergy, [&] { ar(self.energy_); });
+  ar.section(kSecFaults, [&] { ar(self.faults_); });
+  ar.section(kSecChannels, [&] {
+    ar.expect(self.channels_.size(), "channel count mismatch", 1);
+    ar(std::span(self.channels_));
+  });
+  ar.section(kSecRouters, [&] {
+    ar.expect(self.routers_.size(), "router count mismatch", 1);
+    for (const auto& r : self.routers_) {
+      if constexpr (Ar::kLoading) {
+        r->load_state(ar);
+      } else {
+        r->save_state(ar);
+      }
+    }
+  });
+  ar.section(kSecSources, [&] {
+    ar.expect(self.sources_.size(), "source queue count mismatch", 1);
+    ar(std::span(self.sources_));
+  });
+  ar.section(kSecAssembly, [&] {
+    // Written in slot order, rebuilt by insertion into a fresh table
+    // (not clear()) whose capacity follows the stream's entry count, not
+    // what this network held before.  Packet id 0 marks an empty slot.
+    if constexpr (Ar::kLoading) {
+      self.assembly_ = PacketMap<Assembly>();
+      const std::uint64_t mshrs = ar.count(8 + 4);
+      for (std::uint64_t i = 0; i < mshrs; ++i) {
+        PacketId key = 0;
+        ar(key);
+        if (key == 0) throw SnapshotError("reassembly entry for packet id 0");
+        ar(self.assembly_[key]);
+      }
+    } else {
+      ar(std::uint64_t{self.assembly_.size()});
+      self.assembly_.for_each(
+          [&](PacketId key, const Assembly& a) { ar(key, a); });
+    }
+  });
+  ar.section(kSecScarab, [&] {
+    ar.expect(self.scarab_staging_.size(), "SCARAB staging count mismatch",
+              1);
+    ar(std::span(self.scarab_staging_), std::span(self.scarab_outstanding_),
+       self.nacks_);
+  });
+  ar.section(kSecStats, [&] { ar(self.stats_); });
+}
+
 void Network::save(SnapshotWriter& w) const {
-  w.begin_section(kSecNetwork);
-  w.u64(structural_fingerprint(cfg_));
-  w.u64(now_);
-  w.u64(next_packet_);
-  w.u64(flits_created_);
-  w.u64(flits_delivered_);
-  w.u64(packets_created_);
-  w.u64(packets_delivered_);
-  w.u64(flits_dropped_);
-  w.end_section();
-
-  w.begin_section(kSecEnergy);
-  energy_.save(w);
-  w.end_section();
-
-  w.begin_section(kSecFaults);
-  faults_.save(w);
-  w.end_section();
-
-  w.begin_section(kSecChannels);
-  w.u64(channels_.size());
-  for (const Channel& ch : channels_) ch.save(w);
-  w.end_section();
-
-  w.begin_section(kSecRouters);
-  w.u64(routers_.size());
 #ifndef NDEBUG
   for (const auto& s : shards_) {
     assert(s->ejections.empty() && "snapshot mid-cycle: ejections pending");
   }
-#endif
   for (const auto& r : routers_) {
-#ifndef NDEBUG
     for (const auto& slot : r->in) {
       assert(!slot.has_value() && "snapshot mid-cycle: input register full");
     }
-#endif
-    r->save_state(w);
   }
-  w.end_section();
-
-  w.begin_section(kSecSources);
-  w.u64(sources_.size());
-  for (const auto& s : sources_) s.save(w);
-  w.end_section();
-
-  w.begin_section(kSecAssembly);
-  w.u64(assembly_.size());
-  assembly_.for_each([&w](PacketId key, const Assembly& a) {
-    w.u64(key);
-    w.i32(a.received);
-    save_packet_record(w, a.rec);
-  });
-  w.end_section();
-
-  w.begin_section(kSecScarab);
-  w.u64(scarab_staging_.size());
-  for (const auto& st : scarab_staging_) st.save(w);
-  for (int o : scarab_outstanding_) w.i32(o);
-  nacks_.save(w);
-  w.end_section();
-
-  w.begin_section(kSecStats);
-  stats_.save(w);
-  w.end_section();
+#endif
+  fields(*this, w);
 }
 
 void Network::load(SnapshotReader& r) {
-  (void)r.expect_section(kSecNetwork);
-  if (r.u64() != structural_fingerprint(cfg_)) {
-    throw SnapshotError(
-        "structural fingerprint mismatch: the snapshot was taken on a "
-        "network with a different structure (mesh, design, buffers, "
-        "faults, seed, or stats window)");
+  fields(*this, r);
+  // Per-cycle transients are empty at a step boundary.  Each pinned or
+  // non-quiescent channel re-registers on its owning shard's active
+  // list, dropped first so stale slots never linger.  Shard layout is
+  // structural, not part of the stream — a snapshot taken at any shard
+  // count restores here.
+  for (auto& s : shards_) {
+    s->ejections.clear();
+    s->active_channels.clear();
   }
-  now_ = r.u64();
-  next_packet_ = r.u64();
-  flits_created_ = r.u64();
-  flits_delivered_ = r.u64();
-  packets_created_ = r.u64();
-  packets_delivered_ = r.u64();
-  flits_dropped_ = r.u64();
-
-  (void)r.expect_section(kSecEnergy);
-  energy_.load(r);
-
-  (void)r.expect_section(kSecFaults);
-  faults_.load(r);
-
-  (void)r.expect_section(kSecChannels);
-  if (r.count() != channels_.size()) {
-    throw SnapshotError("channel count mismatch");
-  }
-  // Channel::load re-registers each non-quiescent (or pinned) channel
-  // on its owning shard's active list; drop the current lists first so
-  // stale slots never linger.  Shard layout is structural, not part of
-  // the stream — a snapshot taken at any shard count restores here.
-  for (auto& s : shards_) s->active_channels.clear();
-  for (Channel& ch : channels_) ch.load(r);
-
-  (void)r.expect_section(kSecRouters);
-  if (r.count() != routers_.size()) {
-    throw SnapshotError("router count mismatch");
-  }
-  for (auto& s : shards_) s->ejections.clear();
   for (auto& rt : routers_) {
     for (auto& slot : rt->in) slot.reset();
-    rt->load_state(r);
   }
-
-  (void)r.expect_section(kSecSources);
-  if (r.count() != sources_.size()) {
-    throw SnapshotError("source queue count mismatch");
-  }
-  for (auto& s : sources_) s.load(r);
-
-  (void)r.expect_section(kSecAssembly);
-  // A fresh table, not clear(): slot order, and so the bytes of the next
-  // save, follows the table's capacity, which must come from the stream
-  // rather than from what this network held before.
-  assembly_ = PacketMap<Assembly>();
-  const std::uint64_t mshrs = r.count(8 + 4);
-  for (std::uint64_t i = 0; i < mshrs; ++i) {
-    const PacketId key = r.u64();
-    if (key == 0) throw SnapshotError("reassembly entry for packet id 0");
-    Assembly& a = assembly_[key];
-    a.received = r.i32();
-    a.rec = load_packet_record(r);
-  }
-
-  (void)r.expect_section(kSecScarab);
-  if (r.count() != scarab_staging_.size()) {
-    throw SnapshotError("SCARAB staging count mismatch");
-  }
-  for (auto& st : scarab_staging_) st.load(r);
-  for (int& o : scarab_outstanding_) o = r.i32();
-  nacks_.load(r);
-
-  (void)r.expect_section(kSecStats);
-  stats_.load(r);
+  for (Channel& ch : channels_) ch.relist();
 }
 
 std::vector<std::uint8_t> Network::snapshot() const {

@@ -122,8 +122,9 @@ ResultsLog::ResultsLog(const std::vector<SimConfig>& points,
   const std::vector<std::uint8_t> bytes = read_file(path_);
   const std::size_t intact =
       for_each_frame(bytes, [&](SnapshotReader& r) {
-        const std::uint64_t fp = r.u64();
-        const std::uint32_t point = r.u32();
+        std::uint64_t fp = 0;
+        std::uint32_t point = 0;
+        r(fp, point);
         RunStats result = load_run_stats(r);
         if (fp == fingerprint_ && point < results_.size()) {
           results_[point] = std::move(result);
@@ -146,8 +147,7 @@ std::size_t ResultsLog::completed() const {
 
 void ResultsLog::record(std::size_t point, const RunStats& r) {
   SnapshotWriter payload;
-  payload.u64(fingerprint_);
-  payload.u32(static_cast<std::uint32_t>(point));
+  payload(fingerprint_, static_cast<std::uint32_t>(point));
   save_run_stats(payload, r);
   const std::vector<std::uint8_t> bytes = frame(payload.data());
 

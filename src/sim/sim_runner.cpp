@@ -91,16 +91,13 @@ RunStats finish_open_loop(Network& net, WorkloadModel& workload,
 void save_open_loop_state(SnapshotWriter& w, const Network& net,
                           const WorkloadModel& workload) {
   net.save(w);
-  w.begin_section(kSecWorkload);
-  workload.save_state(w);
-  w.end_section();
+  w.section(kSecWorkload, [&] { workload.save_state(w); });
 }
 
 void load_open_loop_state(SnapshotReader& r, Network& net,
                           WorkloadModel& workload) {
   net.load(r);
-  (void)r.expect_section(kSecWorkload);
-  workload.load_state(r);
+  r.section(kSecWorkload, [&] { workload.load_state(r); });
 }
 
 namespace {

@@ -13,10 +13,10 @@
 #include <cassert>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/flit.hpp"
-#include "snapshot/serialize.hpp"
 
 namespace dxbar {
 
@@ -216,7 +216,7 @@ class Channel {
   /// concurrently from their own threads, and with the channel pinned
   /// those calls mutate only endpoint-disjoint fields, never the shared
   /// list bookkeeping.  Structural, so not serialized; re-applied by the
-  /// network on construction and honoured by load().
+  /// network on construction and honoured by relist().
   void pin() {
     pinned_ = true;
     touch();
@@ -225,38 +225,21 @@ class Channel {
 
   // ---- snapshot protocol ----------------------------------------------
 
-  void save(SnapshotWriter& w) const {
-    w.i32(credits_);
-    w.i32(pending_credits_);
-    w.u64(vc_credits_.size());
-    for (int c : vc_credits_) w.i32(c);
-    for (int c : vc_pending_) w.i32(c);
-    w.u64(total_sends_);
-    w.boolean(stop_);
-    w.boolean(stop_pending_);
-    save_optional_flit(w, staged_);
-    save_optional_flit(w, in_flight_);
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& ar) {
+    ar(self.credits_, self.pending_credits_);
+    ar.expect(self.vc_credits_.size(), "channel VC count mismatch", 4);
+    ar(std::span(self.vc_credits_), std::span(self.vc_pending_),
+       self.total_sends_, self.stop_, self.stop_pending_, self.staged_,
+       self.in_flight_);
   }
 
-  /// Restores the channel's mutable state.  The caller must have cleared
-  /// the owning active list first: load drops the listed flag and
-  /// re-registers iff the restored state is non-quiescent, so the active
-  /// list is rebuilt consistently (order is immaterial — channels are
-  /// mutually independent and the sweep visits every listed channel).
-  void load(SnapshotReader& r) {
-    credits_ = r.i32();
-    pending_credits_ = r.i32();
-    const std::uint64_t nvc = r.count(4);
-    if (nvc != vc_credits_.size()) {
-      throw SnapshotError("channel VC count mismatch");
-    }
-    for (int& c : vc_credits_) c = r.i32();
-    for (int& c : vc_pending_) c = r.i32();
-    total_sends_ = r.u64();
-    stop_ = r.boolean();
-    stop_pending_ = r.boolean();
-    staged_ = load_optional_flit(r);
-    in_flight_ = load_optional_flit(r);
+  /// After a restore: drops the listed flag and re-registers iff the
+  /// channel is pinned or non-quiescent.  The caller must have cleared
+  /// the owning active list first, so the list is rebuilt consistently
+  /// (order is immaterial — channels are mutually independent and the
+  /// sweep visits every listed channel).
+  void relist() {
     listed_ = false;
     if (pinned_ || !quiescent()) touch();
   }

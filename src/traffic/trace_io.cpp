@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <string>
 
 #include "common/flit.hpp"
+#include "common/text.hpp"
 
 namespace dxbar {
 
@@ -16,18 +18,20 @@ std::vector<TraceEntry> read_trace(std::istream& is, NodeId num_nodes) {
   std::size_t lineno = 0;
   while (std::getline(is, line)) {
     ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
+    line.erase(std::min(line.find('#'), line.size()));
     std::istringstream ls(line);
+    const std::vector<std::string> tokens{
+        std::istream_iterator<std::string>(ls), {}};
+    if (tokens.empty()) continue;  // blank or comment-only line
     TraceEntry e;
-    if (!(ls >> e.cycle)) continue;  // blank or comment-only line
-    // Flit::packet_len is 16-bit, so longer packets cannot be described.
-    if (!(ls >> e.src >> e.dst >> e.length) || e.length < 1 ||
+    // Exactly four numbers, none negative; Flit::packet_len is 16-bit,
+    // so longer packets cannot be described.
+    if (tokens.size() != 4 || !parse_number(tokens[0], e.cycle) ||
+        !parse_number(tokens[1], e.src) || !parse_number(tokens[2], e.dst) ||
+        !parse_number(tokens[3], e.length) || e.length < 1 ||
         e.length > kMaxPacketLength) {
       throw TraceError("malformed trace line " + std::to_string(lineno));
     }
-    // `istream` reads "-1" into an unsigned NodeId as its maximum, so
-    // one bound catches negative ids too.
     for (const NodeId node : {e.src, e.dst}) {
       if (node >= num_nodes) {
         throw TraceError("trace line " + std::to_string(lineno) + ": node " +

@@ -24,8 +24,8 @@ struct TraceEntry {
   friend bool operator==(const TraceEntry&, const TraceEntry&) = default;
 };
 
-/// A trace line that cannot be replayed: a missing or non-numeric
-/// field, a length outside [1, 65535], or a node id outside the mesh.
+/// A trace line that cannot be replayed: other than four non-negative
+/// integers, a length outside [1, 65535], or a node id outside the mesh.
 /// The message names the line.
 class TraceError : public std::runtime_error {
  public:

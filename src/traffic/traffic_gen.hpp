@@ -111,16 +111,15 @@ class SyntheticWorkload final : public WorkloadModel {
   void set_injection_enabled(bool on) override { enabled_ = on; }
 
   [[nodiscard]] bool snapshot_supported() const override { return true; }
-  void save_state(SnapshotWriter& w) const override {
-    rng_.save(w);
-    w.boolean(enabled_);
-  }
-  void load_state(SnapshotReader& r) override {
-    rng_.load(r);
-    enabled_ = r.boolean();
-  }
+  void save_state(SnapshotWriter& w) const override { fields(*this, w); }
+  void load_state(SnapshotReader& r) override { fields(*this, r); }
 
  private:
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& ar) {
+    ar(self.rng_, self.enabled_);
+  }
+
   const Mesh& mesh_;
   TrafficPattern pattern_;
   double packet_probability_;

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "snapshot/serialize.hpp"
 
 namespace dxbar {
 
@@ -138,81 +137,6 @@ void ClosedLoopWorkload::fill_run_stats(RunStats& out) const {
   out.req_latency_p99 = hist_.quantile(0.99);
   out.req_latency_max = hist_.max();
   out.req_hist = hist_;
-}
-
-void ClosedLoopWorkload::save_state(SnapshotWriter& w) const {
-  rng_.save(w);
-  w.boolean(enabled_);
-  w.u64(requests_issued_);
-  w.u64(replies_completed_);
-  w.u64(outstanding_.size());
-  for (int o : outstanding_) w.i32(o);
-  // std::map iterates in key order, so the byte stream is deterministic.
-  w.u64(requests_.size());
-  for (const auto& [id, txn] : requests_) {
-    w.u64(id);
-    w.u32(txn.client);
-    w.u64(txn.issued);
-  }
-  w.u64(replies_.size());
-  for (const auto& [id, txn] : replies_) {
-    w.u64(id);
-    w.u32(txn.client);
-    w.u64(txn.issued);
-  }
-  w.u64(pending_.size());
-  for (const PendingReply& p : pending_) {
-    w.u64(p.ready);
-    w.u32(p.server);
-    w.u32(p.client);
-    w.u64(p.issued);
-    w.i32(p.length);
-  }
-  hist_.save(w);
-  w.u64(writebacks_issued_);
-}
-
-void ClosedLoopWorkload::load_state(SnapshotReader& r) {
-  rng_.load(r);
-  enabled_ = r.boolean();
-  requests_issued_ = r.u64();
-  replies_completed_ = r.u64();
-  const std::uint64_t nodes = r.count();
-  if (nodes != outstanding_.size()) {
-    throw SnapshotError("closed-loop workload node count mismatch");
-  }
-  for (int& o : outstanding_) o = r.i32();
-  requests_.clear();
-  const std::uint64_t nreq = r.count();
-  for (std::uint64_t i = 0; i < nreq; ++i) {
-    const PacketId id = r.u64();
-    Txn t;
-    t.client = r.u32();
-    t.issued = r.u64();
-    requests_.emplace(id, t);
-  }
-  replies_.clear();
-  const std::uint64_t nrep = r.count();
-  for (std::uint64_t i = 0; i < nrep; ++i) {
-    const PacketId id = r.u64();
-    Txn t;
-    t.client = r.u32();
-    t.issued = r.u64();
-    replies_.emplace(id, t);
-  }
-  pending_.clear();
-  const std::uint64_t npend = r.count();
-  for (std::uint64_t i = 0; i < npend; ++i) {
-    PendingReply p;
-    p.ready = r.u64();
-    p.server = r.u32();
-    p.client = r.u32();
-    p.issued = r.u64();
-    p.length = r.i32();
-    pending_.push_back(p);
-  }
-  hist_.load(r);
-  writebacks_issued_ = r.u64();
 }
 
 }  // namespace dxbar

@@ -37,6 +37,7 @@
 
 #include <deque>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "traffic/traffic_gen.hpp"
@@ -57,8 +58,8 @@ class ClosedLoopWorkload final : public WorkloadModel {
 
   // ---- snapshot protocol ---------------------------------------------
   [[nodiscard]] bool snapshot_supported() const override { return true; }
-  void save_state(SnapshotWriter& w) const override;
-  void load_state(SnapshotReader& r) override;
+  void save_state(SnapshotWriter& w) const override { fields(*this, w); }
+  void load_state(SnapshotReader& r) override { fields(*this, r); }
 
   // ---- introspection (tests, experiments) ----------------------------
   /// Replies ejected since construction (whole run, not just window).
@@ -84,6 +85,11 @@ class ClosedLoopWorkload final : public WorkloadModel {
   struct Txn {
     NodeId client = kInvalidNode;
     Cycle issued = 0;
+
+    template <class Self, class Ar>
+    static void fields(Self& t, Ar& ar) {
+      ar(t.client, t.issued);
+    }
   };
   /// A served request waiting out its service delay at the server.
   struct PendingReply {
@@ -92,7 +98,26 @@ class ClosedLoopWorkload final : public WorkloadModel {
     NodeId client = kInvalidNode;
     Cycle issued = 0;
     int length = 0;  ///< reply flits: data for a read, short ack for a write
+
+    template <class Self, class Ar>
+    static void fields(Self& p, Ar& ar) {
+      ar(p.ready, p.server, p.client, p.issued, p.length);
+    }
   };
+
+  /// std::map iterates in key order, so the byte stream is deterministic.
+  template <class Self, class Ar>
+  static void fields(Self& self, Ar& ar) {
+    ar(self.rng_, self.enabled_, self.requests_issued_,
+       self.replies_completed_);
+    ar.expect(self.outstanding_.size(),
+              "closed-loop workload node count mismatch", 1);
+    ar(std::span(self.outstanding_));
+    ar.list(self.requests_, 1);
+    ar.list(self.replies_, 1);
+    ar.list(self.pending_, 1);
+    ar(self.hist_, self.writebacks_issued_);
+  }
 
   [[nodiscard]] NodeId pick_destination(NodeId src);
   void record_reply(const Txn& txn, Cycle now);

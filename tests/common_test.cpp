@@ -498,17 +498,6 @@ TEST(Stats, LatencyAveragesOnlyWindowPackets) {
   EXPECT_DOUBLE_EQ(s.avg_packet_latency, 20.0);
 }
 
-TEST(Stats, AccumulatorTracksMinMeanMax) {
-  Accumulator a;
-  a.add(1.0);
-  a.add(2.0);
-  a.add(6.0);
-  EXPECT_DOUBLE_EQ(a.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(a.min(), 1.0);
-  EXPECT_DOUBLE_EQ(a.max(), 6.0);
-  EXPECT_EQ(a.count(), 3u);
-}
-
 TEST(Stats, MeanCi95UsesStudentTForNMinusOneDegreesOfFreedom) {
   // Replicas alternating 0, 2: mean 1, sample stddev s known in closed
   // form, so the halfwidth pins the quantile t = ci95 * sqrt(n) / s.

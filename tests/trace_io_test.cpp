@@ -12,12 +12,12 @@ namespace {
 
 TEST(TraceTextIo, MalformedLineThrowsTypedError) {
   // A line whose cycle parses but whose tail is junk, whose length no
-  // Flit can describe, or whose node lies outside the 64-node network
-  // ("-1" reads as the largest NodeId); non-numeric lines are
-  // comment-like and skipped by design.
+  // Flit can describe, whose node lies outside the 64-node network,
+  // with a negative number, or with more than four tokens.
   for (const char* text :
        {"10 0 1 1\n11 0 junk\n", "10 0 1 1\n11 0 1 65536\n",
-        "10 0 1 1\n11 1 64 5\n", "10 0 1 1\n11 -1 3 5\n"}) {
+        "10 0 1 1\n11 1 64 5\n", "10 0 1 1\n11 -1 3 5\n",
+        "10 0 1 1\n-5 1 2 1\n", "10 0 1 1\n0 1 2 3 junk\n"}) {
     std::istringstream is(text);
     try {
       (void)read_trace(is, 64);
