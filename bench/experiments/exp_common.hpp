@@ -45,6 +45,40 @@ inline std::vector<double> figure_loads(double step = 0.1) {
   return loads;
 }
 
+/// The UR load sweep of Figs 5-6, series-major: every figure design at
+/// every figure load.
+inline std::vector<SimConfig> load_sweep_grid(const RunContext& ctx) {
+  std::vector<SimConfig> cfgs;
+  for (const DesignVariant& dv : figure_designs()) {
+    for (double l : figure_loads()) {
+      SimConfig c = ctx.base;
+      c.pattern = TrafficPattern::UniformRandom;
+      c.design = dv.design;
+      c.routing = dv.routing;
+      c.offered_load = l;
+      cfgs.push_back(c);
+    }
+  }
+  return cfgs;
+}
+
+/// The pattern sweep of Figs 7-8, series-major: every figure design on
+/// every synthetic pattern at offered load 0.5.
+inline std::vector<SimConfig> pattern_grid(const RunContext& ctx) {
+  std::vector<SimConfig> cfgs;
+  for (const DesignVariant& dv : figure_designs()) {
+    for (TrafficPattern p : kAllPatterns) {
+      SimConfig c = ctx.base;
+      c.pattern = p;
+      c.design = dv.design;
+      c.routing = dv.routing;
+      c.offered_load = 0.5;
+      cfgs.push_back(c);
+    }
+  }
+  return cfgs;
+}
+
 /// The SPLASH-2 points of Figs 9-10, series-major: every figure design
 /// on every application, each run to completion (warmup 0, the
 /// measurement window is a 2M-cycle cap).

@@ -13,21 +13,7 @@ const Registration reg(Experiment{
         "DXbar DOR saturates at >0.4 (best), DXbar WF slightly below, "
         "Buffered 8 ~20% below DXbar, Buffered 4 / Flit-Bless / SCARAB "
         "~40% below with saturation under 0.3",
-    .grid =
-        [](const RunContext& ctx) {
-          std::vector<SimConfig> cfgs;
-          for (const DesignVariant& dv : figure_designs()) {
-            for (double l : figure_loads()) {
-              SimConfig c = ctx.base;
-              c.pattern = TrafficPattern::UniformRandom;
-              c.design = dv.design;
-              c.routing = dv.routing;
-              c.offered_load = l;
-              cfgs.push_back(c);
-            }
-          }
-          return cfgs;
-        },
+    .grid = load_sweep_grid,
     .reduce =
         [](const RunContext&, const std::vector<RunStats>& stats) {
           const std::vector<double> loads = figure_loads();

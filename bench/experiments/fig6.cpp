@@ -12,21 +12,7 @@ const Registration reg(Experiment{
         "DXbar's energy stays nearly flat across loads; Flit-Bless rises "
         "~3x and SCARAB ~2x past their saturation points; the buffered "
         "routers sit in between, Buffered 8 above Buffered 4",
-    .grid =
-        [](const RunContext& ctx) {
-          std::vector<SimConfig> cfgs;
-          for (const DesignVariant& dv : figure_designs()) {
-            for (double l : figure_loads()) {
-              SimConfig c = ctx.base;
-              c.pattern = TrafficPattern::UniformRandom;
-              c.design = dv.design;
-              c.routing = dv.routing;
-              c.offered_load = l;
-              cfgs.push_back(c);
-            }
-          }
-          return cfgs;
-        },
+    .grid = load_sweep_grid,
     .reduce =
         [](const RunContext&, const std::vector<RunStats>& stats) {
           const std::vector<double> loads = figure_loads();

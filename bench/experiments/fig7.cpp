@@ -12,21 +12,7 @@ const Registration reg(Experiment{
         "DXbar DOR best for UR, NUR, CP and TOR; DXbar WF highly "
         "competitive for the patterns that favour adaptivity (BR, BF, "
         "MT, PS)",
-    .grid =
-        [](const RunContext& ctx) {
-          std::vector<SimConfig> cfgs;
-          for (const DesignVariant& dv : figure_designs()) {
-            for (TrafficPattern p : kAllPatterns) {
-              SimConfig c = ctx.base;
-              c.pattern = p;
-              c.design = dv.design;
-              c.routing = dv.routing;
-              c.offered_load = 0.5;
-              cfgs.push_back(c);
-            }
-          }
-          return cfgs;
-        },
+    .grid = pattern_grid,
     .reduce =
         [](const RunContext&, const std::vector<RunStats>& stats) {
           Table t;

@@ -11,21 +11,7 @@ const Registration reg(Experiment{
     .paper_shape =
         "DXbar uses the least power, Flit-Bless the most, SCARAB second, "
         "the generic buffered routers in between",
-    .grid =
-        [](const RunContext& ctx) {
-          std::vector<SimConfig> cfgs;
-          for (const DesignVariant& dv : figure_designs()) {
-            for (TrafficPattern p : kAllPatterns) {
-              SimConfig c = ctx.base;
-              c.pattern = p;
-              c.design = dv.design;
-              c.routing = dv.routing;
-              c.offered_load = 0.5;
-              cfgs.push_back(c);
-            }
-          }
-          return cfgs;
-        },
+    .grid = pattern_grid,
     .reduce =
         [](const RunContext&, const std::vector<RunStats>& stats) {
           Table t;

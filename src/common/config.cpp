@@ -308,10 +308,8 @@ std::string SimConfig::validate() const {
     // there is no partition and request-reply cycles could deadlock.
     return "closedloop workload on the VC router requires num_vcs >= 2";
   }
-  const bool credit_based = design == RouterDesign::Buffered4 ||
-                            design == RouterDesign::Buffered8 ||
-                            design == RouterDesign::BufferedVC ||
-                            design == RouterDesign::Damq;
+  const bool credit_based =
+      design_row(design).credits != LinkCredits::Unlimited;
   if (credit_based && (torus || link_fault_fraction > 0.0)) {
     // Wrap links close ring dependency cycles (there are no VC
     // datelines), and fault-aware table routing abandons the turn-model

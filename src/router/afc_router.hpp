@@ -51,16 +51,10 @@ class AfcRouter final : public Router {
        self.mode_switches_);
   }
 
-  struct AllocState {
-    std::array<bool, kNumPorts> taken{};
-  };
-
   void step_bufferless(Cycle now);
   void step_buffered(Cycle now);
-  std::optional<Direction> pick_output(const Flit& f, AllocState& st);
-  void route_or_deflect(Flit f, AllocState& st);
+  void route_or_deflect(Flit f, PortsTaken& taken);
 
-  int degree_;
   std::array<FixedQueue<Flit>, kNumLinkDirs> buffers_;
   /// Flits in the input buffers, kept so the idle test reads one field
   /// instead of every buffer.  Derived state: load_state rebuilds it,

@@ -16,15 +16,12 @@ namespace dxbar {
 
 class BlessRouter final : public Router {
  public:
-  BlessRouter(NodeId id, const RouterEnv& env);
+  using Router::Router;
 
   void step(Cycle now) override;
 
   /// Bufferless: nothing is ever resident between cycles.
   [[nodiscard]] int occupancy() const override { return 0; }
-
- private:
-  int degree_;  ///< number of existing links at this router
 };
 
 }  // namespace dxbar

@@ -34,7 +34,6 @@
 #pragma once
 
 #include <array>
-#include <optional>
 
 #include "alloc/fairness.hpp"
 #include "common/fixed_queue.hpp"
@@ -77,16 +76,11 @@ class DXbarRouter final : public Router {
        self.contention_stalls_, self.overflow_deflections_);
   }
 
-  /// Output ports already claimed this cycle (links also need credits).
-  struct AllocState {
-    std::array<bool, kNumPorts> taken{};
-  };
-
-  /// First free, sendable port out of the flit's route set, or nullopt.
-  /// `ignore_stop` lets liveness-critical flits (must-win arrivals,
-  /// stall-escaped FIFO heads) push past on/off backpressure.
-  std::optional<Direction> pick_output(const Flit& f, AllocState& st,
-                                       bool ignore_stop = false);
+  /// traverse() through the primary or the secondary crossbar, counted.
+  void cross(Direction out, const Flit& f, bool via_primary) {
+    traverse(out, f);
+    ++(via_primary ? primary_traversals_ : secondary_traversals_);
+  }
 
   /// Normal dual-crossbar operation (also covers an undetected
   /// secondary-crossbar fault, where losers can still be buffered but
@@ -104,7 +98,7 @@ class DXbarRouter final : public Router {
 
   /// Runs the waiting phase (FIFO heads + injection) through a crossbar.
   /// Returns true when at least one waiting flit departed.
-  bool serve_waiting(AllocState& st, bool via_primary);
+  bool serve_waiting(PortsTaken& taken, bool via_primary);
 
   /// Divert an incoming flit into its input FIFO (buffer-write energy).
   /// Asserts the upstream stop signal when this fills the FIFO.
@@ -116,7 +110,7 @@ class DXbarRouter final : public Router {
 
   /// Bufferless escape: route a losing flit whose FIFO is full to the
   /// best free link port (counts a deflection when non-productive).
-  void deflect(Flit f, AllocState& st, bool via_primary);
+  void deflect(Flit f, PortsTaken& taken, bool via_primary);
 
   [[nodiscard]] bool any_waiting() const;
 

@@ -12,91 +12,72 @@
 #include "topology/channel.hpp"
 
 namespace dxbar {
+namespace {
+
+template <class ConcreteRouter, auto... args>
+std::unique_ptr<Router> build(NodeId id, const RouterEnv& env) {
+  return std::make_unique<ConcreteRouter>(id, env, args...);
+}
+
+template <class ConcreteRouter>
+void step_range(const std::vector<std::unique_ptr<Router>>& routers,
+                NodeId begin, NodeId end, Cycle now) {
+  for (NodeId i = begin; i < end; ++i) {
+    static_cast<ConcreteRouter*>(routers[i].get())->step(now);
+  }
+}
+
+/// A design's router: its constructor and its concrete stepper.
+struct FactoryRow {
+  RouterDesign design;
+  std::unique_ptr<Router> (*make)(NodeId, const RouterEnv&);
+  RouterStepper step;
+};
+
+/// `args` follow (id, env) in the router's constructor.
+template <class ConcreteRouter, auto... args>
+constexpr FactoryRow row(RouterDesign design) {
+  return {design, &build<ConcreteRouter, args...>,
+          &step_range<ConcreteRouter>};
+}
+
+using D = RouterDesign;
+constexpr std::array<FactoryRow, kNumDesigns> kFactory = {{
+    row<BlessRouter>(D::FlitBless),
+    row<ScarabRouter>(D::Scarab),
+    row<BufferedRouter, /*lanes_per_input=*/1>(D::Buffered4),
+    row<BufferedRouter, /*lanes_per_input=*/2>(D::Buffered8),
+    row<DXbarRouter>(D::DXbar),
+    row<UnifiedRouter>(D::UnifiedXbar),
+    row<VcRouter>(D::BufferedVC),
+    row<AfcRouter>(D::Afc),
+    row<DamqRouter>(D::Damq),
+    row<MinBDRouter>(D::MinBD),
+}};
+static_assert(one_row_per_design(kFactory));
+
+}  // namespace
 
 std::unique_ptr<Router> make_router(NodeId id, const RouterEnv& env) {
-  switch (env.cfg->design) {
-    case RouterDesign::FlitBless:
-      return std::make_unique<BlessRouter>(id, env);
-    case RouterDesign::Scarab:
-      return std::make_unique<ScarabRouter>(id, env);
-    case RouterDesign::Buffered4:
-      return std::make_unique<BufferedRouter>(id, env, /*lanes_per_input=*/1);
-    case RouterDesign::Buffered8:
-      return std::make_unique<BufferedRouter>(id, env, /*lanes_per_input=*/2);
-    case RouterDesign::DXbar:
-      return std::make_unique<DXbarRouter>(id, env);
-    case RouterDesign::UnifiedXbar:
-      return std::make_unique<UnifiedRouter>(id, env);
-    case RouterDesign::BufferedVC:
-      return std::make_unique<VcRouter>(id, env);
-    case RouterDesign::Afc:
-      return std::make_unique<AfcRouter>(id, env);
-    case RouterDesign::Damq:
-      return std::make_unique<DamqRouter>(id, env);
-    case RouterDesign::MinBD:
-      return std::make_unique<MinBDRouter>(id, env);
-  }
-  return nullptr;
+  return kFactory[static_cast<std::size_t>(env.cfg->design)].make(id, env);
+}
+
+RouterStepper router_stepper(RouterDesign design) {
+  return kFactory[static_cast<std::size_t>(design)].step;
 }
 
 int link_credits_for(RouterDesign design, int buffer_depth) {
-  switch (design) {
-    case RouterDesign::FlitBless:
-    case RouterDesign::Scarab:
-      return kUnlimitedCredits;
-    case RouterDesign::DXbar:
-    case RouterDesign::UnifiedXbar:
-      // The dual-crossbar designs carry no link backpressure: a losing
-      // flit that finds its FIFO full escapes through the bufferless
-      // crossbar (deflection) instead of requiring a reserved slot.
-      return kUnlimitedCredits;
-    case RouterDesign::Buffered4:
-      return buffer_depth;
-    case RouterDesign::Buffered8:
-      return 2 * buffer_depth;
-    case RouterDesign::BufferedVC:
-      // Per-VC pools; the network builds VC channels for this design.
-      return buffer_depth;
-    case RouterDesign::Afc:
-      // AFC accepts every arrival (deflection fallback in buffered mode).
-      return kUnlimitedCredits;
-    case RouterDesign::Damq:
-      // The shared-pool router is the sole credit allocator: channels
-      // start empty and every usable credit is granted at runtime by
-      // DamqRouter::grant_credits over the same Channel machinery.
-      return 0;
-    case RouterDesign::MinBD:
-      // Deflection substrate — arrivals are always absorbed.
-      return kUnlimitedCredits;
+  const DesignRow& row = design_row(design);
+  switch (row.credits) {
+    case LinkCredits::Unlimited: return kUnlimitedCredits;
+    case LinkCredits::PerDepth: return row.credit_lanes * buffer_depth;
+    case LinkCredits::Granted: return 0;
   }
   return kUnlimitedCredits;
 }
 
 int buffer_slots_per_node(RouterDesign design, int buffer_depth) {
-  switch (design) {
-    case RouterDesign::FlitBless:
-    case RouterDesign::Scarab:
-      return 0;
-    case RouterDesign::Buffered4:
-    case RouterDesign::BufferedVC:
-    case RouterDesign::Afc:
-      return kNumLinkDirs * buffer_depth;
-    case RouterDesign::Buffered8:
-      return kNumLinkDirs * 2 * buffer_depth;
-    case RouterDesign::DXbar:
-    case RouterDesign::UnifiedXbar:
-      // One secondary-side FIFO per input; the primary crossbar path is
-      // bufferless.
-      return kNumLinkDirs * buffer_depth;
-    case RouterDesign::Damq:
-      // The pool is exactly the Buffered-4-equivalent storage, shared.
-      return kNumLinkDirs * buffer_depth;
-    case RouterDesign::MinBD:
-      // The side buffer is the *only* storage, so at an equal-budget
-      // comparison minBD takes buffer_depth = budget directly.
-      return buffer_depth;
-  }
-  return 0;
+  return design_row(design).slots_per_depth * buffer_depth;
 }
 
 }  // namespace dxbar

@@ -2,31 +2,16 @@
 
 #include <cassert>
 
-#include "routing/deflect.hpp"
-
 namespace dxbar {
 
 MinBDRouter::MinBDRouter(NodeId id, const RouterEnv& env)
     : Router(id, env),
-      side_(static_cast<std::size_t>(env.cfg->buffer_depth)) {
-  degree_ = 0;
-  for (Direction d : kLinkDirs) {
-    if (env_.out_links[port_index(d)] != nullptr) ++degree_;
-  }
-}
+      side_(static_cast<std::size_t>(env.cfg->buffer_depth)) {}
 
 void MinBDRouter::step(Cycle now) {
   // ---- gather this cycle's flits ---------------------------------------
   SmallVec<Flit, kNumPorts> flits;
-  int incoming = 0;
-  for (int d = 0; d < kNumLinkDirs; ++d) {
-    auto& arrival = in[static_cast<std::size_t>(d)];
-    if (arrival.has_value()) {
-      flits.push_back(*arrival);
-      arrival.reset();
-      ++incoming;
-    }
-  }
+  int incoming = take_arrivals(flits);
 
   // ---- redirection: one side-buffered flit re-enters the pipeline ------
   // Remember which flit was redirected so the capture stage below cannot
@@ -34,7 +19,7 @@ void MinBDRouter::step(Cycle now) {
   // livelock, not progress).
   PacketId redirected_pkt = ~PacketId{0};
   std::uint32_t redirected_seq = 0;
-  if (!side_.empty() && incoming < degree_) {
+  if (!side_.empty() && incoming < live_degree()) {
     const Flit f = side_.pop();
     env_.energy->buffer_read();
     redirected_pkt = f.packet;
@@ -46,7 +31,7 @@ void MinBDRouter::step(Cycle now) {
   // Inject only when an input slot is free, exactly like Flit-Bless: the
   // assignment invariant (#flits <= degree, at most one takes Local)
   // then always finds every non-captured flit a port.
-  if (has_injection() && incoming < degree_) {
+  if (has_injection() && incoming < live_degree()) {
     flits.push_back(source->pop_front());
   }
   if (flits.empty()) return;
@@ -61,46 +46,33 @@ void MinBDRouter::step(Cycle now) {
 
   bool local_taken = false;
   bool captured = false;
-  std::array<bool, kNumLinkDirs> link_taken{};
+  PortsTaken taken{};
   for (Flit& f : flits) {
-    env_.energy->crossbar_traversal();
-
     if (f.dst == id_ && !local_taken) {
       local_taken = true;
-      eject(f);
+      traverse(Direction::Local, f);
       continue;
     }
 
-    const auto ranking =
-        deflection_order(f, f.packet * 0x9E3779B97F4A7C15ULL + now);
-    bool assigned = false;
-    for (Direction d : ranking) {
-      const int di = port_index(d);
-      if (link_taken[static_cast<std::size_t>(di)]) continue;
-      if (!link_alive(d)) continue;
-
-      // Buffer capture: a flit about to take a *non-productive* port is
-      // parked in the side buffer instead (one per cycle, never golden,
-      // never the flit just redirected).  The port it would have taken
-      // stays free for later flits in the sort order.
-      if (!progressive_dirs(f.dst).contains(d)) {
-        if (!captured && !side_.full() && !is_golden(f, now) &&
-            !(f.packet == redirected_pkt && f.seq == redirected_seq)) {
-          captured = true;
-          side_.push(f);
-          env_.energy->buffer_write();
-          assigned = true;
-          break;
-        }
-        ++f.deflections;
-      }
-      link_taken[static_cast<std::size_t>(di)] = true;
-      send_link(d, f);
-      assigned = true;
-      break;
+    const auto out = deflection_port(
+        f, now, taken, [this](Direction d) { return link_alive(d); });
+    assert(out && "MinBD invariant: every flit gets a port or the buffer");
+    // Buffer capture: a flit about to take a *non-productive* port is
+    // parked in the side buffer instead (one per cycle, never golden,
+    // never the flit just redirected).  The port it would have taken
+    // stays free for later flits in the sort order.
+    if (!progressive_dirs(f.dst).contains(*out) && !captured &&
+        !side_.full() && !is_golden(f, now) &&
+        !(f.packet == redirected_pkt && f.seq == redirected_seq)) {
+      captured = true;
+      env_.energy->crossbar_traversal();
+      side_.push(f);
+      env_.energy->buffer_write();
+      continue;
     }
-    assert(assigned && "MinBD invariant: every flit gets a port or the buffer");
-    (void)assigned;
+    taken[static_cast<std::size_t>(port_index(*out))] = true;
+    count_deflection(f, *out);
+    traverse(*out, f);
   }
 }
 

@@ -58,8 +58,7 @@ class MinBDRouter final : public Router {
     ar(self.side_);
   }
 
-  int degree_ = 0;               ///< live out-links (== live in-links)
-  FixedQueue<Flit> side_;        ///< the shared side buffer
+  FixedQueue<Flit> side_;  ///< the shared side buffer
 };
 
 }  // namespace dxbar

@@ -13,6 +13,9 @@ Router::Router(NodeId id, const RouterEnv& env)
          env_.coords != nullptr);
   assert((env_.route_cache == nullptr) != (env_.route_table == nullptr) &&
          "exactly one routing source");
+  for (Direction d : kLinkDirs) {
+    if (link_alive(d)) ++live_degree_;
+  }
 }
 
 }  // namespace dxbar

@@ -1,57 +1,41 @@
 #include "router/scarab_router.hpp"
 
-#include <algorithm>
 #include <cassert>
-
-#include "routing/deflect.hpp"
 
 namespace dxbar {
 
-ScarabRouter::ScarabRouter(NodeId id, const RouterEnv& env)
-    : Router(id, env) {}
-
 void ScarabRouter::step(Cycle now) {
   SmallVec<Flit, kNumPorts> flits;
-  for (int d = 0; d < kNumLinkDirs; ++d) {
-    auto& arrival = in[static_cast<std::size_t>(d)];
-    if (arrival.has_value()) {
-      flits.push_back(*arrival);
-      arrival.reset();
-    }
-  }
-
+  take_arrivals(flits);
   insertion_sort(flits,
                  [](const Flit& a, const Flit& b) { return a.older_than(b); });
 
   bool local_taken = false;
-  std::array<bool, kNumLinkDirs> link_taken{};
+  PortsTaken taken{};
+  // The first free live productive port for `f`, claimed.
+  const auto claim_productive = [&](const Flit& f) -> std::optional<Direction> {
+    for (Direction d : progressive_dirs(f.dst)) {
+      bool& t = taken[static_cast<std::size_t>(port_index(d))];
+      if (t || !link_alive(d)) continue;
+      t = true;
+      return d;
+    }
+    return std::nullopt;
+  };
 
   // Oldest-first: each flit takes its preferred free *productive* port;
   // a flit with no free productive port is dropped and NACKed.
   for (Flit& f : flits) {
+    std::optional<Direction> out;
     if (f.dst == id_) {
-      if (!local_taken) {
-        local_taken = true;
-        env_.energy->crossbar_traversal();
-        eject(f);
-      } else {
-        assert(nack_sink != nullptr);
-        nack_sink->on_drop(f, id_, now);
-      }
-      continue;
+      if (!local_taken) out = Direction::Local;
+      local_taken = true;
+    } else {
+      out = claim_productive(f);
     }
-    bool assigned = false;
-    for (Direction d : progressive_dirs(f.dst)) {
-      const int di = port_index(d);
-      if (link_taken[static_cast<std::size_t>(di)]) continue;
-      if (!link_alive(d)) continue;
-      link_taken[static_cast<std::size_t>(di)] = true;
-      env_.energy->crossbar_traversal();
-      send_link(d, f);
-      assigned = true;
-      break;
-    }
-    if (!assigned) {
+    if (out) {
+      traverse(*out, f);
+    } else {
       assert(nack_sink != nullptr);
       nack_sink->on_drop(f, id_, now);
     }
@@ -63,16 +47,8 @@ void ScarabRouter::step(Cycle now) {
     const Flit& head = source->front();
     if (head.dst == id_) {
       if (!local_taken) eject(source->pop_front());
-    } else {
-      for (Direction d : progressive_dirs(head.dst)) {
-        const int di = port_index(d);
-        if (link_taken[static_cast<std::size_t>(di)]) continue;
-        if (!link_alive(d)) continue;
-        link_taken[static_cast<std::size_t>(di)] = true;
-        env_.energy->crossbar_traversal();
-        send_link(d, source->pop_front());
-        break;
-      }
+    } else if (const auto out = claim_productive(head)) {
+      traverse(*out, source->pop_front());
     }
   }
 }

@@ -16,7 +16,7 @@ namespace dxbar {
 
 class ScarabRouter final : public Router {
  public:
-  ScarabRouter(NodeId id, const RouterEnv& env);
+  using Router::Router;
 
   void step(Cycle now) override;
 

@@ -54,10 +54,6 @@ class UnifiedRouter final : public Router {
        self.swap_count_, self.dual_grant_cycles_, self.overflow_deflections_);
   }
 
-  [[nodiscard]] std::uint32_t request_mask(const Flit& f,
-                                           bool ignore_stop) const;
-  void depart(Flit f, int out);
-
   std::array<FixedQueue<Flit>, kNumLinkDirs> buffers_;
   /// Flits in the input buffers, kept so the idle test reads one field
   /// instead of every buffer.  Derived state: load_state rebuilds it,

@@ -3,15 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "router/afc_router.hpp"
-#include "router/bless_router.hpp"
-#include "router/buffered_router.hpp"
-#include "router/damq_router.hpp"
-#include "router/dxbar_router.hpp"
-#include "router/minbd_router.hpp"
-#include "router/scarab_router.hpp"
-#include "router/unified_router.hpp"
-#include "router/vc_router.hpp"
 
 namespace dxbar {
 
@@ -141,6 +132,7 @@ void Network::build() {
   }
 
   routers_.reserve(static_cast<std::size_t>(n));
+  step_routers_ = router_stepper(cfg_.design);
   for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
     ShardState& owner =
         *shards_[static_cast<std::size_t>(part_.shard_of_node(id))];
@@ -284,56 +276,9 @@ void Network::handle_ejections() {
   }
 }
 
-namespace {
-
-/// Steps the routers in [begin, end) through their concrete type.  All
-/// routers of one network share the design, so the per-cycle loop
-/// dispatches once on the enum instead of once per router through the
-/// vtable; the virtual interface remains for extensions and tests.
-template <typename ConcreteRouter>
-void step_range(std::vector<std::unique_ptr<Router>>& routers, NodeId begin,
-                NodeId end, Cycle now) {
-  for (NodeId i = begin; i < end; ++i) {
-    static_cast<ConcreteRouter*>(routers[i].get())->step(now);
-  }
-}
-
-}  // namespace
-
 void Network::step_routers_shard(int shard) {
-  const NodeId b = part_.node_begin(shard);
-  const NodeId e = part_.node_end(shard);
-  switch (cfg_.design) {
-    case RouterDesign::FlitBless:
-      step_range<BlessRouter>(routers_, b, e, now_);
-      return;
-    case RouterDesign::Scarab:
-      step_range<ScarabRouter>(routers_, b, e, now_);
-      return;
-    case RouterDesign::Buffered4:
-    case RouterDesign::Buffered8:
-      step_range<BufferedRouter>(routers_, b, e, now_);
-      return;
-    case RouterDesign::DXbar:
-      step_range<DXbarRouter>(routers_, b, e, now_);
-      return;
-    case RouterDesign::UnifiedXbar:
-      step_range<UnifiedRouter>(routers_, b, e, now_);
-      return;
-    case RouterDesign::BufferedVC:
-      step_range<VcRouter>(routers_, b, e, now_);
-      return;
-    case RouterDesign::Afc:
-      step_range<AfcRouter>(routers_, b, e, now_);
-      return;
-    case RouterDesign::Damq:
-      step_range<DamqRouter>(routers_, b, e, now_);
-      return;
-    case RouterDesign::MinBD:
-      step_range<MinBDRouter>(routers_, b, e, now_);
-      return;
-  }
-  for (NodeId i = b; i < e; ++i) routers_[i]->step(now_);  // unreachable
+  step_routers_(routers_, part_.node_begin(shard), part_.node_end(shard),
+                now_);
 }
 
 void Network::sweep_channels(int shard) {

@@ -285,6 +285,8 @@ class Network final : public Injector {
   std::vector<std::int32_t> link_slot_;
 
   std::vector<std::unique_ptr<Router>> routers_;
+  /// The design's concrete stepper (router/factory.hpp), set at build.
+  RouterStepper step_routers_ = nullptr;
   /// Per-shard mutable state; size part_.shards(), heap-allocated so the
   /// alignas(64) is honoured and addresses stay stable.
   std::vector<std::unique_ptr<ShardState>> shards_;

@@ -16,8 +16,11 @@
 // never serialized: load() targets a freshly constructed — or previously
 // stepped — network built from a structurally identical SimConfig, and
 // the NETW fingerprint check enforces that before anything is mutated.
+#include <algorithm>
 #include <cassert>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "sim/network.hpp"
 #include "snapshot/serialize.hpp"
@@ -71,9 +74,11 @@ void Network::fields(Self& self, Ar& ar) {
     ar(std::span(self.sources_));
   });
   ar.section(kSecAssembly, [&] {
-    // Written in slot order, rebuilt by insertion into a fresh table
-    // (not clear()) whose capacity follows the stream's entry count, not
-    // what this network held before.  Packet id 0 marks an empty slot.
+    // Written in packet-id order, so the bytes are a function of the
+    // table's contents: a restored table's slot order differs from the
+    // original's.  Rebuilt by insertion into a fresh table (not clear())
+    // whose capacity follows the stream's entry count, not what this
+    // network held before.  Packet id 0 marks an empty slot.
     if constexpr (Ar::kLoading) {
       self.assembly_ = PacketMap<Assembly>();
       const std::uint64_t mshrs = ar.count(8 + 4);
@@ -84,9 +89,14 @@ void Network::fields(Self& self, Ar& ar) {
         ar(self.assembly_[key]);
       }
     } else {
-      ar(std::uint64_t{self.assembly_.size()});
-      self.assembly_.for_each(
-          [&](PacketId key, const Assembly& a) { ar(key, a); });
+      std::vector<std::pair<PacketId, const Assembly*>> entries;
+      entries.reserve(self.assembly_.size());
+      self.assembly_.for_each([&](PacketId key, const Assembly& a) {
+        entries.emplace_back(key, &a);
+      });
+      std::sort(entries.begin(), entries.end());
+      ar(std::uint64_t{entries.size()});
+      for (const auto& [key, a] : entries) ar(key, *a);
     }
   });
   ar.section(kSecScarab, [&] {

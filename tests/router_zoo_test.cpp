@@ -15,6 +15,7 @@
 
 #include "router/afc_router.hpp"
 #include "router/damq_router.hpp"
+#include "router/factory.hpp"
 #include "router/minbd_router.hpp"
 #include "sim/network.hpp"
 #include "sim/sim_runner.hpp"
@@ -336,6 +337,53 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// Every design's table facts, written out by hand: the credits each
+// link carries, the storage one router provisions, and whether the
+// design may run where turn-model acyclicity is lost (torus wrap links,
+// link faults) — only designs with a deflection escape valve may.
+TEST(DesignTable, CreditsStorageAndTopologyRulesOfEveryDesign) {
+  constexpr int kUnlimited = -1;
+  struct Facts {
+    RouterDesign design;
+    int credits_per_depth;  ///< kUnlimited: no link backpressure
+    int slots_per_depth;
+    bool escape_valve;
+  };
+  for (const Facts& f : {Facts{RouterDesign::FlitBless, kUnlimited, 0, true},
+                         Facts{RouterDesign::Scarab, kUnlimited, 0, true},
+                         Facts{RouterDesign::Buffered4, 1, 4, false},
+                         Facts{RouterDesign::Buffered8, 2, 8, false},
+                         Facts{RouterDesign::DXbar, kUnlimited, 4, true},
+                         Facts{RouterDesign::UnifiedXbar, kUnlimited, 4, true},
+                         Facts{RouterDesign::BufferedVC, 1, 4, false},
+                         Facts{RouterDesign::Afc, kUnlimited, 4, true},
+                         Facts{RouterDesign::Damq, 0, 4, false},
+                         Facts{RouterDesign::MinBD, kUnlimited, 1, true}}) {
+    for (const int depth : {1, 2, 4, 8}) {
+      SCOPED_TRACE(std::string(to_string(f.design)) + " depth " +
+                   std::to_string(depth));
+      EXPECT_EQ(link_credits_for(f.design, depth),
+                f.credits_per_depth == kUnlimited
+                    ? kUnlimitedCredits
+                    : f.credits_per_depth * depth);
+      EXPECT_EQ(buffer_slots_per_node(f.design, depth),
+                f.slots_per_depth * depth);
+
+      SimConfig cfg;
+      cfg.design = f.design;
+      cfg.buffer_depth = depth;
+      cfg.num_vcs = 1;  // so the VC router's depth split never decides
+      EXPECT_EQ(cfg.validate(), "");
+      SimConfig torus = cfg;
+      torus.torus = true;
+      EXPECT_EQ(torus.validate().empty(), f.escape_valve);
+      SimConfig faulty = cfg;
+      faulty.link_fault_fraction = 0.1;
+      EXPECT_EQ(faulty.validate().empty(), f.escape_valve);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace dxbar
