@@ -43,6 +43,11 @@ class Channel {
     return static_cast<int>(vc_credits_.size());
   }
 
+  /// Credits the sender holds on one VC.
+  [[nodiscard]] int credits_vc(int vc) const noexcept {
+    return vc_credits_[static_cast<std::size_t>(vc)];
+  }
+
   /// A credit is available on the given VC and the link is free.
   [[nodiscard]] bool can_send_vc(int vc) const noexcept {
     if (staged_.has_value() || stop_) return false;

@@ -5,11 +5,16 @@
 // check the accounting identities over derived parameters.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "common/stats.hpp"
 #include "power/component_models.hpp"
 #include "power/energy_model.hpp"
 #include "power/tech_params.hpp"
 #include "router/factory.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace dxbar {
 namespace {
@@ -345,6 +350,56 @@ TEST(EnergyMeter, TechNodeChangesCharges) {
     m->buffer_read();
   }
   EXPECT_GT(m65.total_nj(), m32.total_nj());
+}
+
+// --- bit pins ----------------------------------------------------------------
+
+// Every value the power model derives, bit for bit: per design, the
+// FNV-1a of the IEEE-754 bits of the five EnergyParams fields, the seven
+// AreaParams components, router_area_mm2 and router_leakage_mw at every
+// tech node {65, 32, 16} x buffer_depth {1, 2, 4, 8} x flit_bits
+// {64, 128, 256}.  A restructured model must reproduce each one exactly.
+TEST(PowerPinned, EveryDesignPricesBitIdentically) {
+  struct Golden {
+    RouterDesign design;
+    std::uint64_t fnv;
+  };
+  for (const Golden& g :
+       {Golden{RouterDesign::FlitBless, 5777682837656819681ULL},
+        Golden{RouterDesign::Scarab, 16776083296819870893ULL},
+        Golden{RouterDesign::Buffered4, 8868463155818218917ULL},
+        Golden{RouterDesign::Buffered8, 13466800212500839272ULL},
+        Golden{RouterDesign::DXbar, 3878530274839803156ULL},
+        Golden{RouterDesign::UnifiedXbar, 312225038462090376ULL},
+        Golden{RouterDesign::BufferedVC, 7726840089836396646ULL},
+        Golden{RouterDesign::Afc, 7726840089836396646ULL},
+        Golden{RouterDesign::Damq, 17773335021562020880ULL},
+        Golden{RouterDesign::MinBD, 16384004785709603099ULL}}) {
+    std::vector<std::uint8_t> bytes;
+    for (const int node : {65, 32, 16}) {
+      for (const int depth : {1, 2, 4, 8}) {
+        for (const int flit_bits : {64, 128, 256}) {
+          SimConfig c = config_for(g.design, node);
+          c.buffer_depth = depth;
+          c.flit_bits = flit_bits;
+          const EnergyParams e = derive_energy_params(c);
+          const AreaParams a = derive_area_params(c);
+          for (const double v :
+               {e.crossbar_pj, e.link_pj, e.buffer_write_pj, e.buffer_read_pj,
+                e.nack_hop_pj, a.crossbar_mm2, a.unified_crossbar_mm2,
+                a.buffer_bank_mm2, a.damq_buffer_mm2, a.side_buffer_mm2,
+                a.links_mm2, a.nack_logic_mm2, router_area_mm2(g.design, a),
+                router_leakage_mw(c)}) {
+            const auto bits = std::bit_cast<std::uint64_t>(v);
+            for (int i = 0; i < 8; ++i) {
+              bytes.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+            }
+          }
+        }
+      }
+    }
+    EXPECT_EQ(fnv1a(bytes.data(), bytes.size()), g.fnv) << to_string(g.design);
+  }
 }
 
 }  // namespace
