@@ -41,8 +41,7 @@ const Registration reg(Experiment{
             c.design = d;
             const EnergyParams e = derive_energy_params(c);
             const AreaParams a = derive_area_params(c);
-            const bool bufferless =
-                d == RouterDesign::FlitBless || d == RouterDesign::Scarab;
+            const bool bufferless = design_row(d).slots_per_depth == 0;
             const double buf_e =
                 bufferless ? 0.0 : e.buffer_write_pj + e.buffer_read_pj;
             r.addf("%-14s %12.4f %18.2f %16.1f\n",
@@ -54,9 +53,8 @@ const Registration reg(Experiment{
           const AreaParams a = derive_area_params(ctx.base);
           const TimingParams t;
           r.addf("\n");
-          r.addf("%dx%d crossbar area        %.4f mm^2\n",
-                 crossbar_radix(ctx.base), crossbar_radix(ctx.base),
-                 a.crossbar_mm2);
+          r.addf("%dx%d crossbar area        %.4f mm^2\n", kNumPorts,
+                 kNumPorts, a.crossbar_mm2);
           r.addf("unified crossbar area    %.4f mm^2 (transmission "
                  "gates)\n",
                  a.unified_crossbar_mm2);

@@ -295,15 +295,15 @@ std::string SimConfig::validate() const {
     if (!field_valid(f, *this)) return field_error(f);
   }
   // Cross-field rules.
-  if (design == RouterDesign::BufferedVC && buffer_depth % num_vcs != 0) {
+  const bool pool_per_vc = design_row(design).pool_per_vc;
+  if (pool_per_vc && buffer_depth % num_vcs != 0) {
     return "buffer_depth must be divisible by num_vcs for the VC router";
   }
   if (warmup_load > 1.0) {
     return "warmup_load must lie in [0, 1] (or be negative for "
            "\"same as offered_load\")";
   }
-  if (workload == WorkloadKind::ClosedLoop &&
-      design == RouterDesign::BufferedVC && num_vcs < 2) {
+  if (workload == WorkloadKind::ClosedLoop && pool_per_vc && num_vcs < 2) {
     // Replies ride a reserved VC partition on the VC router; with one VC
     // there is no partition and request-reply cycles could deadlock.
     return "closedloop workload on the VC router requires num_vcs >= 2";

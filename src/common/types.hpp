@@ -96,8 +96,31 @@ inline constexpr int kNumDesigns = static_cast<int>(RouterDesign::MinBD) + 1;
 /// How the channels feeding a router of a design are credited.
 enum class LinkCredits : std::uint8_t {
   Unlimited,  ///< no backpressure: the router absorbs every arrival
-  PerDepth,   ///< `credit_lanes` * buffer_depth credits per link
+  PerDepth,   ///< one per slot of the downstream input's FIFO(s)
   Granted,    ///< none at build: the router grants each credit at run time
+};
+
+/// The crossbar model a design switches through (power/component_models).
+enum class CrossbarType : std::uint8_t {
+  Matrix,     ///< a tri-state connector at every crosspoint
+  Segmented,  ///< output buses cut by transmission gates, one per port
+};
+
+/// The flit storage a design provisions (power/component_models).
+enum class BufferKind : std::uint8_t {
+  None,        ///< bufferless
+  FifoBank,    ///< one FIFO per link input, in one or more banks
+  DamqPool,    ///< one pool shared by the inputs, with next-pointers
+  SideBuffer,  ///< one router-wide FIFO behind a redirection mux
+};
+
+/// The control block beside the datapath.  All of them occupy the NACK
+/// circuit switch's footprint; only Nack also runs a network.
+enum class ControlBlock : std::uint8_t {
+  None,
+  Nack,          ///< drop + NACK retransmission (the 1-bit NACK network)
+  VcAllocation,  ///< virtual-channel allocation
+  ModeSwitch,    ///< bufferless/buffered mode switching
 };
 
 /// The facts about a design that the rest of the simulator reads: one
@@ -106,39 +129,58 @@ enum class LinkCredits : std::uint8_t {
 struct DesignRow {
   RouterDesign design;
   std::string_view name;  ///< display name, also the canonical config value
-  LinkCredits credits;
-  /// Credits per unit of buffer_depth on each link (LinkCredits::PerDepth;
-  /// per VC for Buffered VC, whose channels carry one pool per VC).
-  int credit_lanes;
+  LinkCredits credits = LinkCredits::Unlimited;
+  /// Each link splits its credits evenly into num_vcs pools, one per VC.
+  bool pool_per_vc = false;
   /// Flit storage one router provisions, per unit of buffer_depth — the
   /// quantity the equal-buffer-budget shootout holds constant.
-  int slots_per_depth;
+  int slots_per_depth = 0;
+  BufferKind buffer = BufferKind::None;
+  CrossbarType crossbar = CrossbarType::Matrix;
+  int crossbars = 1;  ///< DXbar: a primary and a secondary crossbar
+  ControlBlock control = ControlBlock::None;
 };
 
+// Table III composes each router from these rows: DXbar is two matrix
+// crossbars plus one FIFO bank, Unified one segmented crossbar plus the
+// same bank, and Buffered 8 two banks.
 inline constexpr std::array<DesignRow, kNumDesigns> kDesignTable = {{
-    {RouterDesign::FlitBless, "Flit-Bless", LinkCredits::Unlimited, 0, 0},
-    {RouterDesign::Scarab, "SCARAB", LinkCredits::Unlimited, 0, 0},
-    {RouterDesign::Buffered4, "Buffered 4", LinkCredits::PerDepth, 1,
-     kNumLinkDirs},
-    {RouterDesign::Buffered8, "Buffered 8", LinkCredits::PerDepth, 2,
-     2 * kNumLinkDirs},
+    {.design = RouterDesign::FlitBless, .name = "Flit-Bless"},
+    {.design = RouterDesign::Scarab, .name = "SCARAB",
+     .control = ControlBlock::Nack},
+    {.design = RouterDesign::Buffered4, .name = "Buffered 4",
+     .credits = LinkCredits::PerDepth, .slots_per_depth = kNumLinkDirs,
+     .buffer = BufferKind::FifoBank},
+    {.design = RouterDesign::Buffered8, .name = "Buffered 8",
+     .credits = LinkCredits::PerDepth, .slots_per_depth = 2 * kNumLinkDirs,
+     .buffer = BufferKind::FifoBank},
     // The dual-crossbar designs carry no link backpressure: a losing
     // flit that finds its FIFO full escapes through the bufferless
     // crossbar instead of requiring a reserved slot.  Their storage is
     // one secondary-side FIFO per input.
-    {RouterDesign::DXbar, "DXbar", LinkCredits::Unlimited, 0, kNumLinkDirs},
-    {RouterDesign::UnifiedXbar, "Unified Xbar", LinkCredits::Unlimited, 0,
-     kNumLinkDirs},
-    {RouterDesign::BufferedVC, "Buffered VC", LinkCredits::PerDepth, 1,
-     kNumLinkDirs},
+    {.design = RouterDesign::DXbar, .name = "DXbar",
+     .slots_per_depth = kNumLinkDirs, .buffer = BufferKind::FifoBank,
+     .crossbars = 2},
+    {.design = RouterDesign::UnifiedXbar, .name = "Unified Xbar",
+     .slots_per_depth = kNumLinkDirs, .buffer = BufferKind::FifoBank,
+     .crossbar = CrossbarType::Segmented},
+    {.design = RouterDesign::BufferedVC, .name = "Buffered VC",
+     .credits = LinkCredits::PerDepth, .pool_per_vc = true,
+     .slots_per_depth = kNumLinkDirs, .buffer = BufferKind::FifoBank,
+     .control = ControlBlock::VcAllocation},
     // AFC accepts every arrival (deflection fallback in buffered mode).
-    {RouterDesign::Afc, "AFC", LinkCredits::Unlimited, 0, kNumLinkDirs},
+    {.design = RouterDesign::Afc, .name = "AFC",
+     .slots_per_depth = kNumLinkDirs, .buffer = BufferKind::FifoBank,
+     .control = ControlBlock::ModeSwitch},
     // The pool is the Buffered-4-equivalent storage, shared; the router
     // is the sole credit allocator (DamqRouter::grant_credits).
-    {RouterDesign::Damq, "DAMQ", LinkCredits::Granted, 0, kNumLinkDirs},
+    {.design = RouterDesign::Damq, .name = "DAMQ",
+     .credits = LinkCredits::Granted, .slots_per_depth = kNumLinkDirs,
+     .buffer = BufferKind::DamqPool},
     // The side buffer is the only storage, so at an equal budget minBD
     // takes buffer_depth = budget directly.
-    {RouterDesign::MinBD, "minBD", LinkCredits::Unlimited, 0, 1},
+    {.design = RouterDesign::MinBD, .name = "minBD", .slots_per_depth = 1,
+     .buffer = BufferKind::SideBuffer},
 }};
 
 /// Each row of a per-design table sits at its enumerator's index.

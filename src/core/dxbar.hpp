@@ -1,9 +1,12 @@
 // dxbar-noc public API.
 //
 // Single-header entry point for library users: configure an experiment
-// with SimConfig, run it with one of the functions below (or drive the
-// Network cycle-by-cycle yourself), and read the RunStats.  Everything
-// is deterministic for a given seed.
+// with SimConfig, run it with run_open_loop (one point) or run_sweep
+// (many, in parallel) — or drive the Network cycle-by-cycle yourself —
+// and read the RunStats.  report::saturation_from_points
+// (report/analysis.hpp) turns a load sweep's accepted loads into the
+// paper's saturation point.  Everything is deterministic for a given
+// seed.
 //
 //   #include "core/dxbar.hpp"
 //   dxbar::SimConfig cfg;
@@ -14,7 +17,6 @@
 #pragma once
 
 #include <string_view>
-#include <vector>
 
 #include "common/config.hpp"
 #include "common/stats.hpp"
@@ -31,26 +33,6 @@
 namespace dxbar {
 
 /// Library version.
-std::string_view version();
-
-/// One point of a load sweep.
-struct LoadPoint {
-  double offered_load = 0.0;
-  RunStats stats;
-};
-
-/// Sweeps cfg over `loads` (in parallel) and returns one point per load.
-std::vector<LoadPoint> load_sweep(const SimConfig& base,
-                                  const std::vector<double>& loads,
-                                  unsigned threads = 0);
-
-/// The offered load at which acceptance first drops below
-/// `acceptance_ratio` (default 90% of offered), scanned over
-/// [step, max_load] in increments of `step`; returns max_load when the
-/// network never saturates in range.  This is the paper's "saturation
-/// point".
-double find_saturation(const SimConfig& base, double step = 0.05,
-                       double max_load = 0.95,
-                       double acceptance_ratio = 0.9, unsigned threads = 0);
+inline std::string_view version() { return "1.0.0"; }
 
 }  // namespace dxbar

@@ -1,56 +1,61 @@
 #include "power/energy_model.hpp"
 
+#include <algorithm>
+
 #include "power/component_models.hpp"
 
 namespace dxbar {
+namespace {
 
-int crossbar_radix(const SimConfig& cfg) noexcept {
-  // Mesh and torus routers alike: four link directions plus the local
-  // port.  (Torus wrap links replace edge absences, they do not add
-  // ports.)
-  (void)cfg;
-  return kNumPorts;
+/// Banks of the row's storage: a FIFO router has one bank of
+/// kNumLinkDirs FIFOs per kNumLinkDirs slots of depth (Buffered 8: two),
+/// a pool or a side buffer is one bank, a bufferless router none.
+int buffer_banks(const DesignRow& row) {
+  if (row.buffer == BufferKind::FifoBank) {
+    return row.slots_per_depth / kNumLinkDirs;
+  }
+  return row.buffer == BufferKind::None ? 0 : 1;
 }
+
+template <class Model>
+void price_buffer(const Model& m, EnergyParams& p) {
+  p.buffer_write_pj = m.write_pj();
+  p.buffer_read_pj = m.read_pj();
+}
+
+}  // namespace
 
 EnergyParams derive_energy_params(const SimConfig& cfg) {
   const TechParams t = TechParams::node(cfg.tech_node);
-  const int radix = crossbar_radix(cfg);
+  const DesignRow& row = design_row(cfg.design);
   const int bits = cfg.flit_bits;
+  const int depth = cfg.buffer_depth;
 
   EnergyParams p;
-  if (cfg.design == RouterDesign::UnifiedXbar) {
-    // Transmission gates cut every output bus once per port segment so
-    // the unified FIFO bank can tap it (paper: 15 pJ vs 13 pJ/flit).
-    p.crossbar_pj =
-        SegmentedCrossbarModel(radix, radix, bits, radix, t).traversal_pj();
-  } else {
-    p.crossbar_pj = MatrixCrossbarModel(radix, radix, bits, t).traversal_pj();
-  }
+  // Transmission gates cut every output bus once per port so the
+  // unified FIFO bank can tap it (paper: 15 pJ vs 13 pJ/flit).
+  p.crossbar_pj =
+      row.crossbar == CrossbarType::Segmented
+          ? SegmentedCrossbarModel(kNumPorts, kNumPorts, bits, kNumPorts, t)
+                .traversal_pj()
+          : MatrixCrossbarModel(kNumPorts, kNumPorts, bits, t).traversal_pj();
   p.link_pj = LinkModel(bits, t).traversal_pj();
-
-  if (cfg.design == RouterDesign::Damq) {
+  if (row.buffer == BufferKind::DamqPool) {
     // Shared-pool accesses span the whole pool's bitlines and carry the
     // linked-list pointer word alongside every flit.
-    const DamqBufferModel pool(kNumLinkDirs, kNumLinkDirs * cfg.buffer_depth,
-                               bits, t);
-    p.buffer_write_pj = pool.write_pj();
-    p.buffer_read_pj = pool.read_pj();
-  } else if (cfg.design == RouterDesign::MinBD) {
+    price_buffer(DamqBufferModel(kNumLinkDirs, kNumLinkDirs * depth, bits, t),
+                 p);
+  } else if (row.buffer == BufferKind::SideBuffer) {
     // Captures/redirections pay the side FIFO plus the redirection mux
     // that steers flits past the four link inputs.
-    const SideBufferModel side(cfg.buffer_depth, bits, kNumLinkDirs, t);
-    p.buffer_write_pj = side.write_pj();
-    p.buffer_read_pj = side.read_pj();
+    price_buffer(SideBufferModel(depth, bits, kNumLinkDirs, t), p);
   } else {
-    // Buffered 8 keeps two buffer_depth-deep FIFOs per input behind one
-    // access port: the shared bitline spans both, so accesses pay the
-    // doubled-depth bitline capacitance.
-    const int access_depth = cfg.design == RouterDesign::Buffered8
-                                 ? 2 * cfg.buffer_depth
-                                 : cfg.buffer_depth;
-    const FifoBufferModel fifo(kNumLinkDirs, access_depth, bits, t);
-    p.buffer_write_pj = fifo.write_pj();
-    p.buffer_read_pj = fifo.read_pj();
+    // A router's FIFO banks share one access port per input: the bitline
+    // spans all of them, so Buffered 8's two banks pay the doubled
+    // depth's capacitance.  A bufferless router, which records no buffer
+    // event, is priced as one bank.
+    const int banks = std::max(1, buffer_banks(row));
+    price_buffer(FifoBufferModel(kNumLinkDirs, banks * depth, bits, t), p);
   }
   p.nack_hop_pj = NackLinkModel(t).hop_pj();
   return p;
@@ -58,13 +63,14 @@ EnergyParams derive_energy_params(const SimConfig& cfg) {
 
 AreaParams derive_area_params(const SimConfig& cfg) {
   const TechParams t = TechParams::node(cfg.tech_node);
-  const int radix = crossbar_radix(cfg);
   const int bits = cfg.flit_bits;
 
   AreaParams a;
-  a.crossbar_mm2 = MatrixCrossbarModel(radix, radix, bits, t).area_mm2();
+  a.crossbar_mm2 =
+      MatrixCrossbarModel(kNumPorts, kNumPorts, bits, t).area_mm2();
   a.unified_crossbar_mm2 =
-      SegmentedCrossbarModel(radix, radix, bits, radix, t).area_mm2();
+      SegmentedCrossbarModel(kNumPorts, kNumPorts, bits, kNumPorts, t)
+          .area_mm2();
   a.buffer_bank_mm2 =
       FifoBufferModel(kNumLinkDirs, cfg.buffer_depth, bits, t).area_mm2();
   a.damq_buffer_mm2 =
@@ -79,37 +85,19 @@ AreaParams derive_area_params(const SimConfig& cfg) {
 }
 
 double router_area_mm2(RouterDesign design, const AreaParams& p) {
-  switch (design) {
-    case RouterDesign::FlitBless:
-      return p.crossbar_mm2 + p.links_mm2;
-    case RouterDesign::Scarab:
-      return p.crossbar_mm2 + p.links_mm2 + p.nack_logic_mm2;
-    case RouterDesign::Buffered4:
-      return p.crossbar_mm2 + p.buffer_bank_mm2 + p.links_mm2;
-    case RouterDesign::Buffered8:
-      return p.crossbar_mm2 + 2.0 * p.buffer_bank_mm2 + p.links_mm2;
-    case RouterDesign::DXbar:
-      return 2.0 * p.crossbar_mm2 + p.buffer_bank_mm2 + p.links_mm2;
-    case RouterDesign::UnifiedXbar:
-      return p.unified_crossbar_mm2 + p.buffer_bank_mm2 + p.links_mm2;
-    case RouterDesign::BufferedVC:
-      // Same storage as Buffered 4 plus VC allocation logic (~the NACK
-      // circuit's footprint — both are small control blocks).
-      return p.crossbar_mm2 + p.buffer_bank_mm2 + p.links_mm2 +
-             p.nack_logic_mm2;
-    case RouterDesign::Afc:
-      // Buffered 4 storage plus the mode-switching control logic.
-      return p.crossbar_mm2 + p.buffer_bank_mm2 + p.links_mm2 +
-             p.nack_logic_mm2;
-    case RouterDesign::Damq:
-      // Buffered-4 crossbar with the shared pool (pointer overhead
-      // included) in place of the private FIFO bank.
-      return p.crossbar_mm2 + p.damq_buffer_mm2 + p.links_mm2;
-    case RouterDesign::MinBD:
-      // Bufferless substrate plus the side buffer and its mux.
-      return p.crossbar_mm2 + p.side_buffer_mm2 + p.links_mm2;
-  }
-  return 0.0;
+  const DesignRow& row = design_row(design);
+  const double crossbar = row.crossbar == CrossbarType::Segmented
+                              ? p.unified_crossbar_mm2
+                              : p.crossbar_mm2;
+  const double bank = row.buffer == BufferKind::DamqPool ? p.damq_buffer_mm2
+                      : row.buffer == BufferKind::SideBuffer
+                          ? p.side_buffer_mm2
+                          : p.buffer_bank_mm2;
+  // Crossbars, storage, links, then the control block (every control
+  // block occupies the NACK circuit's footprint).  An absent term adds
+  // an exact zero.
+  return row.crossbars * crossbar + buffer_banks(row) * bank + p.links_mm2 +
+         (row.control == ControlBlock::None ? 0.0 : p.nack_logic_mm2);
 }
 
 double router_leakage_mw(const SimConfig& cfg) {

@@ -3,8 +3,9 @@
 //
 // EnergyParams/AreaParams are the per-design operating point the
 // simulator consumes: derive_energy_params()/derive_area_params()
-// assemble them from a SimConfig (tech node, flit width, buffer depth,
-// crossbar radix from the topology) — there is no constants table.  At
+// assemble them from a SimConfig (tech node, flit width, buffer depth)
+// and the design's kDesignTable row — its crossbars, storage banks and
+// control block — with no constants table and no per-design branch.  At
 // the paper's 65 nm / 1.0 V / 1 GHz / 128-bit point the derived values
 // reproduce Table III: crossbar 13 pJ/flit (15 pJ for the unified
 // transmission-gate crossbar), link 36 pJ, buffer write/read
@@ -37,25 +38,21 @@ struct AreaParams {
   double damq_buffer_mm2 = 0.0;       ///< DAMQ shared pool + pointers
   double side_buffer_mm2 = 0.0;       ///< minBD side buffer + redir mux
   double links_mm2 = 0.0;             ///< four input links
-  double nack_logic_mm2 = 0.0;        ///< SCARAB NACK circuit switch
+  double nack_logic_mm2 = 0.0;        ///< one control block (NACK circuit)
 };
 
-/// Crossbar radix derived from the topology: every mesh/torus router
-/// switches its link ports plus the local injection/ejection port.
-[[nodiscard]] int crossbar_radix(const SimConfig& cfg) noexcept;
-
 /// Assembles the per-event energies for `cfg.design` from the
-/// component models at `cfg.tech_node` / `cfg.flit_bits` /
-/// `cfg.buffer_depth` (Buffered 8 charges its two-bank organisation's
-/// longer bitlines; the unified crossbar charges its transmission
-/// gates).
+/// component models its row names, at `cfg.tech_node` / `cfg.flit_bits`
+/// / `cfg.buffer_depth` (Buffered 8 charges its two banks' longer
+/// bitlines; the segmented crossbar charges its transmission gates).
 [[nodiscard]] EnergyParams derive_energy_params(const SimConfig& cfg);
 
 /// Assembles the component areas for `cfg` (design-independent: the
 /// per-design composition is router_area_mm2).
 [[nodiscard]] AreaParams derive_area_params(const SimConfig& cfg);
 
-/// Total per-router area for a design (paper Table III column 1).
+/// Total per-router area for a design (paper Table III column 1): its
+/// row's crossbars, storage banks, the four links and its control block.
 [[nodiscard]] double router_area_mm2(RouterDesign design,
                                      const AreaParams& p);
 

@@ -9,7 +9,7 @@
 //   * the winner per x bin (best series at that load, when the margin
 //     is meaningful);
 //   * the saturation point per series for accepted-vs-offered-load
-//     tables, using find_saturation's criterion (first offered load
+//     tables, using the paper's saturation criterion (first offered load
 //     where acceptance < 90% of offered; the last bin when the series
 //     never saturates in range — exactly what fig5's summary prints);
 //   * a knee location per series (point of maximum distance from the
@@ -79,8 +79,9 @@ inline constexpr std::string_view kCiSuffix = " ±ci95";
 TableAnalysis analyze_table(const TableDoc& table,
                             double tie_margin = kTieMargin);
 
-/// find_saturation's criterion on stored points: the first x where
-/// value < ratio * x, else the last x.  `xs` must be nonempty.
+/// The paper's saturation point of an accepted-vs-offered-load curve:
+/// the first x where value < ratio * x, else the last x.  `xs` must be
+/// nonempty.
 double saturation_from_points(const std::vector<double>& xs,
                               const std::vector<double>& values,
                               double ratio = 0.9);

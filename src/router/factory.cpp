@@ -70,10 +70,19 @@ int link_credits_for(RouterDesign design, int buffer_depth) {
   const DesignRow& row = design_row(design);
   switch (row.credits) {
     case LinkCredits::Unlimited: return kUnlimitedCredits;
-    case LinkCredits::PerDepth: return row.credit_lanes * buffer_depth;
+    case LinkCredits::PerDepth:
+      return row.slots_per_depth / kNumLinkDirs * buffer_depth;
     case LinkCredits::Granted: return 0;
   }
   return kUnlimitedCredits;
+}
+
+Channel make_link_channel(const SimConfig& cfg) {
+  const int credits = link_credits_for(cfg.design, cfg.buffer_depth);
+  if (design_row(cfg.design).pool_per_vc) {
+    return Channel(cfg.num_vcs, credits / cfg.num_vcs);
+  }
+  return Channel(credits);
 }
 
 int buffer_slots_per_node(RouterDesign design, int buffer_depth) {

@@ -26,6 +26,11 @@ RouterStepper router_stepper(RouterDesign design);
 /// never exert backpressure (design_row(design).credits).
 int link_credits_for(RouterDesign design, int buffer_depth);
 
+/// The channel of one link feeding a router of cfg.design: its credits
+/// (link_credits_for) in one pool, or split evenly into cfg.num_vcs pools
+/// where the design's row says pool_per_vc.
+Channel make_link_channel(const SimConfig& cfg);
+
 /// Total flit storage one router of this design provisions, in slots —
 /// the quantity held constant across designs by the equal-buffer-budget
 /// shootout (bench/experiments/table_router_zoo.cpp).

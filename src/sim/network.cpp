@@ -51,7 +51,7 @@ Network::~Network() = default;
 
 void Network::build() {
   const int n = mesh_.num_nodes();
-  const int credits = link_credits_for(cfg_.design, cfg_.buffer_depth);
+  const Channel link = make_link_channel(cfg_);
 
   // Channels: one per existing directed link, packed contiguously in
   // (node, dir) order.  channel_at(a, d) carries flits from router a's
@@ -66,12 +66,7 @@ void Network::build() {
       if (!link_faults_.alive(a, d)) continue;  // dead link: no channel
       link_slot_[static_cast<std::size_t>(link_index(a, port_index(d)))] =
           static_cast<std::int32_t>(channels_.size());
-      if (cfg_.design == RouterDesign::BufferedVC) {
-        channels_.emplace_back(cfg_.num_vcs,
-                               cfg_.buffer_depth / cfg_.num_vcs);
-      } else {
-        channels_.emplace_back(credits);
-      }
+      channels_.push_back(link);
       channel_meta_.push_back(
           {a, *nb, port_index(opposite(d))});
     }
@@ -170,7 +165,7 @@ void Network::build() {
         &routers_[m.dst_node]->in[static_cast<std::size_t>(m.dst_port)]);
   }
 
-  if (cfg_.design == RouterDesign::Scarab) {
+  if (nack_control_) {
     scarab_staging_.resize(static_cast<std::size_t>(n));
     for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
       scarab_staging_[id].attach_pool(
@@ -202,7 +197,7 @@ PacketId Network::inject_packet(NodeId src, NodeId dst, int length, Cycle now,
   f.cls = static_cast<std::uint8_t>(cls);
   f.born_at = now;
   f.injected_at = kNotInjected;
-  if (cfg_.design == RouterDesign::Scarab) {
+  if (nack_control_) {
     scarab_staging_[src].push_run(f, f.packet_len);
   } else {
     sources_[src].push_run(f, f.packet_len);
@@ -236,12 +231,13 @@ void Network::scarab_deliver_nacks() {
 }
 
 void Network::handle_ejections() {
+  const bool nack_control = nack_control_;
   for (auto& sp : shards_) {
     for (const Flit& f : sp->ejections) {
       ++flits_delivered_;
       stats_.on_flit_ejected(f, now_);
       if (tracer_ != nullptr) tracer_->on_flit_ejected(f, now_);
-      if (cfg_.design == RouterDesign::Scarab) {
+      if (nack_control) {
         --scarab_outstanding_[f.src];
       }
 
@@ -352,7 +348,7 @@ void Network::step() {
 
   // 2. [serial] SCARAB control: NACK deliveries re-queue drops; staging
   //    drains into the sources while retransmit-buffer space allows.
-  if (cfg_.design == RouterDesign::Scarab) {
+  if (nack_control_) {
     scarab_deliver_nacks();
     scarab_release_staging();
   }

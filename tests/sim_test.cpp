@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "core/dxbar.hpp"
+#include "report/analysis.hpp"
 #include "sim/nack_network.hpp"
 
 namespace dxbar {
@@ -109,27 +110,32 @@ TEST(ParallelFor, RethrowsAWorkerExceptionOnTheCaller) {
   }
 }
 
-TEST(Facade, LoadSweepAlignsWithInput) {
-  SimConfig base;
-  base.design = RouterDesign::DXbar;
-  base.warmup_cycles = 100;
-  base.measure_cycles = 300;
-  const auto points = load_sweep(base, {0.1, 0.3});
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_DOUBLE_EQ(points[0].offered_load, 0.1);
-  EXPECT_DOUBLE_EQ(points[1].offered_load, 0.3);
-  EXPECT_LT(points[0].stats.accepted_load, points[1].stats.accepted_load);
-}
-
 TEST(Facade, SaturationDetectsBufferlessBelowDXbar) {
   SimConfig base;
   base.warmup_cycles = 300;
   base.measure_cycles = 1200;
+  std::vector<double> loads;  // 0.1 .. 0.9, accumulated in steps of 0.1
+  for (double l = 0.1; l <= 0.9 + 1e-9; l += 0.1) loads.push_back(l);
 
-  base.design = RouterDesign::FlitBless;
-  const double bless = find_saturation(base, 0.1, 0.9);
-  base.design = RouterDesign::DXbar;
-  const double dx = find_saturation(base, 0.1, 0.9);
+  std::vector<SimConfig> cfgs;
+  for (RouterDesign d : {RouterDesign::FlitBless, RouterDesign::DXbar}) {
+    for (double l : loads) {
+      SimConfig c = base;
+      c.design = d;
+      c.offered_load = l;
+      cfgs.push_back(c);
+    }
+  }
+  const std::vector<RunStats> stats = run_sweep(cfgs);
+  const auto saturation = [&](std::size_t first) {
+    std::vector<double> accepted;
+    for (std::size_t i = 0; i < loads.size(); ++i) {
+      accepted.push_back(stats[first + i].accepted_load);
+    }
+    return report::saturation_from_points(loads, accepted);
+  };
+  const double bless = saturation(0);
+  const double dx = saturation(loads.size());
   EXPECT_GT(dx, bless);
 }
 
