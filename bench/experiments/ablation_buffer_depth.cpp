@@ -19,50 +19,32 @@ const Registration reg(Experiment{
     .paper_shape =
         "deeper FIFOs raise the saturation point at extra buffer energy; "
         "depth 4 (the paper's choice) sits at the knee",
-    .grid =
+    .axes =
         [](const RunContext& ctx) {
-          std::vector<SimConfig> cfgs;
-          for (double l : kLoads) {
-            for (int d : kDepths) {
-              SimConfig c = ctx.base;
-              c.design = RouterDesign::DXbar;
-              c.offered_load = l;
-              c.buffer_depth = d;
-              cfgs.push_back(c);
-            }
-          }
-          return cfgs;
+          Grid g{ctx.base,
+                 {make_axis(
+                      "load", kLoads,
+                      [](double l) { return "load " + fmt(l, "%.1f"); },
+                      [](SimConfig& c, double l) { c.offered_load = l; }),
+                  make_axis(
+                      "depth", kDepths,
+                      [](int d) { return std::to_string(d); },
+                      [](SimConfig& c, int d) { c.buffer_depth = d; })}};
+          g.base.design = RouterDesign::DXbar;
+          return g;
         },
     .reduce =
-        [](const RunContext&, const std::vector<RunStats>& stats) {
-          std::vector<std::string> x;
-          for (int d : kDepths) x.push_back(std::to_string(d));
-          std::vector<std::string> labels;
-          for (double l : kLoads) labels.push_back("load " + fmt(l, "%.1f"));
-
-          std::vector<std::vector<double>> thr, defl, buf_e;
-          for (std::size_t s = 0; s < labels.size(); ++s) {
-            std::vector<double> tcol, dcol, bcol;
-            for (std::size_t i = 0; i < kDepths.size(); ++i) {
-              const RunStats& st = stats[s * kDepths.size() + i];
-              tcol.push_back(st.accepted_load);
-              dcol.push_back(st.deflections_per_flit);
-              const double pkts =
-                  static_cast<double>(st.flits_ejected) / st.packet_length;
-              bcol.push_back(pkts == 0.0 ? 0.0 : st.energy_buffer_nj / pkts);
-            }
-            thr.push_back(std::move(tcol));
-            defl.push_back(std::move(dcol));
-            buf_e.push_back(std::move(bcol));
-          }
-
+        [](const RunContext&, const GridView& g) {
           ExperimentResult r;
-          r.add_table({"Ablation: accepted load vs DXbar buffer depth",
-                       "depth", x, labels, thr});
-          r.add_table({"Ablation: deflections per flit vs buffer depth",
-                       "depth", x, labels, defl, "%10.4f"});
-          r.add_table({"Ablation: buffer energy (nJ/packet) vs buffer depth",
-                       "depth", x, labels, buf_e, "%10.4f"});
+          r.add_table(grid_table(
+              "Ablation: accepted load vs DXbar buffer depth", g, "depth",
+              "load", &RunStats::accepted_load));
+          r.add_table(grid_table(
+              "Ablation: deflections per flit vs buffer depth", g, "depth",
+              "load", &RunStats::deflections_per_flit));
+          r.add_table(grid_table(
+              "Ablation: buffer energy (nJ/packet) vs buffer depth", g,
+              "depth", "load", buffer_nj_per_packet));
           return r;
         },
 });

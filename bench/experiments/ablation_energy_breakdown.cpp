@@ -16,36 +16,33 @@ const Registration reg(Experiment{
         "buffered baselines spend ~40% on buffers at every hop; DXbar "
         "pays buffer energy only on conflicts; bufferless designs trade "
         "it for extra link/crossbar traversals under deflection",
-    .grid =
+    .axes =
         [](const RunContext& ctx) {
-          std::vector<SimConfig> cfgs;
-          for (double load : kLoads) {
-            for (const DesignVariant& dv : figure_designs()) {
-              SimConfig c = ctx.base;
-              c.design = dv.design;
-              c.routing = dv.routing;
-              c.offered_load = load;
-              cfgs.push_back(c);
-            }
-          }
-          return cfgs;
+          return Grid{ctx.base,
+                      {make_axis(
+                           "load", kLoads,
+                           [](double l) { return fmt(l, "%.2f"); },
+                           [](SimConfig& c, double l) { c.offered_load = l; }),
+                       figure_designs()}};
         },
     .reduce =
-        [](const RunContext&, const std::vector<RunStats>& stats) {
+        [](const RunContext&, const GridView& g) {
           ExperimentResult r;
-          std::size_t at = 0;
-          for (double load : kLoads) {
+          const Axis& loads = g.axis("load");
+          const Axis& designs = g.axis("design");
+          for (std::size_t l = 0; l < loads.values.size(); ++l) {
             r.addf(
-                "\nEnergy breakdown at offered load %.2f (%% of total, "
+                "\nEnergy breakdown at offered load %s (%% of total, "
                 "plus nJ/packet):\n",
-                load);
+                loads.values[l].label.c_str());
             r.addf("%-14s %8s %8s %8s %8s %12s\n", "design", "buffer",
                    "xbar", "link", "control", "total nJ/pkt");
-            for (const DesignVariant& dv : figure_designs()) {
-              const RunStats& st = stats[at++];
+            for (std::size_t d = 0; d < designs.values.size(); ++d) {
+              const RunStats& st = g.at(l, d);
               const double total = st.total_energy_nj();
               r.addf("%-14s %7.1f%% %7.1f%% %7.1f%% %7.1f%% %12.3f\n",
-                     dv.label, 100.0 * st.energy_buffer_nj / total,
+                     designs.values[d].label.c_str(),
+                     100.0 * st.energy_buffer_nj / total,
                      100.0 * st.energy_crossbar_nj / total,
                      100.0 * st.energy_link_nj / total,
                      100.0 * st.energy_control_nj / total,

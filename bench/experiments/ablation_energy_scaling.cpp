@@ -19,16 +19,6 @@ namespace {
 const std::vector<int> kTechNodes = {65, 32, 16};
 const std::vector<int> kMeshWidths = {8, 16};
 
-const std::vector<DesignVariant>& scaling_designs() {
-  static const std::vector<DesignVariant> v = {
-      {"Flit-Bless", RouterDesign::FlitBless, RoutingAlgo::DOR},
-      {"Buffered 4", RouterDesign::Buffered4, RoutingAlgo::DOR},
-      {"DXbar DOR", RouterDesign::DXbar, RoutingAlgo::DOR},
-      {"Unified DOR", RouterDesign::UnifiedXbar, RoutingAlgo::DOR},
-  };
-  return v;
-}
-
 const Registration reg(Experiment{
     .name = "ablation_energy_scaling",
     .title = "Ablation: per-flit energy across tech nodes and mesh sizes",
@@ -37,74 +27,60 @@ const Registration reg(Experiment{
         "while the design ranking (bufferless < DXbar < Unified < "
         "buffered at low load) is preserved at both 8x8 and 16x16; the "
         "buffer share grows with mesh size for the buffered baseline",
-    .grid =
+    .axes =
         [](const RunContext& ctx) {
-          std::vector<SimConfig> cfgs;
-          for (int width : kMeshWidths) {
-            for (int node : kTechNodes) {
-              for (const DesignVariant& dv : scaling_designs()) {
-                SimConfig c = ctx.base;
-                c.mesh_width = width;
-                c.mesh_height = width;
-                c.tech_node = node;
-                c.design = dv.design;
-                c.routing = dv.routing;
-                cfgs.push_back(c);
-              }
-            }
-          }
-          return cfgs;
+          return Grid{
+              ctx.base,
+              {make_axis(
+                   "mesh", kMeshWidths,
+                   [](int w) {
+                     return std::to_string(w) + "x" + std::to_string(w);
+                   },
+                   [](SimConfig& c, int w) {
+                     c.mesh_width = w;
+                     c.mesh_height = w;
+                   }),
+               make_axis(
+                   "nm", kTechNodes, [](int n) { return std::to_string(n); },
+                   [](SimConfig& c, int n) { c.tech_node = n; }),
+               design_axis({
+                   {"Flit-Bless", RouterDesign::FlitBless, RoutingAlgo::DOR},
+                   {"Buffered 4", RouterDesign::Buffered4, RoutingAlgo::DOR},
+                   {"DXbar DOR", RouterDesign::DXbar, RoutingAlgo::DOR},
+                   {"Unified DOR", RouterDesign::UnifiedXbar,
+                    RoutingAlgo::DOR},
+               })}};
         },
     .reduce =
-        [](const RunContext&, const std::vector<RunStats>& stats) {
+        [](const RunContext&, const GridView& g) {
           ExperimentResult r;
-          std::vector<std::string> x;
-          for (int node : kTechNodes) x.push_back(std::to_string(node));
-          std::vector<std::string> labels;
-          for (const DesignVariant& dv : scaling_designs()) {
-            labels.emplace_back(dv.label);
-          }
-
-          // Grid order is mesh-major, then tech, then design; tables
-          // want [design][tech] per mesh.
-          const std::size_t n_designs = labels.size();
-          const std::size_t per_mesh = kTechNodes.size() * n_designs;
-          for (std::size_t m = 0; m < kMeshWidths.size(); ++m) {
-            Table t;
-            t.title = "Energy per flit (pJ) vs tech node, " +
-                      std::to_string(kMeshWidths[m]) + "x" +
-                      std::to_string(kMeshWidths[m]) + " mesh";
-            t.x_label = "nm";
-            t.x = x;
-            t.series_labels = labels;
-            t.fmt = "%10.1f";
-            t.values.assign(n_designs, {});
-            for (std::size_t s = 0; s < n_designs; ++s) {
-              for (std::size_t n = 0; n < kTechNodes.size(); ++n) {
-                const RunStats& st =
-                    stats[m * per_mesh + n * n_designs + s];
-                t.values[s].push_back(st.energy_per_flit_nj() * 1000.0);
-              }
-            }
-            r.add_table(std::move(t));
+          const Axis& meshes = g.axis("mesh");
+          for (std::size_t m = 0; m < meshes.values.size(); ++m) {
+            r.add_table(grid_table(
+                "Energy per flit (pJ) vs tech node, " +
+                    meshes.values[m].label + " mesh",
+                g.fix("mesh", m), "nm", "design",
+                [](const RunStats& st) {
+                  return st.energy_per_flit_nj() * 1000.0;
+                },
+                "%10.1f"));
           }
 
           // Component split at the newest-but-one node (32 nm) — where
           // the shrink leaves the budget.
-          const std::size_t node32 = 1;  // kTechNodes index of 32 nm
-          for (std::size_t m = 0; m < kMeshWidths.size(); ++m) {
+          const std::size_t node32 = g.axis("nm").position("32");
+          const Axis& designs = g.axis("design");
+          for (std::size_t m = 0; m < meshes.values.size(); ++m) {
             Table t;
             t.title = "Energy split at 32 nm (pJ/flit), " +
-                      std::to_string(kMeshWidths[m]) + "x" +
-                      std::to_string(kMeshWidths[m]) + " mesh";
+                      meshes.values[m].label + " mesh";
             t.x_label = "component";
             t.x = {"buffer", "xbar", "link", "control"};
-            t.series_labels = labels;
+            t.series_labels = designs.labels();
             t.fmt = "%10.2f";
-            t.values.assign(n_designs, {});
-            for (std::size_t s = 0; s < n_designs; ++s) {
-              const RunStats& st =
-                  stats[m * per_mesh + node32 * n_designs + s];
+            t.values.assign(designs.values.size(), {});
+            for (std::size_t s = 0; s < designs.values.size(); ++s) {
+              const RunStats& st = g.at(m, node32, s);
               const double flits =
                   st.flits_ejected > 0
                       ? static_cast<double>(st.flits_ejected)
@@ -119,11 +95,14 @@ const Registration reg(Experiment{
           }
 
           // Shrink factor 65 -> 16 nm for the paper's headline design.
-          const std::size_t dxbar = 2;  // scaling_designs index
-          const double at65 = stats[dxbar].energy_per_flit_nj();
-          const double at16 =
-              stats[(kTechNodes.size() - 1) * n_designs + dxbar]
-                  .energy_per_flit_nj();
+          const auto dxbar_8x8 = [&](const char* node) {
+            return g
+                .at(meshes.position("8x8"), g.axis("nm").position(node),
+                    designs.position("DXbar DOR"))
+                .energy_per_flit_nj();
+          };
+          const double at65 = dxbar_8x8("65");
+          const double at16 = dxbar_8x8("16");
           if (at16 > 0.0) {
             r.addf(
                 "\nDXbar 8x8 per-flit energy shrinks %.1fx from 65 nm to "

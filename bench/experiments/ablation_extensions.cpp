@@ -15,66 +15,38 @@
 namespace dxbar::bench {
 namespace {
 
-const std::vector<DesignVariant>& variants() {
-  static const std::vector<DesignVariant> v = {
-      {"Flit-Bless", RouterDesign::FlitBless, RoutingAlgo::DOR},
-      {"Buffered 4", RouterDesign::Buffered4, RoutingAlgo::DOR},
-      {"Buffered VC", RouterDesign::BufferedVC, RoutingAlgo::DOR},
-      {"AFC", RouterDesign::Afc, RoutingAlgo::DOR},
-      {"DXbar DOR", RouterDesign::DXbar, RoutingAlgo::DOR},
-  };
-  return v;
-}
-
 const Registration reg(Experiment{
     .name = "ablation_extensions",
     .title = "Ablation: extension baselines (Buffered VC, AFC) vs DXbar",
     .paper_shape =
         "AFC tracks Flit-Bless at low load and the buffered designs at "
         "high load; switching modes per-router never reaches DXbar",
-    .grid =
+    .axes =
         [](const RunContext& ctx) {
-          std::vector<SimConfig> cfgs;
-          for (const auto& v : variants()) {
-            for (double l : figure_loads()) {
-              SimConfig c = ctx.base;
-              c.design = v.design;
-              c.routing = v.routing;
-              c.offered_load = l;
-              cfgs.push_back(c);
-            }
-          }
-          return cfgs;
+          return Grid{
+              ctx.base,
+              {design_axis({
+                   {"Flit-Bless", RouterDesign::FlitBless, RoutingAlgo::DOR},
+                   {"Buffered 4", RouterDesign::Buffered4, RoutingAlgo::DOR},
+                   {"Buffered VC", RouterDesign::BufferedVC,
+                    RoutingAlgo::DOR},
+                   {"AFC", RouterDesign::Afc, RoutingAlgo::DOR},
+                   {"DXbar DOR", RouterDesign::DXbar, RoutingAlgo::DOR},
+               }),
+               load_axis()}};
         },
     .reduce =
-        [](const RunContext&, const std::vector<RunStats>& stats) {
-          const std::vector<double> loads = figure_loads();
-          std::vector<std::string> x;
-          for (double l : loads) x.push_back(fmt(l, "%.1f"));
-          std::vector<std::string> labels;
-          for (const auto& v : variants()) labels.emplace_back(v.label);
-
-          std::vector<std::vector<double>> thr, energy, p99;
-          for (std::size_t s = 0; s < labels.size(); ++s) {
-            std::vector<double> tcol, ecol, pcol;
-            for (std::size_t i = 0; i < loads.size(); ++i) {
-              const RunStats& st = stats[s * loads.size() + i];
-              tcol.push_back(st.accepted_load);
-              ecol.push_back(st.energy_per_packet_nj());
-              pcol.push_back(st.latency_p99);
-            }
-            thr.push_back(std::move(tcol));
-            energy.push_back(std::move(ecol));
-            p99.push_back(std::move(pcol));
-          }
-
+        [](const RunContext&, const GridView& g) {
           ExperimentResult r;
-          r.add_table({"Extensions: accepted load vs offered load (UR)",
-                       "offered", x, labels, thr});
-          r.add_table({"Extensions: energy per packet (nJ)", "offered", x,
-                       labels, energy, "%10.3f"});
-          r.add_table({"Extensions: p99 packet latency (cycles)", "offered",
-                       x, labels, p99, "%10.0f"});
+          r.add_table(grid_table(
+              "Extensions: accepted load vs offered load (UR)", g, "offered",
+              "design", &RunStats::accepted_load));
+          r.add_table(grid_table("Extensions: energy per packet (nJ)", g,
+                                 "offered", "design",
+                                 &RunStats::energy_per_packet_nj, "%10.3f"));
+          r.add_table(grid_table("Extensions: p99 packet latency (cycles)", g,
+                                 "offered", "design", &RunStats::latency_p99,
+                                 "%10.0f"));
 
           r.addf(
               "\nReading: AFC tracks Flit-Bless at low load (no buffer\n"

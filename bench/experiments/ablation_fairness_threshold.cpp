@@ -26,47 +26,29 @@ const Registration reg(Experiment{
         "threshold 4 gives the best performance across patterns; smaller "
         "interrupts the primary-crossbar flow, larger starves the center "
         "nodes (visible in their p99/max latency)",
-    .grid =
+    .axes =
         [](const RunContext& ctx) {
-          std::vector<SimConfig> cfgs;
-          for (TrafficPattern p : kPatterns) {
-            for (int t : kThresholds) {
-              SimConfig c = ctx.base;
-              c.design = RouterDesign::DXbar;
-              c.pattern = p;
-              c.offered_load = 0.45;  // near saturation, where fairness
-                                      // matters
-              c.fairness_threshold = t;
-              cfgs.push_back(c);
-            }
-          }
-          return cfgs;
+          Grid g{ctx.base,
+                 {pattern_axis(kPatterns),
+                  make_axis(
+                      "threshold", kThresholds,
+                      [](int t) { return std::to_string(t); },
+                      [](SimConfig& c, int t) { c.fairness_threshold = t; })}};
+          g.base.design = RouterDesign::DXbar;
+          g.base.offered_load = 0.45;  // near saturation, where fairness
+                                       // matters
+          return g;
         },
     .reduce =
-        [](const RunContext& ctx, const std::vector<RunStats>& stats) {
-          std::vector<std::string> x;
-          for (int t : kThresholds) x.push_back(std::to_string(t));
-          std::vector<std::string> labels;
-          for (TrafficPattern p : kPatterns) labels.emplace_back(to_string(p));
-
-          std::vector<std::vector<double>> thr, lat;
-          for (std::size_t s = 0; s < labels.size(); ++s) {
-            std::vector<double> tcol, lcol;
-            for (std::size_t i = 0; i < kThresholds.size(); ++i) {
-              tcol.push_back(stats[s * kThresholds.size() + i].accepted_load);
-              lcol.push_back(
-                  stats[s * kThresholds.size() + i].avg_packet_latency);
-            }
-            thr.push_back(std::move(tcol));
-            lat.push_back(std::move(lcol));
-          }
-
+        [](const RunContext& ctx, const GridView& g) {
           ExperimentResult r;
-          r.add_table(
-              {"Ablation: accepted load vs fairness threshold (load 0.45)",
-               "threshold", x, labels, thr});
-          r.add_table({"Ablation: avg packet latency vs fairness threshold",
-                       "threshold", x, labels, lat, "%10.1f"});
+          r.add_table(grid_table(
+              "Ablation: accepted load vs fairness threshold (load 0.45)", g,
+              "threshold", "pattern", &RunStats::accepted_load));
+          r.add_table(grid_table(
+              "Ablation: avg packet latency vs fairness threshold", g,
+              "threshold", "pattern", &RunStats::avg_packet_latency,
+              "%10.1f"));
 
           // The counter's real job: bounding starvation of the *center*
           // nodes, whose injected flits keep losing to older
@@ -89,6 +71,7 @@ const Registration reg(Experiment{
                 runs[i] = run_open_loop_detailed(detail_cfgs[i]);
               },
               ctx.threads);
+          const std::vector<std::string> x = g.axis("threshold").labels();
           r.addf("\nCenter-node fairness (UR, load 0.45):\n");
           r.addf("%-10s %16s %16s\n", "threshold", "center p99 (cy)",
                  "center max (cy)");

@@ -2,6 +2,8 @@
 // the fault-aware BFS table.  The companion experiment to the paper's
 // crossbar-fault study (Figs 11-12): crossbar faults degrade a router's
 // *internal* datapath; link faults degrade the topology itself.
+#include <utility>
+
 #include "exp_common.hpp"
 
 namespace dxbar::bench {
@@ -9,65 +11,48 @@ namespace {
 
 const std::vector<double> kFractions = {0.0, 0.05, 0.1, 0.2, 0.3};
 
-const std::vector<DesignVariant>& variants() {
-  static const std::vector<DesignVariant> v = {
-      {"DXbar", RouterDesign::DXbar, RoutingAlgo::DOR},
-      {"Unified", RouterDesign::UnifiedXbar, RoutingAlgo::DOR},
-      {"Flit-Bless", RouterDesign::FlitBless, RoutingAlgo::DOR},
-      {"SCARAB", RouterDesign::Scarab, RoutingAlgo::DOR},
-  };
-  return v;
-}
-
 const Registration reg(Experiment{
     .name = "ablation_link_faults",
     .title = "Ablation: dead mesh links routed around (extension)",
     .paper_shape =
         "latency and hop count rise with detours; escape-valve designs "
         "degrade gracefully while pure-deflection routers thrash",
-    .grid =
+    .axes =
         [](const RunContext& ctx) {
-          std::vector<SimConfig> cfgs;
-          for (const auto& v : variants()) {
-            for (double f : kFractions) {
-              SimConfig c = ctx.base;
-              c.design = v.design;
-              c.offered_load = 0.25;
-              c.link_fault_fraction = f;
-              cfgs.push_back(c);
-            }
-          }
-          return cfgs;
+          // The design axis sets no routing: every point keeps the base
+          // config's.
+          const std::vector<std::pair<const char*, RouterDesign>> designs = {
+              {"DXbar", RouterDesign::DXbar},
+              {"Unified", RouterDesign::UnifiedXbar},
+              {"Flit-Bless", RouterDesign::FlitBless},
+              {"SCARAB", RouterDesign::Scarab},
+          };
+          Grid g{ctx.base,
+                 {make_axis(
+                      "design", designs,
+                      [](const auto& d) { return std::string(d.first); },
+                      [](SimConfig& c, const auto& d) { c.design = d.second; }),
+                  make_axis(
+                      "dead", kFractions,
+                      [](double f) { return fmt(f * 100, "%.0f%%"); },
+                      [](SimConfig& c, double f) {
+                        c.link_fault_fraction = f;
+                      })}};
+          g.base.offered_load = 0.25;
+          return g;
         },
     .reduce =
-        [](const RunContext&, const std::vector<RunStats>& stats) {
-          std::vector<std::string> x;
-          for (double f : kFractions) x.push_back(fmt(f * 100, "%.0f%%"));
-          std::vector<std::string> labels;
-          for (const auto& v : variants()) labels.emplace_back(v.label);
-
-          std::vector<std::vector<double>> thr, lat, hops;
-          for (std::size_t s = 0; s < labels.size(); ++s) {
-            std::vector<double> tcol, lcol, hcol;
-            for (std::size_t i = 0; i < kFractions.size(); ++i) {
-              const RunStats& st = stats[s * kFractions.size() + i];
-              tcol.push_back(st.accepted_load);
-              lcol.push_back(st.avg_packet_latency);
-              hcol.push_back(st.avg_hops);
-            }
-            thr.push_back(std::move(tcol));
-            lat.push_back(std::move(lcol));
-            hops.push_back(std::move(hcol));
-          }
-
+        [](const RunContext&, const GridView& g) {
           ExperimentResult r;
-          r.add_table(
-              {"Link faults: accepted load at offered 0.25 vs dead edges",
-               "dead", x, labels, thr});
-          r.add_table({"Link faults: avg packet latency (cycles)", "dead", x,
-                       labels, lat, "%10.1f"});
-          r.add_table({"Link faults: avg hops per flit (detour cost)",
-                       "dead", x, labels, hops, "%10.2f"});
+          r.add_table(grid_table(
+              "Link faults: accepted load at offered 0.25 vs dead edges", g,
+              "dead", "design", &RunStats::accepted_load));
+          r.add_table(grid_table("Link faults: avg packet latency (cycles)",
+                                 g, "dead", "design",
+                                 &RunStats::avg_packet_latency, "%10.1f"));
+          r.add_table(grid_table(
+              "Link faults: avg hops per flit (detour cost)", g, "dead",
+              "design", &RunStats::avg_hops, "%10.2f"));
           return r;
         },
 });

@@ -14,73 +14,55 @@ std::vector<int> sizes(bool quick) {
   return {4, 6, 8, 12, 16, 32, 64};
 }
 
-const std::vector<DesignVariant>& variants() {
-  static const std::vector<DesignVariant> v = {
-      {"Flit-Bless", RouterDesign::FlitBless, RoutingAlgo::DOR},
-      {"Buffered 8", RouterDesign::Buffered8, RoutingAlgo::DOR},
-      {"DXbar DOR", RouterDesign::DXbar, RoutingAlgo::DOR},
-      {"DXbar WF", RouterDesign::DXbar, RoutingAlgo::WestFirst},
-  };
-  return v;
-}
-
 const Registration reg(Experiment{
     .name = "ablation_mesh_scaling",
     .title = "Ablation: mesh-size scaling 4x4..64x64",
     .paper_shape =
         "DXbar holds its acceptance advantage over Flit-Bless as the "
         "mesh grows; deflection cost rises with the average hop count",
-    .grid =
+    .axes =
         [](const RunContext& ctx) {
-          std::vector<SimConfig> cfgs;
-          for (const auto& v : variants()) {
-            for (int k : sizes(ctx.quick)) {
-              SimConfig c = ctx.base;
-              c.design = v.design;
-              c.routing = v.routing;
-              c.mesh_width = k;
-              c.mesh_height = k;
-              // Bisection-limited UR capacity shrinks as ~4/k
-              // flits/node/cycle; hold the *relative* load at ~60% of
-              // the k=8 reference point.
-              c.offered_load = 0.30 * 8.0 / static_cast<double>(k);
-              // Shard the big meshes across threads; bit-exact by
-              // construction (DESIGN.md §10), so the numbers are the
-              // same as a single-threaded run of the same point.
-              if (k >= 32) c.shards = 4;
-              cfgs.push_back(c);
-            }
-          }
-          return cfgs;
+          return Grid{
+              ctx.base,
+              {design_axis({
+                   {"Flit-Bless", RouterDesign::FlitBless, RoutingAlgo::DOR},
+                   {"Buffered 8", RouterDesign::Buffered8, RoutingAlgo::DOR},
+                   {"DXbar DOR", RouterDesign::DXbar, RoutingAlgo::DOR},
+                   {"DXbar WF", RouterDesign::DXbar, RoutingAlgo::WestFirst},
+               }),
+               make_axis(
+                   "mesh", sizes(ctx.quick),
+                   [](int k) {
+                     return std::to_string(k) + "x" + std::to_string(k);
+                   },
+                   [](SimConfig& c, int k) {
+                     c.mesh_width = k;
+                     c.mesh_height = k;
+                     // Bisection-limited UR capacity shrinks as ~4/k
+                     // flits/node/cycle; hold the *relative* load at ~60%
+                     // of the k=8 reference point.
+                     c.offered_load = 0.30 * 8.0 / static_cast<double>(k);
+                     // Shard the big meshes across threads; bit-exact by
+                     // construction (DESIGN.md §10), so the numbers are
+                     // the same as a single-threaded run of the same
+                     // point.
+                     if (k >= 32) c.shards = 4;
+                   })}};
         },
     .reduce =
-        [](const RunContext& ctx, const std::vector<RunStats>& stats) {
-          const std::vector<int> ks = sizes(ctx.quick);
-          std::vector<std::string> x;
-          for (int k : ks) {
-            x.push_back(std::to_string(k) + "x" + std::to_string(k));
-          }
-          std::vector<std::string> labels;
-          for (const auto& v : variants()) labels.emplace_back(v.label);
-
-          std::vector<std::vector<double>> thr, lat;
-          for (std::size_t s = 0; s < labels.size(); ++s) {
-            std::vector<double> tcol, lcol;
-            for (std::size_t i = 0; i < ks.size(); ++i) {
-              const RunStats& st = stats[s * ks.size() + i];
-              // Normalize accepted to offered so rows are comparable.
-              tcol.push_back(st.accepted_load / st.offered_load);
-              lcol.push_back(st.avg_packet_latency);
-            }
-            thr.push_back(std::move(tcol));
-            lat.push_back(std::move(lcol));
-          }
-
+        [](const RunContext&, const GridView& g) {
           ExperimentResult r;
-          r.add_table({"Mesh scaling: acceptance ratio at ~60% relative load",
-                       "mesh", x, labels, thr, "%10.3f"});
-          r.add_table({"Mesh scaling: avg packet latency (cycles)", "mesh",
-                       x, labels, lat, "%10.1f"});
+          // Normalize accepted to offered so rows are comparable.
+          r.add_table(grid_table(
+              "Mesh scaling: acceptance ratio at ~60% relative load", g,
+              "mesh", "design",
+              [](const RunStats& st) {
+                return st.accepted_load / st.offered_load;
+              },
+              "%10.3f"));
+          r.add_table(grid_table("Mesh scaling: avg packet latency (cycles)",
+                                 g, "mesh", "design",
+                                 &RunStats::avg_packet_latency, "%10.1f"));
           r.addf(
               "\n(acceptance ratios marginally above 1.0 are "
               "warmup-backlog\n"

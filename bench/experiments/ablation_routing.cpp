@@ -6,59 +6,37 @@
 namespace dxbar::bench {
 namespace {
 
-const std::vector<RoutingAlgo> kAlgos = {
-    RoutingAlgo::DOR, RoutingAlgo::WestFirst, RoutingAlgo::NegativeFirst,
-    RoutingAlgo::NorthLast};
-const std::vector<TrafficPattern> kPatterns = {
-    TrafficPattern::UniformRandom, TrafficPattern::BitReversal,
-    TrafficPattern::Transpose,     TrafficPattern::PerfectShuffle,
-    TrafficPattern::Tornado,       TrafficPattern::Complement};
-
 const Registration reg(Experiment{
     .name = "ablation_routing",
     .title = "Ablation: routing algorithms on DXbar across patterns",
     .paper_shape =
         "DOR wins on UR; the partially-adaptive turn models win on the "
         "adversarial permutations they can route around",
-    .grid =
+    .axes =
         [](const RunContext& ctx) {
-          std::vector<SimConfig> cfgs;
-          for (RoutingAlgo a : kAlgos) {
-            for (TrafficPattern p : kPatterns) {
-              SimConfig c = ctx.base;
-              c.design = RouterDesign::DXbar;
-              c.routing = a;
-              c.pattern = p;
-              c.offered_load = 0.5;
-              cfgs.push_back(c);
-            }
-          }
-          return cfgs;
+          Grid g{ctx.base,
+                 {routing_axis({RoutingAlgo::DOR, RoutingAlgo::WestFirst,
+                                RoutingAlgo::NegativeFirst,
+                                RoutingAlgo::NorthLast}),
+                  pattern_axis({TrafficPattern::UniformRandom,
+                                TrafficPattern::BitReversal,
+                                TrafficPattern::Transpose,
+                                TrafficPattern::PerfectShuffle,
+                                TrafficPattern::Tornado,
+                                TrafficPattern::Complement})}};
+          g.base.design = RouterDesign::DXbar;
+          g.base.offered_load = 0.5;
+          return g;
         },
     .reduce =
-        [](const RunContext&, const std::vector<RunStats>& stats) {
-          std::vector<std::string> x;
-          for (TrafficPattern p : kPatterns) x.emplace_back(to_string(p));
-          std::vector<std::string> labels;
-          for (RoutingAlgo a : kAlgos) labels.emplace_back(to_string(a));
-
-          std::vector<std::vector<double>> thr, lat;
-          for (std::size_t s = 0; s < labels.size(); ++s) {
-            std::vector<double> tcol, lcol;
-            for (std::size_t i = 0; i < kPatterns.size(); ++i) {
-              tcol.push_back(stats[s * kPatterns.size() + i].accepted_load);
-              lcol.push_back(stats[s * kPatterns.size() + i].latency_p99);
-            }
-            thr.push_back(std::move(tcol));
-            lat.push_back(std::move(lcol));
-          }
-
+        [](const RunContext&, const GridView& g) {
           ExperimentResult r;
-          r.add_table({"Routing ablation: accepted load at offered 0.5, "
-                       "DXbar",
-                       "pattern", x, labels, thr});
-          r.add_table({"Routing ablation: p99 latency (cycles)", "pattern",
-                       x, labels, lat, "%10.0f"});
+          r.add_table(grid_table(
+              "Routing ablation: accepted load at offered 0.5, DXbar", g,
+              "pattern", "routing", &RunStats::accepted_load));
+          r.add_table(grid_table("Routing ablation: p99 latency (cycles)", g,
+                                 "pattern", "routing", &RunStats::latency_p99,
+                                 "%10.0f"));
           return r;
         },
 });

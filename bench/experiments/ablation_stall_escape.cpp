@@ -13,19 +13,6 @@ namespace {
 
 const std::vector<int> kDelays = {2, 4, 8, 16, 32, 64};
 
-struct Scenario {
-  const char* label;
-  TrafficPattern pattern;
-};
-const std::vector<Scenario>& scenarios() {
-  static const std::vector<Scenario> v = {
-      {"UR", TrafficPattern::UniformRandom},
-      {"NUR", TrafficPattern::NonUniformRandom},
-      {"CP", TrafficPattern::Complement},
-  };
-  return v;
-}
-
 const Registration reg(Experiment{
     .name = "ablation_stall_escape",
     .title = "Ablation: stall-escape delay of the on/off flow control",
@@ -33,52 +20,32 @@ const Registration reg(Experiment{
         "small delays maximise peak throughput on benign traffic but "
         "waste deflection energy around hot spots; the default (16) "
         "balances the two",
-    .grid =
+    .axes =
         [](const RunContext& ctx) {
-          std::vector<SimConfig> cfgs;
-          for (const Scenario& sc : scenarios()) {
-            for (int d : kDelays) {
-              SimConfig c = ctx.base;
-              c.design = RouterDesign::DXbar;
-              c.pattern = sc.pattern;
-              c.offered_load = 0.5;
-              c.stall_escape_delay = d;
-              cfgs.push_back(c);
-            }
-          }
-          return cfgs;
+          Grid g{ctx.base,
+                 {pattern_axis({TrafficPattern::UniformRandom,
+                                TrafficPattern::NonUniformRandom,
+                                TrafficPattern::Complement}),
+                  make_axis(
+                      "delay", kDelays,
+                      [](int d) { return std::to_string(d); },
+                      [](SimConfig& c, int d) { c.stall_escape_delay = d; })}};
+          g.base.design = RouterDesign::DXbar;
+          g.base.offered_load = 0.5;
+          return g;
         },
     .reduce =
-        [](const RunContext&, const std::vector<RunStats>& stats) {
-          std::vector<std::string> x;
-          for (int d : kDelays) x.push_back(std::to_string(d));
-          std::vector<std::string> labels;
-          for (const Scenario& sc : scenarios()) labels.emplace_back(sc.label);
-
-          std::vector<std::vector<double>> thr, energy, defl;
-          for (std::size_t s = 0; s < labels.size(); ++s) {
-            std::vector<double> tcol, ecol, dcol;
-            for (std::size_t i = 0; i < kDelays.size(); ++i) {
-              const RunStats& st = stats[s * kDelays.size() + i];
-              tcol.push_back(st.accepted_load);
-              ecol.push_back(st.energy_per_packet_nj());
-              dcol.push_back(st.deflections_per_flit);
-            }
-            thr.push_back(std::move(tcol));
-            energy.push_back(std::move(ecol));
-            defl.push_back(std::move(dcol));
-          }
-
+        [](const RunContext&, const GridView& g) {
           ExperimentResult r;
-          r.add_table(
-              {"Ablation: accepted load vs stall-escape delay (load 0.5)",
-               "delay", x, labels, thr});
-          r.add_table(
-              {"Ablation: energy per packet (nJ) vs stall-escape delay",
-               "delay", x, labels, energy, "%10.3f"});
-          r.add_table(
-              {"Ablation: deflections per flit vs stall-escape delay",
-               "delay", x, labels, defl, "%10.4f"});
+          r.add_table(grid_table(
+              "Ablation: accepted load vs stall-escape delay (load 0.5)", g,
+              "delay", "pattern", &RunStats::accepted_load));
+          r.add_table(grid_table(
+              "Ablation: energy per packet (nJ) vs stall-escape delay", g,
+              "delay", "pattern", &RunStats::energy_per_packet_nj, "%10.3f"));
+          r.add_table(grid_table(
+              "Ablation: deflections per flit vs stall-escape delay", g,
+              "delay", "pattern", &RunStats::deflections_per_flit));
           return r;
         },
 });

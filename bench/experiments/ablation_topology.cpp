@@ -27,44 +27,25 @@ const Registration reg(Experiment{
     .paper_shape =
         "wrap links double the bisection bandwidth and cut avg hops "
         "~25%; both designs gain throughput, DXbar keeps its lead",
-    .grid =
+    .axes =
         [](const RunContext& ctx) {
-          std::vector<SimConfig> cfgs;
-          for (const auto& v : variants()) {
-            for (double l : figure_loads()) {
-              SimConfig c = ctx.base;
-              c.design = v.design;
-              c.torus = v.torus;
-              c.offered_load = l;
-              cfgs.push_back(c);
-            }
-          }
-          return cfgs;
+          const Axis designs = make_axis(
+              "design", variants(),
+              [](const Variant& v) { return std::string(v.label); },
+              [](SimConfig& c, const Variant& v) {
+                c.design = v.design;
+                c.torus = v.torus;
+              });
+          return Grid{ctx.base, {designs, load_axis()}};
         },
     .reduce =
-        [](const RunContext&, const std::vector<RunStats>& stats) {
-          const std::vector<double> loads = figure_loads();
-          std::vector<std::string> x;
-          for (double l : loads) x.push_back(fmt(l, "%.1f"));
-          std::vector<std::string> labels;
-          for (const auto& v : variants()) labels.emplace_back(v.label);
-
-          std::vector<std::vector<double>> thr, hops;
-          for (std::size_t s = 0; s < labels.size(); ++s) {
-            std::vector<double> tcol, hcol;
-            for (std::size_t i = 0; i < loads.size(); ++i) {
-              tcol.push_back(stats[s * loads.size() + i].accepted_load);
-              hcol.push_back(stats[s * loads.size() + i].avg_hops);
-            }
-            thr.push_back(std::move(tcol));
-            hops.push_back(std::move(hcol));
-          }
-
+        [](const RunContext&, const GridView& g) {
           ExperimentResult r;
-          r.add_table({"Topology: accepted load, mesh vs torus (UR)",
-                       "offered", x, labels, thr});
-          r.add_table({"Topology: avg hops per flit", "offered", x, labels,
-                       hops, "%10.2f"});
+          r.add_table(grid_table("Topology: accepted load, mesh vs torus (UR)",
+                                 g, "offered", "design",
+                                 &RunStats::accepted_load));
+          r.add_table(grid_table("Topology: avg hops per flit", g, "offered",
+                                 "design", &RunStats::avg_hops, "%10.2f"));
           return r;
         },
 });

@@ -11,16 +11,6 @@
 namespace dxbar::bench {
 namespace {
 
-const std::vector<DesignVariant>& variants() {
-  static const std::vector<DesignVariant> v = {
-      {"DXbar DOR", RouterDesign::DXbar, RoutingAlgo::DOR},
-      {"Unified DOR", RouterDesign::UnifiedXbar, RoutingAlgo::DOR},
-      {"DXbar WF", RouterDesign::DXbar, RoutingAlgo::WestFirst},
-      {"Unified WF", RouterDesign::UnifiedXbar, RoutingAlgo::WestFirst},
-  };
-  return v;
-}
-
 const Registration reg(Experiment{
     .name = "ablation_unified_vs_dual",
     .title = "Ablation: unified single crossbar vs dual-crossbar DXbar",
@@ -28,49 +18,32 @@ const Registration reg(Experiment{
         "unified matches (slightly beats) the dual crossbar at 25% "
         "instead of 33% area overhead, paying 15 pJ vs 13 pJ per "
         "traversal",
-    .grid =
+    .axes =
         [](const RunContext& ctx) {
-          std::vector<SimConfig> cfgs;
-          for (const auto& v : variants()) {
-            for (double l : figure_loads()) {
-              SimConfig c = ctx.base;
-              c.design = v.design;
-              c.routing = v.routing;
-              c.offered_load = l;
-              cfgs.push_back(c);
-            }
-          }
-          return cfgs;
+          return Grid{
+              ctx.base,
+              {design_axis({
+                   {"DXbar DOR", RouterDesign::DXbar, RoutingAlgo::DOR},
+                   {"Unified DOR", RouterDesign::UnifiedXbar,
+                    RoutingAlgo::DOR},
+                   {"DXbar WF", RouterDesign::DXbar, RoutingAlgo::WestFirst},
+                   {"Unified WF", RouterDesign::UnifiedXbar,
+                    RoutingAlgo::WestFirst},
+               }),
+               load_axis()}};
         },
     .reduce =
-        [](const RunContext& ctx, const std::vector<RunStats>& stats) {
-          const std::vector<double> loads = figure_loads();
-          std::vector<std::string> x;
-          for (double l : loads) x.push_back(fmt(l, "%.1f"));
-          std::vector<std::string> labels;
-          for (const auto& v : variants()) labels.emplace_back(v.label);
-
-          std::vector<std::vector<double>> thr, lat, energy;
-          for (std::size_t s = 0; s < labels.size(); ++s) {
-            std::vector<double> tcol, lcol, ecol;
-            for (std::size_t i = 0; i < loads.size(); ++i) {
-              const RunStats& st = stats[s * loads.size() + i];
-              tcol.push_back(st.accepted_load);
-              lcol.push_back(st.avg_packet_latency);
-              ecol.push_back(st.energy_per_packet_nj());
-            }
-            thr.push_back(std::move(tcol));
-            lat.push_back(std::move(lcol));
-            energy.push_back(std::move(ecol));
-          }
-
+        [](const RunContext& ctx, const GridView& g) {
           ExperimentResult r;
-          r.add_table({"Ablation: accepted load, dual vs unified crossbar",
-                       "offered", x, labels, thr});
-          r.add_table({"Ablation: avg packet latency (cycles)", "offered",
-                       x, labels, lat, "%10.1f"});
-          r.add_table({"Ablation: energy per packet (nJ)", "offered", x,
-                       labels, energy, "%10.3f"});
+          r.add_table(grid_table(
+              "Ablation: accepted load, dual vs unified crossbar", g,
+              "offered", "design", &RunStats::accepted_load));
+          r.add_table(grid_table("Ablation: avg packet latency (cycles)", g,
+                                 "offered", "design",
+                                 &RunStats::avg_packet_latency, "%10.1f"));
+          r.add_table(grid_table("Ablation: energy per packet (nJ)", g,
+                                 "offered", "design",
+                                 &RunStats::energy_per_packet_nj, "%10.3f"));
 
           const auto area_of = [&](RouterDesign d) {
             SimConfig c = ctx.base;

@@ -8,14 +8,6 @@
 namespace dxbar::bench {
 namespace {
 
-const std::vector<double>& fault_fracs() {
-  static const std::vector<double> v = {0.0, 0.25, 0.5, 0.75, 1.0};
-  return v;
-}
-
-const std::vector<RoutingAlgo> kAlgos = {RoutingAlgo::DOR,
-                                         RoutingAlgo::WestFirst};
-
 const Registration reg(Experiment{
     .name = "fig11",
     .title = "Figure 11: DXbar throughput/latency with crossbar faults",
@@ -23,79 +15,36 @@ const Registration reg(Experiment{
         "with DOR the throughput degradation stays below ~10% even at "
         "100% faults (faulty routers degrade to buffered single-crossbar "
         "operation); with WF the degradation reaches ~33% at high load",
-    .grid =
-        [](const RunContext& ctx) {
-          std::vector<SimConfig> cfgs;
-          for (RoutingAlgo algo : kAlgos) {
-            for (double f : fault_fracs()) {
-              for (double l : figure_loads()) {
-                SimConfig c = ctx.base;
-                c.design = RouterDesign::DXbar;
-                c.routing = algo;
-                c.offered_load = l;
-                c.fault_fraction = f;
-                cfgs.push_back(c);
-              }
-            }
-          }
-          return cfgs;
-        },
+    .axes = [](const RunContext& ctx) { return crossbar_fault_grid(ctx, 0.1); },
     .reduce =
-        [](const RunContext&, const std::vector<RunStats>& stats) {
-          const std::vector<double> loads = figure_loads();
+        [](const RunContext&, const GridView& g) {
           ExperimentResult r;
-          std::size_t at = 0;
-          for (RoutingAlgo algo : kAlgos) {
-            std::vector<std::string> labels;
-            for (double f : fault_fracs()) {
-              labels.push_back(fmt(f * 100, "%.0f%% faults"));
-            }
-            std::vector<std::vector<double>> thr, lat;
-            for (std::size_t s = 0; s < labels.size(); ++s) {
-              std::vector<double> tcol, lcol;
-              for (std::size_t i = 0; i < loads.size(); ++i) {
-                tcol.push_back(stats[at].accepted_load);
-                lcol.push_back(stats[at].avg_packet_latency);
-                ++at;
-              }
-              thr.push_back(std::move(tcol));
-              lat.push_back(std::move(lcol));
-            }
-
-            std::vector<std::string> x;
-            for (double l : loads) x.push_back(fmt(l, "%.1f"));
-            Table tt;
-            tt.title = "Figure 11(" +
-                       std::string(algo == RoutingAlgo::DOR ? "a" : "b") +
-                       "): accepted load vs offered load, DXbar " +
-                       std::string(to_string(algo)) + " with crossbar faults";
-            tt.x_label = "offered";
-            tt.x = x;
-            tt.series_labels = labels;
-            tt.values = thr;
-            r.add_table(std::move(tt));
-
-            Table tl;
-            tl.title = "Figure 11(c): average packet latency (cycles), "
-                       "DXbar " +
-                       std::string(to_string(algo));
-            tl.x_label = "offered";
-            tl.x = x;
-            tl.series_labels = labels;
-            tl.values = lat;
-            tl.fmt = "%10.1f";
-            r.add_table(std::move(tl));
+          const Axis& algos = g.axis("routing");
+          for (std::size_t a = 0; a < algos.values.size(); ++a) {
+            const GridView v = g.fix("routing", a);
+            const std::string& algo = algos.values[a].label;
+            const Table thr = grid_table(
+                "Figure 11(" + std::string(a == 0 ? "a" : "b") +
+                    "): accepted load vs offered load, DXbar " + algo +
+                    " with crossbar faults",
+                v, "offered", "faults", &RunStats::accepted_load);
+            r.add_table(thr);
+            r.add_table(grid_table(
+                "Figure 11(c): average packet latency (cycles), DXbar " +
+                    algo,
+                v, "offered", "faults", &RunStats::avg_packet_latency,
+                "%10.1f"));
 
             // Peak-throughput degradation summary.
             auto peak = [&](std::size_t s) {
               double p = 0;
-              for (double v : thr[s]) p = std::max(p, v);
+              for (double x : thr.values[s]) p = std::max(p, x);
               return p;
             };
             r.addf("\nPeak-throughput degradation vs fault-free (%s):\n",
-                   std::string(to_string(algo)).c_str());
-            for (std::size_t s = 1; s < labels.size(); ++s) {
-              r.addf("  %-12s %.1f%%\n", labels[s].c_str(),
+                   algo.c_str());
+            for (std::size_t s = 1; s < thr.series_labels.size(); ++s) {
+              r.addf("  %-12s %.1f%%\n", thr.series_labels[s].c_str(),
                      100.0 * (1.0 - peak(s) / peak(0)));
             }
           }

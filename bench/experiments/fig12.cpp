@@ -5,14 +5,6 @@
 namespace dxbar::bench {
 namespace {
 
-const std::vector<double>& fault_fracs() {
-  static const std::vector<double> v = {0.0, 0.25, 0.5, 0.75, 1.0};
-  return v;
-}
-
-const std::vector<RoutingAlgo> kAlgos = {RoutingAlgo::DOR,
-                                         RoutingAlgo::WestFirst};
-
 const Registration reg(Experiment{
     .name = "fig12",
     .title = "Figure 12: DXbar latency/energy with crossbar faults",
@@ -20,84 +12,26 @@ const Registration reg(Experiment{
         "energy rises with the fault percentage because degraded routers "
         "buffer every flit, adding buffer read/write energy on top of "
         "the crossbar/link energy",
-    .grid =
-        [](const RunContext& ctx) {
-          std::vector<SimConfig> cfgs;
-          for (RoutingAlgo algo : kAlgos) {
-            for (double f : fault_fracs()) {
-              for (double l : figure_loads(0.2)) {
-                SimConfig c = ctx.base;
-                c.design = RouterDesign::DXbar;
-                c.routing = algo;
-                c.offered_load = l;
-                c.fault_fraction = f;
-                cfgs.push_back(c);
-              }
-            }
-          }
-          return cfgs;
-        },
+    .axes = [](const RunContext& ctx) { return crossbar_fault_grid(ctx, 0.2); },
     .reduce =
-        [](const RunContext&, const std::vector<RunStats>& stats) {
-          const std::vector<double> loads = figure_loads(0.2);
+        [](const RunContext&, const GridView& g) {
           ExperimentResult r;
-          std::size_t at = 0;
-          for (RoutingAlgo algo : kAlgos) {
-            std::vector<std::string> labels;
-            for (double f : fault_fracs()) {
-              labels.push_back(fmt(f * 100, "%.0f%% faults"));
-            }
-            std::vector<std::vector<double>> lat, energy, buf_energy;
-            for (std::size_t s = 0; s < labels.size(); ++s) {
-              std::vector<double> lcol, ecol, bcol;
-              for (std::size_t i = 0; i < loads.size(); ++i) {
-                const RunStats& st = stats[at++];
-                lcol.push_back(st.avg_packet_latency);
-                ecol.push_back(st.energy_per_packet_nj());
-                const double pkts = static_cast<double>(st.flits_ejected) /
-                                    st.packet_length;
-                bcol.push_back(pkts == 0.0 ? 0.0
-                                           : st.energy_buffer_nj / pkts);
-              }
-              lat.push_back(std::move(lcol));
-              energy.push_back(std::move(ecol));
-              buf_energy.push_back(std::move(bcol));
-            }
-
-            std::vector<std::string> x;
-            for (double l : loads) x.push_back(fmt(l, "%.1f"));
-            const std::string algo_s(to_string(algo));
-
-            Table ta;
-            ta.title = "Figure 12(a): average packet latency (cycles), "
-                       "DXbar " +
-                       algo_s + " with crossbar faults";
-            ta.x_label = "offered";
-            ta.x = x;
-            ta.series_labels = labels;
-            ta.values = lat;
-            ta.fmt = "%10.1f";
-            r.add_table(std::move(ta));
-
-            Table tb;
-            tb.title =
-                "Figure 12(b/c): energy per packet (nJ), DXbar " + algo_s;
-            tb.x_label = "offered";
-            tb.x = x;
-            tb.series_labels = labels;
-            tb.values = energy;
-            tb.fmt = "%10.3f";
-            r.add_table(std::move(tb));
-
-            Table tc;
-            tc.title =
-                "  of which buffer energy (nJ/packet), DXbar " + algo_s;
-            tc.x_label = "offered";
-            tc.x = x;
-            tc.series_labels = labels;
-            tc.values = buf_energy;
-            tc.fmt = "%10.4f";
-            r.add_table(std::move(tc));
+          const Axis& algos = g.axis("routing");
+          for (std::size_t a = 0; a < algos.values.size(); ++a) {
+            const GridView v = g.fix("routing", a);
+            const std::string& algo = algos.values[a].label;
+            r.add_table(grid_table(
+                "Figure 12(a): average packet latency (cycles), DXbar " +
+                    algo + " with crossbar faults",
+                v, "offered", "faults", &RunStats::avg_packet_latency,
+                "%10.1f"));
+            r.add_table(grid_table(
+                "Figure 12(b/c): energy per packet (nJ), DXbar " + algo, v,
+                "offered", "faults", &RunStats::energy_per_packet_nj,
+                "%10.3f"));
+            r.add_table(grid_table(
+                "  of which buffer energy (nJ/packet), DXbar " + algo, v,
+                "offered", "faults", buffer_nj_per_packet, "%10.4f"));
           }
           return r;
         },

@@ -12,26 +12,14 @@ const Registration reg(Experiment{
         "DXbar's energy stays nearly flat across loads; Flit-Bless rises "
         "~3x and SCARAB ~2x past their saturation points; the buffered "
         "routers sit in between, Buffered 8 above Buffered 4",
-    .grid = load_sweep_grid,
+    .axes = load_sweep_grid,
     .reduce =
-        [](const RunContext&, const std::vector<RunStats>& stats) {
-          const std::vector<double> loads = figure_loads();
-          Table t;
-          t.title = "Figure 6: average energy per packet (nJ) vs offered "
-                    "load, UR 8x8";
-          t.x_label = "offered";
-          t.fmt = "%10.3f";
-          for (double l : loads) t.x.push_back(fmt(l, "%.1f"));
-          for (std::size_t s = 0; s < figure_designs().size(); ++s) {
-            t.series_labels.emplace_back(figure_designs()[s].label);
-            std::vector<double> col;
-            for (std::size_t i = 0; i < loads.size(); ++i) {
-              col.push_back(
-                  stats[s * loads.size() + i].energy_per_packet_nj());
-            }
-            t.values.push_back(std::move(col));
-          }
-
+        [](const RunContext&, const GridView& g) {
+          const Table t = grid_table(
+              "Figure 6: average energy per packet (nJ) vs offered load, "
+              "UR 8x8",
+              g, "offered", "design", &RunStats::energy_per_packet_nj,
+              "%10.3f");
           ExperimentResult r;
           r.add_table(t);
           r.addf("\nEnergy growth (load 0.9 vs load 0.1):\n");

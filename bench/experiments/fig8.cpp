@@ -11,26 +11,14 @@ const Registration reg(Experiment{
     .paper_shape =
         "DXbar uses the least power, Flit-Bless the most, SCARAB second, "
         "the generic buffered routers in between",
-    .grid = pattern_grid,
+    .axes = pattern_grid,
     .reduce =
-        [](const RunContext&, const std::vector<RunStats>& stats) {
-          Table t;
-          t.title = "Figure 8: energy per packet (nJ) at offered load 0.5, "
-                    "all patterns";
-          t.x_label = "pattern";
-          t.fmt = "%10.3f";
-          for (TrafficPattern p : kAllPatterns) t.x.emplace_back(to_string(p));
-          for (std::size_t s = 0; s < figure_designs().size(); ++s) {
-            t.series_labels.emplace_back(figure_designs()[s].label);
-            std::vector<double> col;
-            for (int i = 0; i < kNumPatterns; ++i) {
-              col.push_back(
-                  stats[s * kNumPatterns + static_cast<std::size_t>(i)]
-                      .energy_per_packet_nj());
-            }
-            t.values.push_back(std::move(col));
-          }
-
+        [](const RunContext&, const GridView& g) {
+          const Table t = grid_table(
+              "Figure 8: energy per packet (nJ) at offered load 0.5, all "
+              "patterns",
+              g, "pattern", "design", &RunStats::energy_per_packet_nj,
+              "%10.3f");
           ExperimentResult r;
           r.add_table(t);
           r.addf("\nMean energy per packet across patterns:\n");

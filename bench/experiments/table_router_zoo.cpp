@@ -21,13 +21,13 @@
 //              at the configured tech node — static model outputs,
 //              identical across replicas
 //
-// Pure grid + reduce, so it composes with --resume and --seeds; under
-// --seeds N a custom combiner pools the request-latency histograms
-// before taking p99 (cell-wise means of per-replica p99s are not the
-// pooled p99), like closedloop_saturation.
+// Pure axes + reduce, so it composes with --resume and --seeds; the p99
+// column reads a pooled quantile metric, so under --seeds N it is the
+// p99 of the replicas' pooled request-latency histograms (cell-wise
+// means of per-replica p99s are not the pooled p99), like
+// closedloop_saturation.
 #include <string>
 
-#include "exp/runner.hpp"
 #include "exp_common.hpp"
 #include "power/energy_model.hpp"
 #include "router/factory.hpp"
@@ -68,42 +68,52 @@ int depth_for_budget(RouterDesign d) {
   std::exit(1);
 }
 
-/// Grid layout: 3 points per design, design-major.
-constexpr std::size_t kPointsPerDesign = 3;
-constexpr std::size_t kOpenHigh = 0;   // thr@hi
-constexpr std::size_t kOpenLight = 1;  // pJ/flit
-constexpr std::size_t kClosed = 2;     // p99 req
+Grid zoo_grid(const RunContext& ctx) {
+  const Axis designs = make_axis(
+      "design", zoo_designs(),
+      [](RouterDesign d) { return std::string(to_string(d)); },
+      [](SimConfig& c, RouterDesign d) {
+        c.design = d;
+        c.routing = RoutingAlgo::DOR;
+        c.buffer_depth = depth_for_budget(d);
+      });
+  // One leg per measured column, named after it.
+  const Axis legs{"leg",
+                  {{"thr@hi", [](SimConfig& c) { c.offered_load = kHighLoad; }},
+                   {"pJ/flit",
+                    [](SimConfig& c) { c.offered_load = kLightLoad; }},
+                   {"p99_req", [](SimConfig& c) {
+                      c.workload = WorkloadKind::ClosedLoop;
+                      c.read_fraction = kReadFraction;
+                    }}}};
+  return Grid{ctx.base, {designs, legs}};
+}
 
-constexpr const char* kTableTitle =
-    "Router zoo at equal buffer budget (16 flit-slots per node)";
-
-ExperimentResult reduce_zoo(const RunContext& ctx,
-                            const std::vector<RunStats>& stats) {
-  const auto& designs = zoo_designs();
-
+ExperimentResult reduce_zoo(const RunContext& ctx, const GridView& g) {
+  const auto leg = [&](const char* name) {
+    return g.fix("leg", g.axis("leg").position(name));
+  };
   Table t;
-  t.title = kTableTitle;
+  t.title = "Router zoo at equal buffer budget (16 flit-slots per node)";
   t.x_label = "design";
-  for (RouterDesign d : designs) t.x.emplace_back(to_string(d));
-  t.series_labels = {"thr@hi", "pJ/flit", "p99_req", "area_mm2", "leak_mW"};
-  t.values.assign(t.series_labels.size(), {});
-
-  for (std::size_t s = 0; s < designs.size(); ++s) {
-    const RouterDesign d = designs[s];
-    const RunStats& hi = stats[s * kPointsPerDesign + kOpenHigh];
-    const RunStats& light = stats[s * kPointsPerDesign + kOpenLight];
-    const RunStats& closed = stats[s * kPointsPerDesign + kClosed];
-
+  t.x = g.axis("design").labels();
+  add_series(t, "thr@hi", leg("thr@hi"), &RunStats::accepted_load);
+  add_series(t, "pJ/flit", leg("pJ/flit"), [](const RunStats& st) {
+    return st.energy_per_flit_nj() * 1000.0;
+  });
+  add_series(t, "p99_req", leg("p99_req"), req_quantile(0.99));
+  // Static model outputs, identical across replicas.
+  std::vector<double> area, leak;
+  for (RouterDesign d : zoo_designs()) {
     SimConfig c = ctx.base;
     c.design = d;
     c.buffer_depth = depth_for_budget(d);
-
-    t.values[0].push_back(hi.accepted_load);
-    t.values[1].push_back(light.energy_per_flit_nj() * 1000.0);
-    t.values[2].push_back(closed.req_latency_p99);
-    t.values[3].push_back(router_area_mm2(d, derive_area_params(c)));
-    t.values[4].push_back(router_leakage_mw(c));
+    area.push_back(router_area_mm2(d, derive_area_params(c)));
+    leak.push_back(router_leakage_mw(c));
   }
+  t.series_labels.insert(t.series_labels.end(), {"area_mm2", "leak_mW"});
+  t.values.push_back(std::move(area));
+  t.values.push_back(std::move(leak));
 
   ExperimentResult r;
   r.add_table(std::move(t));
@@ -123,53 +133,6 @@ ExperimentResult reduce_zoo(const RunContext& ctx,
   return r;
 }
 
-/// --seeds N combiner: mean/ci fold everywhere, then the p99 column's
-/// means are replaced by the p99 of the request-latency histogram
-/// pooled across replicas (the ±ci95 column keeps the per-replica
-/// spread).
-ExperimentResult combine_zoo(const RunContext& ctx,
-                             const std::vector<RunStats>& stats, int seeds) {
-  const std::size_t n_series = zoo_designs().size();
-  const std::size_t pts = n_series * kPointsPerDesign;
-
-  std::vector<ExperimentResult> reps;
-  reps.reserve(static_cast<std::size_t>(seeds));
-  for (int rep = 0; rep < seeds; ++rep) {
-    const auto begin =
-        stats.begin() +
-        static_cast<std::ptrdiff_t>(static_cast<std::size_t>(rep) * pts);
-    reps.push_back(reduce_zoo(
-        ctx, std::vector<RunStats>(begin,
-                                   begin + static_cast<std::ptrdiff_t>(pts))));
-  }
-  ExperimentResult out =
-      exp::combine_replica_results("table_router_zoo", std::move(reps));
-
-  for (exp::Block& b : out.blocks) {
-    if (b.kind != exp::Block::Kind::Table) continue;
-    Table& t = b.table;
-    if (t.title != kTableTitle) continue;
-    // Series 2 ("p99_req") holds the mean cells to overwrite; rows are
-    // designs.
-    for (std::size_t s = 0; s < n_series; ++s) {
-      LatencyHistogram pooled;
-      for (int rep = 0; rep < seeds; ++rep) {
-        pooled.merge(stats[static_cast<std::size_t>(rep) * pts +
-                           s * kPointsPerDesign + kClosed]
-                         .req_hist);
-      }
-      if (pooled.count() > 0) t.values[2][s] = pooled.quantile(0.99);
-    }
-    break;
-  }
-  out.addf(
-      "\np99_req cells are taken from the request-latency histogram "
-      "pooled\nacross all %d replicas; their ±ci95 column shows the "
-      "spread of the\nper-replica p99 estimates.\n",
-      seeds);
-  return out;
-}
-
 const Registration reg(Experiment{
     .name = "table_router_zoo",
     .title =
@@ -181,32 +144,8 @@ const Registration reg(Experiment{
         "smallest buffered-router area; minBD keeps most of the "
         "throughput but pays deflection energy even at light load and "
         "the worst closed-loop p99 tail",
-    .grid =
-        [](const RunContext& ctx) {
-          std::vector<SimConfig> cfgs;
-          for (RouterDesign d : zoo_designs()) {
-            SimConfig base = ctx.base;
-            base.design = d;
-            base.routing = RoutingAlgo::DOR;
-            base.buffer_depth = depth_for_budget(d);
-
-            SimConfig hi = base;
-            hi.offered_load = kHighLoad;
-            cfgs.push_back(hi);
-
-            SimConfig light = base;
-            light.offered_load = kLightLoad;
-            cfgs.push_back(light);
-
-            SimConfig closed = base;
-            closed.workload = WorkloadKind::ClosedLoop;
-            closed.read_fraction = kReadFraction;
-            cfgs.push_back(closed);
-          }
-          return cfgs;
-        },
+    .axes = zoo_grid,
     .reduce = reduce_zoo,
-    .combine = combine_zoo,
 });
 
 }  // namespace

@@ -20,6 +20,29 @@ void ExperimentResult::addf(const char* fmt, ...) {
   blocks.push_back(std::move(b));
 }
 
+void add_series(Table& t, std::string label, const GridView& v,
+                const Metric& m) {
+  if (m.req_quantile > 0.0) {
+    t.quantiles.push_back({t.values.size(), m.req_quantile, v.points()});
+  }
+  t.series_labels.push_back(std::move(label));
+  t.values.push_back(v.column(m));
+}
+
+Table grid_table(std::string title, const GridView& v, std::string_view rows,
+                 std::string_view series, const Metric& m, std::string fmt) {
+  Table t;
+  t.title = std::move(title);
+  t.x_label = rows;
+  t.x = v.axis(rows).labels();
+  t.fmt = std::move(fmt);
+  const Axis& s = v.axis(series);
+  for (std::size_t i = 0; i < s.values.size(); ++i) {
+    add_series(t, s.values[i].label, v.fix(series, i), m);
+  }
+  return t;
+}
+
 std::string fmt(double v, const char* f) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), f, v);

@@ -1,15 +1,18 @@
 // Declarative experiment descriptions.
 //
 // Every table/figure/ablation of the paper reproduction is one
-// registered `Experiment`: a point grid (SimConfig generator) plus a
-// reducer from the grid's RunStats to named series and text summaries.
-// The runner (exp/runner.hpp) owns execution — warm-start sweeps with
-// shared-warmup grouping, crash-resumable results logs, table rendering,
-// CSV and schema-versioned JSON output — so a registration is ~40 lines
-// of "what to simulate and how to present it" and nothing else.
+// registered `Experiment`: its point grid, declared once as named axes
+// over a base config (exp/grid.hpp), plus a reducer that reads the
+// grid's RunStats through a GridView (a point by its axis positions)
+// and turns them into tables and text summaries.  The runner
+// (exp/runner.hpp) owns execution — warm-start sweeps with
+// shared-warmup grouping, crash-resumable results logs, the --seeds
+// replica fold, table rendering, CSV and schema-versioned JSON output —
+// so a registration says what to simulate and how to present it, and
+// nothing else.
 //
 // Experiments that simulate nothing (the static parameter tables)
-// provide a custom `run` instead of `grid`/`reduce`; they share the CLI,
+// provide a custom `run` instead of `axes`/`reduce`; they share the CLI,
 // rendering and output plumbing.
 #pragma once
 
@@ -20,6 +23,7 @@
 
 #include "common/config.hpp"
 #include "common/stats.hpp"
+#include "exp/grid.hpp"
 
 namespace dxbar::exp {
 
@@ -33,7 +37,28 @@ struct Table {
   std::vector<std::string> series_labels;
   std::vector<std::vector<double>> values;  ///< [series][row]
   std::string fmt = "%10.4f";               ///< printf format per cell
+
+  /// A series of request-latency quantiles: row r's cell was read from
+  /// grid point `points[r]`.  Under --seeds N the runner sets each such
+  /// cell to the quantile of the histograms pooled across replicas.
+  struct Quantiles {
+    std::size_t series;
+    double q;
+    std::vector<std::size_t> points;
+  };
+  std::vector<Quantiles> quantiles;  ///< filled by add_series
 };
+
+/// Appends series `label` to `t`: `m` at each point of the one-axis view
+/// `v`, whose axis gives the table's rows.
+void add_series(Table& t, std::string label, const GridView& v,
+                const Metric& m);
+
+/// One row per value of axis `rows` (also the x label) and one series per
+/// value of axis `series` of the two-axis view `v`.
+Table grid_table(std::string title, const GridView& v, std::string_view rows,
+                 std::string_view series, const Metric& m,
+                 std::string fmt = "%10.4f");
 
 /// Ordered output: tables interleaved with free-form text, printed in
 /// emission order so migrated experiments reproduce their legacy stdout.
@@ -86,28 +111,16 @@ struct Experiment {
   std::string title;        ///< one-liner shown by --list
   std::string paper_shape;  ///< expected paper shape (shown by --list)
 
-  /// Open-loop point grid; when set, the runner executes it and feeds
-  /// the stats to `reduce` (stats align with the returned configs).
+  /// The point grid as named axes; when set, the runner executes the
+  /// grid and hands each replica's stats to `reduce` through a view.
+  std::function<Grid(const RunContext&)> axes;
+  std::function<ExperimentResult(const RunContext&, const GridView&)> reduce;
+
+  /// The axes' product (Grid::configs), filled in by Registry::add for
+  /// callers that want a registered experiment's configs alone.
   std::function<std::vector<SimConfig>(const RunContext&)> grid;
-  std::function<ExperimentResult(const RunContext&,
-                                 const std::vector<RunStats>&)>
-      reduce;
 
-  /// Optional replica combiner for grid experiments under --seeds N.
-  /// Receives the rep-major stats (replica r's slice is element
-  /// [r*grid_size, (r+1)*grid_size)) and the replica count, and owns
-  /// the whole merged result.  When unset, the runner reduces each
-  /// replica independently and folds the tables cell-wise into means
-  /// with appended ±ci95 columns (exp/runner.hpp's
-  /// combine_replica_results) — which is right for means but cannot
-  /// pool order statistics such as p99 across replicas.  A combiner
-  /// typically delegates to combine_replica_results for the mean/ci
-  /// machinery and then overwrites the cells that need pooled data.
-  std::function<ExperimentResult(const RunContext&,
-                                 const std::vector<RunStats>&, int)>
-      combine;
-
-  /// Custom execution for non-grid experiments (used when grid == null).
+  /// Custom execution for non-grid experiments (used when axes == null).
   std::function<ExperimentResult(const RunContext&)> run;
 };
 

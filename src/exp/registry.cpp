@@ -19,6 +19,11 @@ void Registry::add(Experiment e) {
                  e.name.c_str());
     std::abort();
   }
+  if (e.axes) {
+    e.grid = [axes = e.axes](const RunContext& ctx) {
+      return axes(ctx).configs();
+    };
+  }
   experiments_.push_back(std::move(e));
 }
 

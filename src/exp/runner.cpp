@@ -266,12 +266,12 @@ void print_preflight(const std::vector<const Experiment*>& to_run,
   unsigned long long total_points = 0, total_simulated = 0, total_cycles = 0;
   std::size_t total_finite = 0;
   for (const Experiment* e : to_run) {
-    if (!e->grid) {
+    if (!e->axes) {
       std::fprintf(stderr, "dxbar_bench:   %-24s custom run (no estimate)\n",
                    e->name.c_str());
       continue;
     }
-    const std::vector<SimConfig> cfgs = e->grid(ctx);
+    const std::vector<SimConfig> cfgs = e->axes(ctx).configs();
     // run_sweep simulates one config per dynamics class and prices the
     // rest, so only the first member of each class costs cycles.  A
     // finite workload (workload=splash) stops when its work is done, far
@@ -348,9 +348,13 @@ bool replica_results_compatible(const std::vector<ExperimentResult>& reps) {
 /// Folds N per-replica reductions into one result: every table cell
 /// becomes the across-replica mean and each table gains one appended
 /// "<series> ±ci95" column per original series (95% confidence
-/// halfwidths).  Text blocks and table layout come from replica 0.
+/// halfwidths).  A request-latency quantile cell instead takes that
+/// quantile of the histograms pooled across replicas; its ±ci95 stays
+/// the spread of the per-replica values.  Text blocks and table layout
+/// come from replica 0.
 ExperimentResult combine_replica_results(const std::string& exp_name,
-                                         std::vector<ExperimentResult> reps) {
+                                         std::vector<ExperimentResult> reps,
+                                         std::span<const RunStats> stats) {
   if (!replica_results_compatible(reps)) {
     std::fprintf(stderr,
                  "dxbar_bench: %s: replicas reduced to different table "
@@ -359,6 +363,7 @@ ExperimentResult combine_replica_results(const std::string& exp_name,
     return std::move(reps.front());
   }
   const int n = static_cast<int>(reps.size());
+  const std::size_t pts = stats.size() / reps.size();
   int exit_code = 0;
   for (const ExperimentResult& r : reps) {
     exit_code = std::max(exit_code, r.exit_code);
@@ -366,6 +371,7 @@ ExperimentResult combine_replica_results(const std::string& exp_name,
   ExperimentResult out = std::move(reps.front());
   out.exit_code = exit_code;
 
+  bool pooled_any = false;
   std::vector<double> sample(static_cast<std::size_t>(n));
   for (std::size_t b = 0; b < out.blocks.size(); ++b) {
     if (out.blocks[b].kind != Block::Kind::Table) continue;
@@ -386,6 +392,18 @@ ExperimentResult combine_replica_results(const std::string& exp_name,
         ci[s][row] = mc.ci95;
       }
     }
+    for (const Table::Quantiles& qs : t.quantiles) {
+      for (std::size_t row = 0; row < t.x.size(); ++row) {
+        LatencyHistogram pooled;
+        for (std::size_t rep = 0; rep < reps.size(); ++rep) {
+          pooled.merge(stats[rep * pts + qs.points[row]].req_hist);
+        }
+        if (pooled.count() > 0) {
+          t.values[qs.series][row] = pooled.quantile(qs.q);
+        }
+      }
+      pooled_any = true;
+    }
     for (std::size_t s = 0; s < n_series; ++s) {
       t.series_labels.push_back(t.series_labels[s] +
                                 std::string(report::kCiSuffix));
@@ -403,6 +421,13 @@ ExperimentResult combine_replica_results(const std::string& exp_name,
                 n);
   note.text = buf;
   out.blocks.insert(out.blocks.begin(), std::move(note));
+  if (pooled_any) {
+    out.addf(
+        "\nRequest-latency quantile cells are taken from the histogram "
+        "pooled\nacross all %d replicas; their ±ci95 columns show the "
+        "spread of the\nper-replica estimates.\n",
+        n);
+  }
   return out;
 }
 
@@ -428,34 +453,26 @@ ExperimentResult execute(const Experiment& exp, const RunOptions& opt) {
   ExperimentResult result;
   std::size_t warm_groups = 0;
   const bool campaign_mode = !opt.resume_dir.empty();
-  if (exp.grid) {
-    const std::vector<SimConfig> base_grid = exp.grid(ctx);
+  if (exp.axes) {
+    const Grid grid = exp.axes(ctx);
+    const std::vector<SimConfig> base_grid = grid.configs();
     const int seeds = std::max(1, opt.seeds);
     std::vector<SimConfig> configs = expand_replicas(base_grid, seeds);
-    const std::vector<RunStats> stats =
+    std::vector<RunStats> stats =
         sweep_grid(exp.name, configs, opt, warm_groups);
-    if (seeds > 1 && exp.combine) {
-      // The experiment owns replica folding (e.g. pooling latency
-      // histograms across replicas before taking order statistics).
-      result = exp.combine(ctx, stats, seeds);
-    } else if (seeds > 1) {
-      const std::size_t pts = base_grid.size();
-      std::vector<ExperimentResult> reps;
-      reps.reserve(static_cast<std::size_t>(seeds));
-      for (int rep = 0; rep < seeds; ++rep) {
-        const auto begin =
-            stats.begin() +
-            static_cast<std::ptrdiff_t>(static_cast<std::size_t>(rep) * pts);
-        reps.push_back(exp.reduce(
-            ctx, std::vector<RunStats>(
-                     begin, begin + static_cast<std::ptrdiff_t>(pts))));
-      }
-      result = combine_replica_results(exp.name, std::move(reps));
-    } else {
-      result = exp.reduce(ctx, stats);
+    const std::span<const RunStats> all(stats);
+    std::vector<ExperimentResult> reps;
+    for (int rep = 0; rep < seeds; ++rep) {
+      reps.push_back(exp.reduce(
+          ctx, GridView(grid, all.subspan(static_cast<std::size_t>(rep) *
+                                              base_grid.size(),
+                                          base_grid.size()))));
     }
+    result = seeds > 1
+                 ? combine_replica_results(exp.name, std::move(reps), all)
+                 : std::move(reps.front());
     result.grid = std::move(configs);
-    result.grid_stats = stats;
+    result.grid_stats = std::move(stats);
     result.executor = campaign_mode ? "campaign" : "warm_sweep";
   } else {
     if (campaign_mode) {
