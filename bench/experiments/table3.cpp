@@ -41,9 +41,7 @@ const Registration reg(Experiment{
             c.design = d;
             const EnergyParams e = derive_energy_params(c);
             const AreaParams a = derive_area_params(c);
-            const bool bufferless = design_row(d).slots_per_depth == 0;
-            const double buf_e =
-                bufferless ? 0.0 : e.buffer_write_pj + e.buffer_read_pj;
+            const double buf_e = e.buffer_write_pj + e.buffer_read_pj;
             r.addf("%-14s %12.4f %18.2f %16.1f\n",
                    std::string(to_string(d)).c_str(), router_area_mm2(d, a),
                    buf_e, e.crossbar_pj);

@@ -1,7 +1,5 @@
 #include "power/energy_model.hpp"
 
-#include <algorithm>
-
 #include "power/component_models.hpp"
 
 namespace dxbar {
@@ -49,14 +47,14 @@ EnergyParams derive_energy_params(const SimConfig& cfg) {
     // Captures/redirections pay the side FIFO plus the redirection mux
     // that steers flits past the four link inputs.
     price_buffer(SideBufferModel(depth, bits, kNumLinkDirs, t), p);
-  } else {
+  } else if (row.buffer == BufferKind::FifoBank) {
     // A router's FIFO banks share one access port per input: the bitline
     // spans all of them, so Buffered 8's two banks pay the doubled
-    // depth's capacitance.  A bufferless router, which records no buffer
-    // event, is priced as one bank.
-    const int banks = std::max(1, buffer_banks(row));
-    price_buffer(FifoBufferModel(kNumLinkDirs, banks * depth, bits, t), p);
+    // depth's capacitance.
+    price_buffer(
+        FifoBufferModel(kNumLinkDirs, buffer_banks(row) * depth, bits, t), p);
   }
+  // A bufferless router has no buffer to price: its accesses cost 0 pJ.
   p.nack_hop_pj = NackLinkModel(t).hop_pj();
   return p;
 }
