@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "routing/deflect.hpp"
-
 namespace dxbar {
 
 UnifiedRouter::UnifiedRouter(NodeId id, const RouterEnv& env)
@@ -100,10 +98,7 @@ void UnifiedRouter::step(Cycle now) {
       }
     }
     assert(escape >= 0 && "overflow escape must recover an output port");
-    if (!is_productive(*env_.mesh, here, coord_of(arrival->dst),
-                       port_from_index(escape))) {
-      ++arrival->deflections;
-    }
+    count_deflection(*arrival, port_from_index(escape));
     g.incoming_out = escape;
     out_used[static_cast<std::size_t>(escape)] = true;
     ++overflow_deflections_;
@@ -131,7 +126,6 @@ void UnifiedRouter::step(Cycle now) {
         f = buffers_[static_cast<std::size_t>(p)].pop();
         --held_;
         env_.energy->buffer_read();
-        return_credit(port_from_index(p));
       }
       wait = 0;
       traverse(port_from_index(g.buffered_out), f);
@@ -144,7 +138,6 @@ void UnifiedRouter::step(Cycle now) {
       auto& arrival = in[static_cast<std::size_t>(p)];
       if (arrival.has_value()) {
         if (g.incoming_out >= 0) {
-          return_credit(port_from_index(p));
           traverse(port_from_index(g.incoming_out), *arrival);
           incoming_won = true;
         } else {

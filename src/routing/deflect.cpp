@@ -4,33 +4,6 @@
 
 namespace dxbar {
 
-namespace {
-
-/// A step toward higher coordinates shortens the way to a target at ring
-/// position d iff d lies in (0, half]; a step toward lower ones iff d
-/// lies in [len - half, len).  Both hold at an exact half ring.
-bool forward_gains(int delta, AxisRing ring) {
-  const int d = ring.position(delta);
-  return d > 0 && d <= ring.half;
-}
-
-bool backward_gains(int delta, AxisRing ring) {
-  return ring.position(delta) >= ring.len - ring.half;
-}
-
-}  // namespace
-
-bool is_productive(const Mesh& mesh, Coord here, Coord dst, Direction dir) {
-  switch (dir) {
-    case Direction::East: return forward_gains(dst.x - here.x, mesh.ring_x());
-    case Direction::West: return backward_gains(dst.x - here.x, mesh.ring_x());
-    case Direction::North: return forward_gains(dst.y - here.y, mesh.ring_y());
-    case Direction::South: return backward_gains(dst.y - here.y, mesh.ring_y());
-    case Direction::Local: break;
-  }
-  return false;
-}
-
 std::array<Direction, kNumLinkDirs> deflection_ranking(const Mesh& mesh,
                                                        Coord here, Coord dst,
                                                        std::uint64_t salt) {

@@ -23,8 +23,4 @@ std::array<Direction, kNumLinkDirs> deflection_ranking(const Mesh& mesh,
                                                        Coord here, Coord dst,
                                                        std::uint64_t salt);
 
-/// True when `dir` strictly reduces the distance from `here` to `dst`.
-/// On a torus both directions of an axis do so at an exact half ring.
-bool is_productive(const Mesh& mesh, Coord here, Coord dst, Direction dir);
-
 }  // namespace dxbar

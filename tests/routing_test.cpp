@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -141,15 +140,6 @@ TEST(Deflect, MissingEdgeLinksRankLast) {
   EXPECT_TRUE(ranking[3] == Direction::West || ranking[3] == Direction::South);
 }
 
-TEST(Deflect, IsProductiveMatchesDistance) {
-  const Mesh m(8, 8);
-  const Coord cur{4, 4};
-  EXPECT_TRUE(is_productive(m, cur, {6, 4}, Direction::East));
-  EXPECT_FALSE(is_productive(m, cur, {6, 4}, Direction::West));
-  EXPECT_FALSE(is_productive(m, cur, {6, 4}, Direction::North));
-  EXPECT_FALSE(is_productive(m, cur, {4, 4}, Direction::East));
-}
-
 TEST(Deflect, RankingIsAPermutation) {
   const Mesh m(8, 8);
   for (std::uint64_t salt = 0; salt < 16; ++salt) {
@@ -246,19 +236,6 @@ int legacy_offset_y(const Mesh& m, NodeId from, NodeId to) {
                             m.wraps());
 }
 
-int legacy_distance(const Mesh& m, NodeId a, NodeId b) {
-  return std::abs(legacy_offset_x(m, a, b)) +
-         std::abs(legacy_offset_y(m, a, b));
-}
-
-/// is_productive as it was: step to the neighbour, compare distances.
-bool legacy_is_productive(const Mesh& m, NodeId cur, NodeId dst,
-                          Direction dir) {
-  const auto next = m.neighbor(cur, dir);
-  if (!next) return false;
-  return legacy_distance(m, *next, dst) < legacy_distance(m, cur, dst);
-}
-
 /// Every (cur, dst) pair, or a strided sample of them, on one topology.
 struct PairSample {
   Mesh mesh;
@@ -298,7 +275,6 @@ TEST(DeflectEquivalence, CoordinateFormsMatchTheNodeIdOriginals) {
     const Mesh& m = s.mesh;
     int offset_mismatches = 0;
     int rank_mismatches = 0;
-    int productive_mismatches = 0;
     s.for_each([&](NodeId cur, NodeId dst) {
       const Coord here = m.coord(cur);
       const Coord there = m.coord(dst);
@@ -312,18 +288,9 @@ TEST(DeflectEquivalence, CoordinateFormsMatchTheNodeIdOriginals) {
           ++rank_mismatches;
         }
       }
-      for (Direction dir : {Direction::East, Direction::West,
-                            Direction::North, Direction::South,
-                            Direction::Local}) {
-        if (is_productive(m, here, there, dir) !=
-            legacy_is_productive(m, cur, dst, dir)) {
-          ++productive_mismatches;
-        }
-      }
     });
     EXPECT_EQ(offset_mismatches, 0) << describe(m);
     EXPECT_EQ(rank_mismatches, 0) << describe(m);
-    EXPECT_EQ(productive_mismatches, 0) << describe(m);
   }
 }
 
