@@ -6,18 +6,18 @@
 //   dxbar_bench --all --quick          # smoke-run everything
 //   dxbar_bench fig5 --json out/ --csv out/   # machine-readable outputs
 //   dxbar_bench fig5 --resume camp/    # crash-resumable: a rerun skips
-//                                      # the points already recorded
+//                                      # the points camp/ already holds
 //   dxbar_bench fig5 warmup_cycles=500 seed=7  # config overrides
 //
 // Overrides always win over --quick, regardless of argument order.
 #include <cstdio>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "exp/registry.hpp"
 #include "exp/runner.hpp"
-#include "sim/replica_batch.hpp"
 #include "sim/results_log.hpp"
 
 using namespace dxbar;
@@ -44,8 +44,9 @@ void print_usage(std::FILE* to) {
       "                  forked from it); tables gain mean and ±ci95 columns\n"
       "  --csv DIR       mirror every table to DIR/<exp>_<title>.csv\n"
       "  --json DIR      write DIR/<exp>.json (schema v%d)\n"
-      "  --resume DIR    record every finished grid point in DIR/<exp>;\n"
-      "                  a rerun skips the points already recorded\n"
+      "  --resume DIR    record every finished grid point in\n"
+      "                  DIR/results.bin; a rerun of any experiment skips\n"
+      "                  the points it already holds\n"
       "  key=value       SimConfig override (applied after --quick;\n"
       "                  overrides always win regardless of order)\n",
       report::kSchemaVersion);
@@ -86,24 +87,32 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // One warm-snapshot cache for the whole session: experiments sharing
-  // a (design, warmup) pair — common under --all — warm it exactly once.
-  WarmupCache warm_cache;
-
   RunOptions opt;
   opt.quick = args.quick;
   opt.threads = args.threads;
   opt.seeds = args.seeds;
-  opt.warm_cache = &warm_cache;
   opt.csv_dir = args.csv_dir;
   opt.json_dir = args.json_dir;
-  opt.resume_dir = args.resume_dir;
   opt.overrides = args.overrides;
   const std::string cfg_err = make_base_config(args, opt.base);
   if (!cfg_err.empty()) {
     std::fprintf(stderr, "dxbar_bench: %s\n", cfg_err.c_str());
     return 2;
   }
+
+  // One results store for the whole session: a point whose config an
+  // earlier experiment already ran (fig6 re-prices fig5's sweep, for
+  // one) is served instead of simulated again.
+  std::unique_ptr<ResultsLog> store;
+  try {
+    store = args.resume_dir.empty()
+                ? std::make_unique<ResultsLog>()
+                : std::make_unique<ResultsLog>(args.resume_dir);
+  } catch (const ResumeFileError& err) {
+    std::fprintf(stderr, "dxbar_bench: %s\n", err.what());
+    return 1;
+  }
+  opt.store = store.get();
 
   // Multi-experiment sessions get a point-count preflight so the
   // cost of an `--all` run is visible before the first sweep starts.
@@ -128,13 +137,6 @@ int main(int argc, char** argv) {
     if (!opt.json_dir.empty() && !write_json_result(*e, result, opt)) {
       rc = 1;
     }
-  }
-  if (warm_cache.hits() + warm_cache.misses() > 0) {
-    std::fprintf(stderr,
-                 "dxbar_bench: session warm cache: %zu hit(s), %zu miss(es), "
-                 "%zu snapshot(s) retained\n",
-                 warm_cache.hits(), warm_cache.misses(),
-                 warm_cache.entries());
   }
   return rc;
 }

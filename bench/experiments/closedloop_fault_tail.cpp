@@ -33,11 +33,9 @@ const Registration reg(Experiment{
         },
     .reduce =
         [](const RunContext& ctx, const GridView& g) {
-          // Under --seeds N these cells are means of the per-replica
-          // values (their metrics are not marked as pooled quantiles).
           const Table p99 = grid_table(
               "p99 request latency (cycles) vs fault fraction", g, "faults",
-              "design", &RunStats::req_latency_p99, "%10.1f");
+              "design", req_quantile(0.99), "%10.1f");
           ExperimentResult r;
           r.add_table(grid_table(
               "Average request latency (cycles) vs fault fraction", g,

@@ -34,16 +34,13 @@ const Registration reg(Experiment{
         },
     .reduce =
         [](const RunContext& ctx, const GridView& g) {
-          // Under --seeds N the quantile cells are means of the
-          // per-replica values (their metrics are not marked as pooled
-          // quantiles).
           ExperimentResult r;
           r.add_table(grid_table(
               "p50 request latency (cycles) vs hotspot fraction", g,
-              "hotspot", "design", &RunStats::req_latency_p50, "%10.1f"));
+              "hotspot", "design", req_quantile(0.50), "%10.1f"));
           r.add_table(grid_table(
               "p99 request latency (cycles) vs hotspot fraction", g,
-              "hotspot", "design", &RunStats::req_latency_p99, "%10.1f"));
+              "hotspot", "design", req_quantile(0.99), "%10.1f"));
           r.add_table(grid_table("Requests completed vs hotspot fraction", g,
                                  "hotspot", "design",
                                  &RunStats::requests_completed, "%10.0f"));

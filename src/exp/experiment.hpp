@@ -6,7 +6,7 @@
 // grid's RunStats through a GridView (a point by its axis positions)
 // and turns them into tables and text summaries.  The runner
 // (exp/runner.hpp) owns execution — warm-start sweeps with
-// shared-warmup grouping, crash-resumable results logs, the --seeds
+// shared-warmup grouping, the session results store, the --seeds
 // replica fold, table rendering, CSV and schema-versioned JSON output —
 // so a registration says what to simulate and how to present it, and
 // nothing else.
@@ -78,10 +78,10 @@ struct ExperimentResult {
   std::vector<SimConfig> grid;
   std::vector<RunStats> grid_stats;
   /// Warm-snapshot groups run_sweep formed among the simulated points
-  /// (priced points join none; 0 when every point ran cold).
+  /// (priced and stored points join none; 0 when every point ran cold).
   std::size_t warm_groups = 0;
-  /// "warm_sweep", "campaign" (the same sweep behind a --resume results
-  /// log) or "custom".
+  /// "warm_sweep", "campaign" (the same sweep behind a results store
+  /// backed by --resume DIR) or "custom".
   std::string executor;
 
   void add_table(Table t) {

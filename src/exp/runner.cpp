@@ -7,7 +7,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <set>
 #include <thread>
 
@@ -17,6 +16,7 @@
 #include "sim/replica_batch.hpp"
 #include "sim/results_log.hpp"
 #include "sim/sweep.hpp"
+#include "snapshot/serialize.hpp"
 
 #ifndef DXBAR_GIT_DESCRIBE
 #define DXBAR_GIT_DESCRIBE "unknown"
@@ -139,44 +139,32 @@ void validate_sweep(const std::string& exp_name,
   }
 }
 
-/// Runs one grid through run_sweep after validate_sweep, and logs the
-/// warm groups it formed.  Under --resume the sweep goes through the
-/// results log of `<resume_dir>/<exp>`: points it holds are served, and
-/// every other point is recorded as soon as it finishes.
+/// Runs one grid through run_sweep after validate_sweep, behind the
+/// session store when one is set, and logs the points the store served
+/// and the warm groups the sweep formed.
 std::vector<RunStats> sweep_grid(const std::string& exp_name,
                                  const std::vector<SimConfig>& configs,
                                  const RunOptions& opt,
                                  std::size_t& groups_out) {
   validate_sweep(exp_name, configs);
-  std::optional<ResultsLog> log;
-  if (!opt.resume_dir.empty()) {
-    const std::string dir = opt.resume_dir + "/" + exp_name;
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "dxbar_bench: cannot create campaign dir %s: %s\n",
-                   dir.c_str(), ec.message().c_str());
-      std::exit(1);
-    }
-    log.emplace(configs, dir);
-    std::fprintf(stderr,
-                 "dxbar_bench: %s: campaign of %zu point(s) in %s, %zu "
-                 "already complete\n",
-                 exp_name.c_str(), configs.size(), dir.c_str(),
-                 log->completed());
-  }
-
   SweepReport report;
-  auto stats = run_sweep(configs, opt.threads, opt.warm_cache, &report,
-                         log.has_value() ? &*log : nullptr);
+  auto stats =
+      run_sweep(configs, opt.threads, opt.warm_cache, &report, opt.store);
   groups_out = report.groups.size();
+  const std::size_t swept =
+      report.warm_points() + report.cold_points + report.priced_points;
+  if (opt.store != nullptr &&
+      (swept < configs.size() || !opt.store->path().empty())) {
+    std::fprintf(stderr, "dxbar_bench: %s: %zu point(s), %zu served from %s\n",
+                 exp_name.c_str(), configs.size(), configs.size() - swept,
+                 opt.store->path().empty() ? "the session store"
+                                           : opt.store->path().c_str());
+  }
   if (!report.groups.empty() || report.priced_points > 0) {
     std::fprintf(stderr,
                  "dxbar_bench: %s: warm-sweep formed %zu group(s) over %zu "
                  "points (%zu warm, %zu cold, %zu priced)\n",
-                 exp_name.c_str(), report.groups.size(),
-                 report.warm_points() + report.cold_points +
-                     report.priced_points,
+                 exp_name.c_str(), report.groups.size(), swept,
                  report.warm_points(), report.cold_points,
                  report.priced_points);
     for (std::size_t g = 0; g < report.groups.size(); ++g) {
@@ -185,12 +173,6 @@ std::vector<RunStats> sweep_grid(const std::string& exp_name,
           exp_name.c_str(), g, report.groups[g].size(),
           group_signature(configs[report.groups[g].front()]).c_str());
     }
-  }
-  if (opt.warm_cache != nullptr &&
-      report.cache_hits + report.cache_misses > 0) {
-    std::fprintf(stderr,
-                 "dxbar_bench: %s: warm cache: %zu hit(s), %zu miss(es)\n",
-                 exp_name.c_str(), report.cache_hits, report.cache_misses);
   }
   return stats;
 }
@@ -261,37 +243,46 @@ void print_preflight(const std::vector<const Experiment*>& to_run,
   std::fprintf(stderr, "dxbar_bench: preflight: %zu experiment(s), %u "
                        "worker(s)\n",
                to_run.size(), workers);
-  const unsigned long long seeds =
-      static_cast<unsigned long long>(std::max(1, opt.seeds));
+  const int seeds = std::max(1, opt.seeds);
   unsigned long long total_points = 0, total_simulated = 0, total_cycles = 0;
   std::size_t total_finite = 0;
+  // Configs an earlier experiment of the session runs, which the store
+  // then serves.
+  std::set<std::vector<std::uint8_t>> session;
   for (const Experiment* e : to_run) {
     if (!e->axes) {
       std::fprintf(stderr, "dxbar_bench:   %-24s custom run (no estimate)\n",
                    e->name.c_str());
       continue;
     }
-    const std::vector<SimConfig> cfgs = e->axes(ctx).configs();
-    // run_sweep simulates one config per dynamics class and prices the
-    // rest, so only the first member of each class costs cycles.  A
-    // finite workload (workload=splash) stops when its work is done, far
-    // short of its measure_cycles cap, so its points get no estimate.
-    std::set<std::vector<std::uint8_t>> classes;
+    const std::vector<SimConfig> cfgs =
+        expand_replicas(e->axes(ctx).configs(), seeds);
+    // Of the configs the store will not serve, run_sweep simulates one
+    // per dynamics class and prices the rest, and members of one warmup
+    // signature share one warmup (replicas included), so only those
+    // cost cycles.  A finite workload (workload=splash) stops when its
+    // work is done, far short of its measure_cycles cap, so its points
+    // get no estimate.
+    std::set<std::vector<std::uint8_t>> classes, warmups;
     unsigned long long cycles = 0;
     std::size_t finite = 0;
     for (const SimConfig& c : cfgs) {
-      const bool is_finite = c.workload == WorkloadKind::Splash;
-      finite += is_finite ? seeds : 0;
-      if (!classes.insert(dynamics_signature(c)).second || is_finite) {
+      if (!session.insert(config_bytes(c)).second ||
+          (opt.store != nullptr && opt.store->find(c) != nullptr) ||
+          !classes.insert(dynamics_signature(c)).second) {
         continue;
       }
-      // Replicas share one warmup (run_sweep forks them from its
-      // snapshot), so --seeds N costs one warmup plus N measurement
-      // windows per point.
-      cycles += c.warmup_cycles + seeds * c.measure_cycles;
+      if (c.workload == WorkloadKind::Splash) {
+        ++finite;
+        continue;
+      }
+      cycles += c.measure_cycles;
+      if (c.shards > 1 || warmups.insert(warmup_signature(c)).second) {
+        cycles += c.warmup_cycles;
+      }
     }
-    const std::size_t points = cfgs.size() * seeds;
-    const std::size_t simulated = classes.size() * seeds;
+    const std::size_t points = cfgs.size();
+    const std::size_t simulated = classes.size();
     total_points += points;
     total_simulated += simulated;
     total_cycles += cycles;
@@ -452,7 +443,8 @@ ExperimentResult execute(const Experiment& exp, const RunOptions& opt) {
 
   ExperimentResult result;
   std::size_t warm_groups = 0;
-  const bool campaign_mode = !opt.resume_dir.empty();
+  const bool campaign_mode =
+      opt.store != nullptr && !opt.store->path().empty();
   if (exp.axes) {
     const Grid grid = exp.axes(ctx);
     const std::vector<SimConfig> base_grid = grid.configs();

@@ -4,10 +4,13 @@
 // Execution validates every config of a grid, then routes the
 // grid through run_sweep — points that share a warmup (identical config
 // up to measurement rate / measure_seed + drain cap) are warmed once and
-// forked from a snapshot, and the grouping is logged.  Under --resume
-// the same sweep runs behind a results log (sim/results_log.hpp): kill
-// the process at any instant, re-run the same command, and only the
-// points that were in flight run again, with bit-identical results.
+// forked from a snapshot, and the grouping is logged.  dxbar_bench runs
+// every sweep of a session behind one results store
+// (sim/results_log.hpp), keyed by config: a point an earlier experiment
+// already ran is served, not simulated again.  Under --resume the store
+// is backed by DIR/results.bin: kill the process at any instant, re-run
+// the same command, and only the points that were in flight run again,
+// with bit-identical results.
 //
 // Reporting renders the reduced tables to stdout (byte-compatible with
 // the legacy per-figure binaries), optionally mirrors them to CSV, and
@@ -24,6 +27,7 @@
 #include "report/result_io.hpp"
 
 namespace dxbar {
+class ResultsLog;   // sim/results_log.hpp
 class WarmupCache;  // sim/replica_batch.hpp
 }
 
@@ -75,9 +79,12 @@ struct RunOptions {
   /// they do run, so repeated (design, warmup) pairs across experiments
   /// warm once per session.
   WarmupCache* warm_cache = nullptr;
-  std::string csv_dir;     ///< empty = no CSV
-  std::string json_dir;    ///< empty = no JSON
-  std::string resume_dir;  ///< nonempty = results log per grid in DIR/<exp>
+  /// Session results store (optional): every sweep serves the points it
+  /// holds and records the points it simulates.  dxbar_bench sets one per
+  /// session, backed by DIR/results.bin under --resume.
+  ResultsLog* store = nullptr;
+  std::string csv_dir;   ///< empty = no CSV
+  std::string json_dir;  ///< empty = no JSON
   std::vector<std::string> overrides;  ///< recorded in the JSON output
 };
 
@@ -91,7 +98,7 @@ std::vector<SimConfig> expand_replicas(const std::vector<SimConfig>& grid,
 
 /// Executes one experiment (no output side effects beyond stderr
 /// progress logs).  Grid experiments run the product of their axes
-/// through run_sweep (behind a results log under --resume) and reduce
+/// through run_sweep (behind opt.store when set) and reduce
 /// each replica's slice through a GridView; custom experiments call
 /// their `run`.
 /// A grid config that SimConfig::validate rejects ends the process with
@@ -124,8 +131,10 @@ std::string select_experiments(const BenchArgs& args,
 
 /// Prints a per-experiment point-count / simulated-cycles table to
 /// stderr before a multi-experiment session starts: how many grid points
-/// each experiment has, how many of them run_sweep simulates (one per
-/// dynamics class and seed), and the cycles those simulations cost.
+/// each experiment has, how many of them run_sweep simulates, and the
+/// cycles those simulations cost.  A point is simulated only the first
+/// time its config appears in the session and when opt.store does not
+/// hold it already, and then once per dynamics class.
 void print_preflight(const std::vector<const Experiment*>& to_run,
                      const RunOptions& opt);
 

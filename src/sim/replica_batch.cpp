@@ -30,16 +30,6 @@ std::size_t WarmupCache::entries() const {
   return map_.size();
 }
 
-namespace {
-
-std::vector<std::uint8_t> config_bytes(const SimConfig& cfg) {
-  SnapshotWriter w;
-  save_config(w, cfg);
-  return w.take();
-}
-
-}  // namespace
-
 std::vector<std::uint8_t> warmup_signature(const SimConfig& cfg) {
   // The full config with every field that cannot influence the warmup
   // phase neutralized: members of one signature replay an identical

@@ -1,6 +1,5 @@
 #include "sim/results_log.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -14,10 +13,11 @@ namespace dxbar {
 
 namespace {
 
-// A RunStats payload follows run_stats_fields(); logs from before that
-// layout used "RSOL", which the frame reader now drops as a foreign
+// A payload is (config bytes, RunStats).  Files of the earlier layouts,
+// keyed by a point list's fingerprint and a point index, tag their
+// frames "RSOL" or "RSO2"; the frame reader drops them as a foreign
 // tail, so those points re-run once.
-constexpr std::uint32_t kResultTag = section_tag("RSO2");
+constexpr std::uint32_t kResultTag = section_tag("RSC1");
 
 [[noreturn]] void fail(const std::string& path, const char* action,
                        int err = errno) {
@@ -106,54 +106,52 @@ std::size_t for_each_frame(const std::vector<std::uint8_t>& bytes, Fn&& fn) {
   return pos;
 }
 
-std::uint64_t points_fingerprint(const std::vector<SimConfig>& points) {
-  SnapshotWriter w;
-  for (const SimConfig& p : points) save_config(w, p);
-  return fnv1a(w.data().data(), w.data().size());
-}
-
 }  // namespace
 
-ResultsLog::ResultsLog(const std::vector<SimConfig>& points,
-                       const std::string& dir)
-    : path_(dir + "/results.bin"),
-      fingerprint_(points_fingerprint(points)),
-      results_(points.size()) {
+ResultsLog::ResultsLog(const std::string& dir)
+    : path_(dir + "/results.bin") {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) fail(dir, "create directory", ec.value());
   const std::vector<std::uint8_t> bytes = read_file(path_);
   const std::size_t intact =
       for_each_frame(bytes, [&](SnapshotReader& r) {
-        std::uint64_t fp = 0;
-        std::uint32_t point = 0;
-        r(fp, point);
+        std::vector<std::uint8_t> key;
+        r.list(key, 1);
         RunStats result = load_run_stats(r);
-        if (fp == fingerprint_ && point < results_.size()) {
-          results_[point] = std::move(result);
-        }
+        results_.try_emplace(std::move(key), std::move(result));
       });
   // Cut the unreadable tail off, or every frame appended after it would
   // be unreadable too.
   if (intact < bytes.size()) {
-    std::error_code ec;
     std::filesystem::resize_file(path_, intact, ec);
     if (ec) fail(path_, "truncate", ec.value());
   }
 }
 
-std::size_t ResultsLog::completed() const {
-  return static_cast<std::size_t>(
-      std::count_if(results_.begin(), results_.end(),
-                    [](const auto& r) { return r.has_value(); }));
+const RunStats* ResultsLog::find(const SimConfig& cfg) const {
+  const std::vector<std::uint8_t> key = config_bytes(cfg);
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto it = results_.find(key);
+  return it == results_.end() ? nullptr : &it->second;
 }
 
-void ResultsLog::record(std::size_t point, const RunStats& r) {
-  SnapshotWriter payload;
-  payload(fingerprint_, static_cast<std::uint32_t>(point));
-  save_run_stats(payload, r);
-  const std::vector<std::uint8_t> bytes = frame(payload.data());
-
+void ResultsLog::record(const SimConfig& cfg, const RunStats& r) {
+  std::vector<std::uint8_t> key = config_bytes(cfg);
   const std::lock_guard<std::mutex> lock(mu_);
-  append_file(path_, bytes);
-  results_[point] = r;
+  if (results_.contains(key)) return;
+  if (!path_.empty()) {
+    SnapshotWriter payload;
+    payload.list(key, 1);
+    save_run_stats(payload, r);
+    append_file(path_, frame(payload.data()));
+  }
+  results_.try_emplace(std::move(key), r);
+}
+
+std::size_t ResultsLog::size() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return results_.size();
 }
 
 }  // namespace dxbar

@@ -6,8 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
-#include <string>
 #include <thread>
 
 #include "sim/replica_batch.hpp"
@@ -105,7 +103,7 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
 
 std::vector<RunStats> run_sweep(const std::vector<SimConfig>& configs,
                                 unsigned threads, WarmupCache* cache,
-                                SweepReport* report, ResultsLog* log) {
+                                SweepReport* report, ResultsLog* store) {
   struct Group {
     std::vector<std::size_t> members;
     std::vector<std::uint8_t> key;
@@ -113,19 +111,15 @@ std::vector<RunStats> run_sweep(const std::vector<SimConfig>& configs,
     bool from_cache = false;
   };
 
-  if (log != nullptr && log->results().size() != configs.size()) {
-    throw std::invalid_argument(
-        "run_sweep: results log of " + std::to_string(log->results().size()) +
-        " points for " + std::to_string(configs.size()) + " configs");
-  }
-
-  // Points the log already holds are served as stored; only the pending
-  // rest form classes and groups below.
+  // Points the store already holds are served as stored; only the
+  // pending rest form classes and groups below.
   std::vector<RunStats> results(configs.size());
   std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (log != nullptr && log->results()[i].has_value()) {
-      results[i] = *log->results()[i];
+    const RunStats* stored =
+        store != nullptr ? store->find(configs[i]) : nullptr;
+    if (stored != nullptr) {
+      results[i] = *stored;
     } else {
       pending.push_back(i);
     }
@@ -206,7 +200,7 @@ std::vector<RunStats> run_sweep(const std::vector<SimConfig>& configs,
 
   // Phase 2: every representative on its own (grouped ones forked from
   // their group's warm state, the rest cold), pricing its siblings while
-  // its network is alive, then recording the class into the log.
+  // its network is alive, then recording the class into the store.
   parallel_for(
       reps.size(),
       [&](std::size_t k) {
@@ -215,9 +209,11 @@ std::vector<RunStats> run_sweep(const std::vector<SimConfig>& configs,
                   g < 0 ? nullptr
                         : groups[static_cast<std::size_t>(g)].warm_state.get(),
                   results);
-        if (log == nullptr) return;
-        log->record(reps[k], results[reps[k]]);
-        for (const std::size_t j : priced[k]) log->record(j, results[j]);
+        if (store == nullptr) return;
+        store->record(configs[reps[k]], results[reps[k]]);
+        for (const std::size_t j : priced[k]) {
+          store->record(configs[j], results[j]);
+        }
       },
       threads);
 

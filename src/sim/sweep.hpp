@@ -16,8 +16,8 @@ namespace dxbar {
 class ResultsLog;   // sim/results_log.hpp
 class WarmupCache;  // sim/replica_batch.hpp
 
-/// How a run_sweep call executed its pending configs (those a results
-/// log did not already hold): one entry per shared-warmup group (member
+/// How a run_sweep call executed its pending configs (those the results
+/// store did not already hold): one entry per shared-warmup group (member
 /// indices into the config vector), the count of simulated configs that
 /// ran cold, the count of configs priced from a sibling's simulation
 /// instead of simulated, and how the group warmups were served by the
@@ -66,17 +66,17 @@ struct SweepReport {
 /// same integer event counts at its own operating point
 /// (fill_energy_stats, the step finish_open_loop itself uses).
 ///
-/// With a results `log` (built for exactly `configs`), the points it
-/// already holds are served from it before classes and groups form, so
-/// a group whose members are all stored runs no warmup; every other
-/// point is recorded into the log by its worker as soon as its class
-/// finishes.  A kill then loses only the classes in flight.  A failed
-/// append throws ResumeFileError on the calling thread.
+/// With a results `store`, the configs it already holds are served from
+/// it before classes and groups form, so a group whose members are all
+/// stored runs no warmup and a priced sibling stored on its own is not
+/// repriced; every other config is recorded into the store by its worker
+/// as soon as its class finishes.  A kill then loses only the classes in
+/// flight.  A failed append throws ResumeFileError on the calling thread.
 std::vector<RunStats> run_sweep(const std::vector<SimConfig>& configs,
                                 unsigned threads = 0,
                                 WarmupCache* cache = nullptr,
                                 SweepReport* report = nullptr,
-                                ResultsLog* log = nullptr);
+                                ResultsLog* store = nullptr);
 
 /// Generic parallel map over an index range [0, n): `fn(i)` must be
 /// thread-safe and is invoked exactly once per index.  Work is claimed

@@ -35,6 +35,12 @@ SimConfig load_config(SnapshotReader& r) {
   return cfg;
 }
 
+std::vector<std::uint8_t> config_bytes(const SimConfig& cfg) {
+  SnapshotWriter w;
+  save_config(w, cfg);
+  return w.take();
+}
+
 std::uint64_t structural_fingerprint(const SimConfig& cfg) {
   SnapshotWriter w;
   for (const ConfigField& f : config_fields()) {

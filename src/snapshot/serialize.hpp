@@ -1,4 +1,4 @@
-// The results-log codecs (RunStats, SimConfig) and the structural
+// The results-store codecs (RunStats, SimConfig) and the structural
 // fingerprint, layered on the snapshot wire format.  Value types such
 // as Flit and PacketRecord list their own fields (see
 // snapshot/snapshot.hpp) and travel through `ar(x)` directly.
@@ -19,7 +19,7 @@ inline Flit load_flit(SnapshotReader& r) {
   return f;
 }
 
-// ---- RunStats / SimConfig (results-log persistence) ------------------
+// ---- RunStats / SimConfig (results-store persistence) ----------------
 
 /// Every stored run_stats_fields() row, in table order, then req_hist.
 void save_run_stats(SnapshotWriter& w, const RunStats& s);
@@ -28,6 +28,9 @@ RunStats load_run_stats(SnapshotReader& r);
 /// Every serialized config field, in config_fields() order.
 void save_config(SnapshotWriter& w, const SimConfig& cfg);
 SimConfig load_config(SnapshotReader& r);
+/// save_config's stream on its own: the key of a config's result in the
+/// session results store (sim/results_log.hpp).
+std::vector<std::uint8_t> config_bytes(const SimConfig& cfg);
 
 /// Hash of the kStructural config fields: those that determine a
 /// network's structure and switching behaviour (mesh, design, buffer

@@ -11,8 +11,8 @@
 //
 // Network snapshots never leave the process: a warm group's warmup is
 // saved once and every replica forks from it (run_sweep, WarmupCache).
-// The --resume results log is the only stream that reaches disk, as
-// RunStats frames written through the same writer.  Sections let a
+// The --resume results store is the only stream that reaches disk, as
+// (config, RunStats) frames written through the same writer.  Sections let a
 // reader validate that it is decoding what the writer produced.  Any
 // payload layout change bumps kSnapshotVersion, and a reader accepts
 // only its own version.
@@ -353,7 +353,7 @@ class SnapshotReader {
   std::size_t pos_ = 0;
 };
 
-/// FNV-1a over a byte range; the --resume results log frames records
+/// FNV-1a over a byte range; the --resume results store frames records
 /// with it to detect torn writes after a crash.
 [[nodiscard]] constexpr std::uint64_t fnv1a(const std::uint8_t* data,
                                             std::size_t n) noexcept {

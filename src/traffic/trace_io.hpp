@@ -59,25 +59,4 @@ class TraceWorkload final : public WorkloadModel {
   bool enabled_ = true;
 };
 
-/// Records every injected packet; used to capture traces from synthetic
-/// or SPLASH workloads for later replay.
-class RecordingInjector final : public Injector {
- public:
-  explicit RecordingInjector(Injector& inner) : inner_(inner) {}
-
-  PacketId inject_packet(NodeId src, NodeId dst, int length,
-                         Cycle now) override {
-    entries_.push_back({now, src, dst, length});
-    return inner_.inject_packet(src, dst, length, now);
-  }
-
-  [[nodiscard]] const std::vector<TraceEntry>& entries() const {
-    return entries_;
-  }
-
- private:
-  Injector& inner_;
-  std::vector<TraceEntry> entries_;
-};
-
 }  // namespace dxbar

@@ -1,7 +1,7 @@
 // Experiment-harness tests: registry contents and ordering, the
 // dxbar_bench argument parser (notably the override-vs---quick ordering
 // contract the legacy bench_util parser violated), grid axes and views,
-// executor equivalence (plain sweep vs --resume results log,
+// executor equivalence (plain sweep vs --resume results store,
 // thread-count invariance), the preflight estimate, JSON output
 // well-formedness, CSV emission behavior and the --seeds fold.
 #include <gtest/gtest.h>
@@ -262,7 +262,7 @@ TEST(ExpGrid, ProductIsOuterMajorAndViewsFindPointsByPosition) {
 }
 
 // ---------------------------------------------------------------------
-// Execution: warm sweep, --resume results log, thread invariance
+// Execution: warm sweep, --resume results store, thread invariance
 
 std::vector<std::uint8_t> stats_bytes(const std::vector<RunStats>& stats) {
   SnapshotWriter w;
@@ -330,16 +330,29 @@ TEST(ExpExecute, CampaignExecutorIsBitIdenticalToWarmSweep) {
   const Experiment e = tiny_experiment();
   const ExperimentResult direct = execute(e, tiny_options());
 
+  const std::string dir = scratch_dir("campaign");
   RunOptions resumed = tiny_options();
-  resumed.resume_dir = scratch_dir("campaign");
+  ResultsLog first_store(dir);
+  resumed.store = &first_store;
   const ExperimentResult first = execute(e, resumed);
   EXPECT_EQ(first.executor, "campaign");
   EXPECT_EQ(stats_bytes(direct.grid_stats), stats_bytes(first.grid_stats));
 
-  // Second run serves every point from the results log and must
-  // reproduce the same bytes.
+  // A second run on the same directory serves every point from the
+  // file and must reproduce the same bytes.
+  ResultsLog second_store(dir);
+  EXPECT_EQ(second_store.size(), first.grid.size());
+  resumed.store = &second_store;
   const ExperimentResult second = execute(e, resumed);
   EXPECT_EQ(stats_bytes(direct.grid_stats), stats_bytes(second.grid_stats));
+
+  // An in-memory store keeps the plain executor and the same bytes.
+  ResultsLog memory;
+  RunOptions session = tiny_options();
+  session.store = &memory;
+  const ExperimentResult third = execute(e, session);
+  EXPECT_EQ(third.executor, "warm_sweep");
+  EXPECT_EQ(stats_bytes(direct.grid_stats), stats_bytes(third.grid_stats));
 }
 
 TEST(ExpPreflight, FiniteWorkloadPointsAddNoCycleEstimate) {
@@ -375,6 +388,35 @@ TEST(ExpPreflight, FiniteWorkloadPointsAddNoCycleEstimate) {
   EXPECT_EQ(fig5_line.find("finite"), std::string::npos) << err;
   EXPECT_NE(line_of("preflight total").find(
                 " 94500 cycles, 63 finite-workload point(s) not estimated"),
+            std::string::npos)
+      << err;
+}
+
+TEST(ExpPreflight, RepeatedConfigsAreSimulatedOnce) {
+  // fig6 prices fig5's sweep: in one session every fig6 point is a fig5
+  // config, so the preflight counts none of them as simulated.
+  BenchArgs args;
+  args.quick = true;
+  RunOptions opt;
+  opt.quick = true;
+  ASSERT_EQ(make_base_config(args, opt.base), "");
+  const Experiment* fig5 = Registry::instance().find("fig5");
+  const Experiment* fig6 = Registry::instance().find("fig6");
+  ASSERT_NE(fig5, nullptr);
+  ASSERT_NE(fig6, nullptr);
+
+  ::testing::internal::CaptureStderr();
+  print_preflight({fig5, fig6}, opt);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find(" fig5                       63 points (63 simulated)"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find(" fig6                       63 points (0 simulated),"
+                     "        0 cycles"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("preflight total: 126 points (63 simulated), 94500 "
+                     "cycles"),
             std::string::npos)
       << err;
 }
@@ -705,10 +747,10 @@ std::uint64_t table_fnv(const Table& t) {
   return fnv1a(bytes.data(), bytes.size());
 }
 
-// The two experiments whose p99 request-latency cells pool the replicas'
-// histograms under --seeds N: every table cell, bit for bit, over two
-// replicas on a small closed-loop grid (the CI smoke runs execute these
-// cells, but only this test checks their values).
+// The experiments whose request-latency quantile cells pool the
+// replicas' histograms under --seeds N: every table cell, bit for bit,
+// over two replicas on a small closed-loop grid (the CI smoke runs
+// execute these cells, but only this test checks their values).
 TEST(ExpPinned, PooledQuantileExperimentsReplicateBitIdentically) {
   struct Golden {
     const char* experiment;
@@ -718,7 +760,13 @@ TEST(ExpPinned, PooledQuantileExperimentsReplicateBitIdentically) {
        {Golden{"closedloop_saturation",
                {14777235198237399962ULL, 14868128872677173862ULL,
                 3450482615219284405ULL}},
-        Golden{"table_router_zoo", {2008086053496024112ULL}}}) {
+        Golden{"table_router_zoo", {2008086053496024112ULL}},
+        Golden{"closedloop_fault_tail",
+               {16624391692277381323ULL, 2655548658872144087ULL,
+                7457188923501750823ULL}},
+        Golden{"closedloop_hotspot",
+               {9277300276975869413ULL, 83561446537685899ULL,
+                6965213105769982929ULL}}}) {
     const Experiment* e = Registry::instance().find(g.experiment);
     ASSERT_NE(e, nullptr) << g.experiment;
     RunOptions opt = tiny_options();

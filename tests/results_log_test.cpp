@@ -1,13 +1,15 @@
-// Tests of the --resume results log in front of run_sweep.
+// Tests of the session results store in front of run_sweep.
 //
 // The contract under test: a sweep through a ResultsLog serves the
-// points the log already holds, simulates only the pending rest, and
+// configs the store already holds, simulates only the pending rest, and
 // records each of those as it finishes, so a sweep killed at any point
 // and rerun on the same directory produces results bit-identical to an
-// uninterrupted one.  Damaged persistence (torn result tail, results of
-// another point list, fuzzed bytes, an older frame tag) degrades to
-// recomputation, never to wrong numbers.  Files that cannot be read or
-// written raise ResumeFileError.
+// uninterrupted one, and a later sweep of the same session runs only
+// the configs no earlier sweep ran.  A config is served only when every
+// serialized field is equal.  Damaged persistence (torn result tail,
+// fuzzed bytes, an older frame tag) degrades to recomputation, never to
+// wrong numbers.  Files that cannot be read or written raise
+// ResumeFileError.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/dxbar.hpp"
@@ -53,13 +56,13 @@ std::string scratch_dir(const std::string& name) {
   return dir.string();
 }
 
-/// Sweeps `points` through the results log of `dir` on `threads`
+/// Sweeps `points` through the results store of `dir` on `threads`
 /// workers; returns the sweep's results.
 std::vector<RunStats> sweep_logged(const std::vector<SimConfig>& points,
                                    const std::string& dir,
                                    unsigned threads = 2,
                                    SweepReport* report = nullptr) {
-  ResultsLog log(points, dir);
+  ResultsLog log(dir);
   return run_sweep(points, threads, nullptr, report, &log);
 }
 
@@ -70,14 +73,15 @@ std::size_t swept_points(const SweepReport& report) {
 TEST(Campaign, UninterruptedRunCompletesAndMatchesOpenLoop) {
   const auto points = tiny_points();
   const std::string dir = scratch_dir("straight");
-  ResultsLog log(points, dir);
+  ResultsLog log(dir);
   const std::vector<RunStats> swept =
       run_sweep(points, 2, nullptr, nullptr, &log);
-  EXPECT_EQ(log.completed(), points.size());
+  EXPECT_EQ(log.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     const RunStats cold = run_open_loop(points[i]);
-    ASSERT_TRUE(log.results()[i].has_value());
-    EXPECT_TRUE(same_stats(*log.results()[i], cold)) << "point " << i;
+    const RunStats* stored = log.find(points[i]);
+    ASSERT_NE(stored, nullptr) << "point " << i;
+    EXPECT_TRUE(same_stats(*stored, cold)) << "point " << i;
     EXPECT_TRUE(same_stats(swept[i], cold)) << "point " << i;
   }
 }
@@ -94,31 +98,32 @@ TEST(Campaign, SweepFromAPartialLogRunsOnlyThePendingPoints) {
   }
   const std::vector<RunStats> straight = run_sweep(points, 2);
 
-  // A killed sweep's log: some representatives, some priced twins.
+  // A killed sweep's log: some representatives, and the priced twins of
+  // two representatives that are not stored.
   const std::vector<std::size_t> stored = {0, 3, 5};
   for (const unsigned threads : {1u, 4u}) {
     SCOPED_TRACE(threads);
     const std::string dir = scratch_dir("partial");
     {
-      ResultsLog killed(points, dir);
-      for (const std::size_t i : stored) killed.record(i, straight[i]);
+      ResultsLog killed(dir);
+      for (const std::size_t i : stored) killed.record(points[i], straight[i]);
     }
-    ResultsLog log(points, dir);
-    EXPECT_EQ(log.completed(), stored.size());
+    ResultsLog log(dir);
+    EXPECT_EQ(log.size(), stored.size());
     SweepReport report;
     const std::vector<RunStats> resumed =
         run_sweep(points, threads, nullptr, &report, &log);
     EXPECT_EQ(swept_points(report), points.size() - stored.size());
     EXPECT_GT(report.priced_points, 0u);
     EXPECT_FALSE(report.groups.empty());
-    EXPECT_EQ(log.completed(), points.size());
-    const ResultsLog reopened(points, dir);
+    EXPECT_EQ(log.size(), points.size());
+    const ResultsLog reopened(dir);
     for (std::size_t i = 0; i < points.size(); ++i) {
       EXPECT_EQ(stats_bytes(resumed[i]), stats_bytes(straight[i]))
           << "point " << i;
-      ASSERT_TRUE(reopened.results()[i].has_value()) << "point " << i;
-      EXPECT_EQ(stats_bytes(*reopened.results()[i]), stats_bytes(straight[i]))
-          << "point " << i;
+      const RunStats* r = reopened.find(points[i]);
+      ASSERT_NE(r, nullptr) << "point " << i;
+      EXPECT_EQ(stats_bytes(*r), stats_bytes(straight[i])) << "point " << i;
     }
   }
 }
@@ -128,15 +133,34 @@ TEST(Campaign, FreshInstanceSeesPersistedCompletion) {
   const std::string dir = scratch_dir("reopen");
   const std::vector<RunStats> first = sweep_logged(points, dir);
 
-  ResultsLog reopened(points, dir);
+  ResultsLog reopened(dir);
   // Loading alone must report completion: no simulation needed.
-  EXPECT_EQ(reopened.completed(), points.size());
+  EXPECT_EQ(reopened.size(), points.size());
   SweepReport report;
   const std::vector<RunStats> served =
       run_sweep(points, 2, nullptr, &report, &reopened);
   EXPECT_EQ(swept_points(report), 0u);
   for (std::size_t i = 0; i < points.size(); ++i) {
     EXPECT_TRUE(same_stats(served[i], first[i])) << "point " << i;
+  }
+}
+
+TEST(Campaign, ASessionStoreServesRepeatedPointsAcrossSweeps) {
+  // Two sweeps sharing one in-memory store, as two experiments of one
+  // dxbar_bench session do: the second simulates only its new points.
+  const auto points = tiny_points();
+  ResultsLog store;
+  EXPECT_TRUE(store.path().empty());
+  run_sweep({points[0], points[1]}, 2, nullptr, nullptr, &store);
+  EXPECT_EQ(store.size(), 2u);
+  SweepReport report;
+  const std::vector<RunStats> swept =
+      run_sweep(points, 2, nullptr, &report, &store);
+  EXPECT_EQ(swept_points(report), 2u);
+  EXPECT_EQ(store.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_TRUE(same_stats(swept[i], run_open_loop(points[i])))
+        << "point " << i;
   }
 }
 
@@ -151,8 +175,8 @@ TEST(Campaign, TornResultTailIsDroppedAndRecomputed) {
   const auto size = fs::file_size(results);
   fs::resize_file(results, size - 5);
 
-  ResultsLog damaged(points, dir);
-  EXPECT_EQ(damaged.completed(), points.size() - 1);  // only the tail is lost
+  ResultsLog damaged(dir);
+  EXPECT_EQ(damaged.size(), points.size() - 1);  // only the tail is lost
   SweepReport report;
   const std::vector<RunStats> resumed =
       run_sweep(points, 2, nullptr, &report, &damaged);
@@ -163,32 +187,52 @@ TEST(Campaign, TornResultTailIsDroppedAndRecomputed) {
 
   // The recomputed point was appended where the torn tail was, so the
   // next resume finds every point.
-  EXPECT_EQ(ResultsLog(points, dir).completed(), points.size());
+  EXPECT_EQ(ResultsLog(dir).size(), points.size());
 }
 
-TEST(Campaign, ResultsFromADifferentPointListAreIgnored) {
-  const std::string dir = scratch_dir("stale_results");
+TEST(Campaign, OnlyAnEqualConfigIsServed) {
+  // A config that differs from a stored one in any serialized field,
+  // pricing-only and warmup-neutral fields included, is not served; the
+  // execution-only fields (shards) are not part of the key.
+  const SimConfig stored = tiny_points()[0];
+  ResultsLog store;
+  store.record(stored, RunStats{});
+  for (const ConfigField& f : config_fields()) {
+    SimConfig other = stored;
+    f.visit(other, [](auto& v) {
+      using T = std::remove_reference_t<decltype(v)>;
+      if constexpr (std::is_same_v<T, bool>) {
+        v = !v;
+      } else if constexpr (std::is_enum_v<T>) {
+        v = static_cast<T>(static_cast<std::underlying_type_t<T>>(v) + 1);
+      } else {
+        v = v + 1;
+      }
+    });
+    EXPECT_EQ(store.find(other) != nullptr, f.has(kExecutionOnly)) << f.key;
+  }
+
+  // An equal config recorded by another point list is served from the
+  // file: only the one new point of this list runs.
+  const std::string dir = scratch_dir("other_list");
   sweep_logged(tiny_points(), dir);
-  // Same directory, same number of points, one field changed: every
-  // recorded result belongs to the old list and must re-run.
-  auto other_points = tiny_points();
-  for (auto& p : other_points) p.packet_length = 3;
-  ResultsLog other(other_points, dir);
-  EXPECT_EQ(other.completed(), 0u);
-  const std::vector<RunStats> swept =
-      run_sweep(other_points, 2, nullptr, nullptr, &other);
-  for (std::size_t i = 0; i < other_points.size(); ++i) {
-    EXPECT_TRUE(same_stats(swept[i], run_open_loop(other_points[i])))
+  SimConfig fresh = tiny_points()[3];
+  fresh.packet_length = 3;
+  const std::vector<SimConfig> points = {fresh, tiny_points()[2]};
+  SweepReport report;
+  const std::vector<RunStats> swept = sweep_logged(points, dir, 2, &report);
+  EXPECT_EQ(swept_points(report), 1u);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_TRUE(same_stats(swept[i], run_open_loop(points[i])))
         << "point " << i;
   }
 }
 
 TEST(Campaign, UnreadableResumeFilesAreATypedError) {
-  const auto points = tiny_points();
   const std::string dir = scratch_dir("unreadable_results");
   fs::create_directories(fs::path(dir) / "results.bin");
   try {
-    ResultsLog log(points, dir);
+    ResultsLog log(dir);
     FAIL() << "an unreadable results.bin must throw";
   } catch (const ResumeFileError& e) {
     EXPECT_NE(std::string(e.what()).find("results.bin"), std::string::npos)
@@ -202,7 +246,7 @@ TEST(Campaign, UnwritableResumeFilesAreATypedError) {
   // error raised on a worker reaches the calling thread.
   const auto points = tiny_points();
   const std::string dir = scratch_dir("unwritable_results");
-  ResultsLog log(points, dir);
+  ResultsLog log(dir);
   fs::create_directories(fs::path(dir) / "results.bin");
   try {
     run_sweep(points, 4, nullptr, nullptr, &log);
@@ -211,7 +255,7 @@ TEST(Campaign, UnwritableResumeFilesAreATypedError) {
     EXPECT_NE(std::string(e.what()).find("results.bin"), std::string::npos)
         << e.what();
   }
-  EXPECT_EQ(log.completed(), 0u);
+  EXPECT_EQ(log.size(), 0u);
 }
 
 // --- byte fuzz of the resume files ------------------------------------
@@ -254,11 +298,10 @@ TEST(Campaign, ByteFuzzedResultsNeverLoadAWrongValue) {
   for (const auto& damaged : damaged_copies(bytes, 400)) {
     write_bytes(fs::path(dir) / "results.bin", damaged);
     std::unique_ptr<ResultsLog> reopened;
-    ASSERT_NO_THROW(reopened = std::make_unique<ResultsLog>(points, dir));
+    ASSERT_NO_THROW(reopened = std::make_unique<ResultsLog>(dir));
     for (std::size_t i = 0; i < points.size(); ++i) {
-      if (reopened->results()[i].has_value()) {
-        EXPECT_EQ(stats_bytes(*reopened->results()[i]),
-                  stats_bytes(reference[i]))
+      if (const RunStats* r = reopened->find(points[i])) {
+        EXPECT_EQ(stats_bytes(*r), stats_bytes(reference[i]))
             << "point " << i;
       }
     }
@@ -266,22 +309,27 @@ TEST(Campaign, ByteFuzzedResultsNeverLoadAWrongValue) {
 }
 
 TEST(Campaign, ResultsUnderTheOldFrameTagAreRecomputed) {
-  // Logs from before the table-order RunStats payload tag their frames
-  // "RSOL".  Such a frame is as long and as hash-valid as a current one,
-  // so only its tag keeps it from decoding into the wrong fields.
+  // Files of the earlier layouts tag their frames "RSOL" (fields in
+  // declaration order) or "RSO2" (keyed by a point list's fingerprint
+  // and a point index).  Such a frame is as long and as hash-valid as a
+  // current one, so only its tag keeps it from decoding into the wrong
+  // fields.
   const std::vector<SimConfig> point = {tiny_points()[0]};
   const std::string dir = scratch_dir("old_tag");
   sweep_logged(point, dir);
-  auto bytes = read_bytes(fs::path(dir) / "results.bin");
-  std::memcpy(bytes.data(), "RSOL", 4);  // a tag is stored as its letters
-  write_bytes(fs::path(dir) / "results.bin", bytes);
+  for (const char* tag : {"RSOL", "RSO2"}) {
+    SCOPED_TRACE(tag);
+    auto bytes = read_bytes(fs::path(dir) / "results.bin");
+    std::memcpy(bytes.data(), tag, 4);  // a tag is stored as its letters
+    write_bytes(fs::path(dir) / "results.bin", bytes);
 
-  ResultsLog reopened(point, dir);
-  EXPECT_EQ(reopened.completed(), 0u);
-  const std::vector<RunStats> swept =
-      run_sweep(point, 1, nullptr, nullptr, &reopened);
-  EXPECT_TRUE(same_stats(swept[0], run_open_loop(point[0])));
-  EXPECT_EQ(ResultsLog(point, dir).completed(), 1u);
+    ResultsLog reopened(dir);
+    EXPECT_EQ(reopened.size(), 0u);
+    const std::vector<RunStats> swept =
+        run_sweep(point, 1, nullptr, nullptr, &reopened);
+    EXPECT_TRUE(same_stats(swept[0], run_open_loop(point[0])));
+    EXPECT_EQ(ResultsLog(dir).size(), 1u);
+  }
 }
 
 }  // namespace

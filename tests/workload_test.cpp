@@ -3,7 +3,7 @@
 // invariant (forward progress at saturation for every design), the
 // MLP bound, determinism across execution strategies (shards, sweep
 // threads, replica batches), snapshot/restore, and the SPLASH points'
-// sweeps and --resume results logs.
+// sweeps and the --resume results store.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -372,12 +372,12 @@ std::string fresh_dir(const std::string& name) {
   return dir;
 }
 
-/// Sweeps `points` through the results log of `dir`; `report` counts
+/// Sweeps `points` through the results store of `dir`; `report` counts
 /// the points the sweep ran.
 std::vector<RunStats> sweep_logged(const std::vector<SimConfig>& points,
                                    const std::string& dir,
                                    SweepReport* report = nullptr) {
-  ResultsLog log(points, dir);
+  ResultsLog log(dir);
   return run_sweep(points, 2, nullptr, report, &log);
 }
 
@@ -400,43 +400,45 @@ TEST(ClosedLoopCampaignTest, ResumeSkipsCompletedPoints) {
 
   {
     // A sweep killed after its first two points finished.
-    ResultsLog killed(points, dir);
-    EXPECT_EQ(killed.completed(), 0u);
+    ResultsLog killed(dir);
+    EXPECT_EQ(killed.size(), 0u);
     for (const std::size_t i : {0u, 1u}) {
-      killed.record(i, run_open_loop(points[i]));
+      killed.record(points[i], run_open_loop(points[i]));
     }
   }
   {
-    ResultsLog log(points, dir);
-    EXPECT_EQ(log.completed(), 2u);
-    EXPECT_TRUE(log.results()[1].has_value());
-    EXPECT_FALSE(log.results()[2].has_value());
+    ResultsLog log(dir);
+    EXPECT_EQ(log.size(), 2u);
+    EXPECT_NE(log.find(points[1]), nullptr);
+    EXPECT_EQ(log.find(points[2]), nullptr);
     SweepReport report;
     expect_cold_results(run_sweep(points, 2, nullptr, &report, &log),
                         points);
     EXPECT_EQ(swept_points(report), 2u);
   }
-  EXPECT_EQ(ResultsLog(points, dir).completed(), points.size());
+  EXPECT_EQ(ResultsLog(dir).size(), points.size());
 }
 
-TEST(ClosedLoopCampaignTest, ForeignFingerprintFramesAreIgnored) {
+TEST(ClosedLoopCampaignTest, OtherTransactionCountsAreNotServed) {
   const std::string dir = fresh_dir("clc_foreign");
   const std::vector<SimConfig> quick = splash_points(3);
   const std::vector<SimConfig> full = splash_points(5);
 
   sweep_logged(quick, dir);
-  // A full run sharing the directory: the quick run's frames must not
-  // leak in as completed points.
+  // A full run sharing the directory: the quick run's results must not
+  // be served for its points.
   {
-    ResultsLog log(full, dir);
-    EXPECT_EQ(log.completed(), 0u);
-    log.record(0, run_open_loop(full[0]));
+    ResultsLog log(dir);
+    for (const SimConfig& p : full) EXPECT_EQ(log.find(p), nullptr);
+    log.record(full[0], run_open_loop(full[0]));
   }
-  // And back: each point list still sees exactly its own frames.
-  EXPECT_EQ(ResultsLog(quick, dir).completed(), quick.size());
-  const ResultsLog log(full, dir);
-  ASSERT_EQ(log.completed(), 1u);
-  EXPECT_TRUE(same_stats(*log.results()[0], run_open_loop(full[0])));
+  // And back: each point list still finds exactly its own results.
+  const ResultsLog log(dir);
+  EXPECT_EQ(log.size(), quick.size() + 1);
+  for (const SimConfig& p : quick) EXPECT_NE(log.find(p), nullptr);
+  ASSERT_NE(log.find(full[0]), nullptr);
+  EXPECT_EQ(log.find(full[1]), nullptr);
+  EXPECT_TRUE(same_stats(*log.find(full[0]), run_open_loop(full[0])));
 }
 
 TEST(ClosedLoopCampaignTest, TornTailIsDroppedNotFatal) {
@@ -444,7 +446,7 @@ TEST(ClosedLoopCampaignTest, TornTailIsDroppedNotFatal) {
   const std::vector<SimConfig> points = {splash_points(4)[0],
                                          splash_points(4)[1]};
 
-  ResultsLog(points, dir).record(0, run_open_loop(points[0]));
+  ResultsLog(dir).record(points[0], run_open_loop(points[0]));
   {
     // Simulate a crash mid-append: garbage after the last valid frame.
     std::ofstream out(dir + "/results.bin",
@@ -453,8 +455,8 @@ TEST(ClosedLoopCampaignTest, TornTailIsDroppedNotFatal) {
   }
   {
     SweepReport report;
-    ResultsLog log(points, dir);
-    EXPECT_EQ(log.completed(), 1u);
+    ResultsLog log(dir);
+    EXPECT_EQ(log.size(), 1u);
     run_sweep(points, 2, nullptr, &report, &log);
     EXPECT_EQ(swept_points(report), 1u);
   }
@@ -468,7 +470,7 @@ TEST(ClosedLoopCampaignTest, UnreadableResultsFileIsATypedError) {
   const std::string dir = fresh_dir("clc_unreadable");
   std::filesystem::create_directories(dir + "/results.bin");
   try {
-    ResultsLog log(splash_points(4), dir);
+    ResultsLog log(dir);
     FAIL() << "an unreadable results.bin must throw";
   } catch (const ResumeFileError& e) {
     EXPECT_NE(std::string(e.what()).find("results.bin"), std::string::npos)
@@ -484,7 +486,7 @@ TEST(SplashPoint, SweepAndResumedCampaignMatchTheColdRun) {
   ASSERT_GT(cold.cycles, 200u);
 
   // run_sweep prices the tech=32 sibling from the same run, and records
-  // both into the log.
+  // both into the store.
   SimConfig at32 = cfg;
   at32.tech_node = 32;
   const std::vector<SimConfig> points = {cfg, at32};
@@ -495,7 +497,7 @@ TEST(SplashPoint, SweepAndResumedCampaignMatchTheColdRun) {
   EXPECT_TRUE(same_stats(swept[0], cold));
   EXPECT_TRUE(same_stats(swept[1], run_open_loop(at32)));
 
-  // The resumed sweep serves both points from the log.
+  // The resumed sweep serves both points from the store.
   const std::vector<RunStats> resumed = sweep_logged(points, dir, &report);
   EXPECT_EQ(swept_points(report), 0u);
   EXPECT_TRUE(same_stats(resumed[0], cold));
